@@ -39,11 +39,17 @@ def geodesic_distances(mesh: TriangleMesh, source: int,
 
 
 def geodesic_distances_multi(mesh: TriangleMesh, sources,
-                             graph: sparse.csr_matrix | None = None) -> np.ndarray:
-    """Row-per-source matrix of Dijkstra distances, shape (len(sources), n)."""
+                             graph: sparse.csr_matrix | None = None,
+                             limit: float = np.inf) -> np.ndarray:
+    """Row-per-source matrix of Dijkstra distances, shape (len(sources), n).
+
+    The search from each source stops at ``limit``: distances up to it are
+    the same as without a limit, bit for bit, and vertices beyond it get
+    ``inf``.
+    """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise ValueError("source index out of range")
     if graph is None:
         graph = edge_graph(mesh)
-    return np.atleast_2d(dijkstra(graph, directed=False, indices=sources))
+    return np.atleast_2d(dijkstra(graph, directed=False, indices=sources, limit=limit))

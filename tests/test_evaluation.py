@@ -1,13 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meshwavelets import (TriangleMesh, curve, geodesic_errors, identity_map,
-                          total_area)
+from meshwavelets import (TriangleMesh, curve, edge_graph, geodesic_distances_multi,
+                          geodesic_errors, identity_map, normalize_unit_area, total_area)
 from meshwavelets.matching import PointMap
+from meshwavelets.synthetic import jittered_icosphere
 from tests.conftest import chain_mesh
+
+
+def all_sources_errors(pm, gt, mesh):
+    """Reference: one unbounded Dijkstra row per distinct image on the side
+    with fewer distinct images, looked up for every pair."""
+    unit_mesh, _ = normalize_unit_area(mesh)
+    a, b = pm.targets, gt.targets
+    ua, ub = np.unique(a), np.unique(b)
+    if ub.size < ua.size:
+        a, b, ua = b, a, ub
+    dists = geodesic_distances_multi(unit_mesh, ua, graph=edge_graph(unit_mesh))
+    row_of = np.empty(mesh.n_vertices, dtype=np.int64)
+    row_of[ua] = np.arange(ua.size)
+    return dists[row_of[a], b]
 
 
 def test_identity_map_zero_errors(ico162):
@@ -33,13 +50,65 @@ def test_disconnected_pair_infinite_with_warning():
          [10, 10, 0], [11, 10, 0], [10, 11, 0]]
     mesh = TriangleMesh(vertices=v, faces=[[0, 1, 2], [3, 4, 5]])
     gt = identity_map(6)
-    targets = np.array([3, 1, 2, 3, 4, 5])  # v0 sent to the other component
+    # v0 sent to the other component; v1 and v4 miss within their own
+    targets = np.array([3, 2, 2, 3, 5, 5])
     pm = PointMap(targets=targets, target_size=6)
-    with pytest.warns(UserWarning, match="disconnected"):
+    with pytest.warns(UserWarning, match="1 correspondences span disconnected"):
         errors = geodesic_errors(pm, gt, mesh)
     assert np.isinf(errors[0])
+    side = np.sqrt(2.0) / np.sqrt(total_area(mesh))  # hypotenuse, unit-area scale
+    assert errors[1] == pytest.approx(side, rel=1e-12)
+    assert errors[4] == pytest.approx(side, rel=1e-12)
+    assert (errors[[2, 3, 5]] == 0.0).all()
+    assert np.array_equal(errors.view(np.uint64),
+                          all_sources_errors(pm, gt, mesh).view(np.uint64))
     c = curve(errors)
     assert np.isfinite(c.mean_error)  # inf excluded from the mean
+
+
+@settings(max_examples=60, deadline=None)
+@given(use_642=st.booleans(),
+       kinds=st.lists(st.sampled_from(["hit", "ring", "antipode"]), min_size=1, max_size=300),
+       pool=st.integers(1, 642), seed=st.integers(0, 2**32 - 1),
+       swap=st.booleans())
+def test_errors_match_all_sources_reference(ico162, ico642, use_642, kinds, pool, seed, swap):
+    mesh = ico642 if use_642 else ico162
+    n = mesh.n_vertices
+    graph = edge_graph(mesh)
+    rng = np.random.default_rng(seed)
+    gt = rng.choice(rng.permutation(n)[:min(pool, n)], size=len(kinds))
+    pm = gt.copy()
+    for i, kind in enumerate(kinds):
+        v = gt[i]
+        if kind == "ring":
+            pm[i] = rng.choice(graph.indices[graph.indptr[v]:graph.indptr[v + 1]])
+        elif kind == "antipode":  # graph/chord >= pi/2 > 1.5: beyond the bounded search
+            pm[i] = np.argmin(np.linalg.norm(mesh.vertices + mesh.vertices[v], axis=1))
+    if swap:  # the side with fewer distinct images may be either map
+        pm, gt = gt, pm
+    pm = PointMap(targets=pm, target_size=n)
+    gt = PointMap(targets=gt, target_size=n)
+    errors = geodesic_errors(pm, gt, mesh)
+    assert np.array_equal(errors.view(np.uint64),
+                          all_sources_errors(pm, gt, mesh).view(np.uint64))
+
+
+def test_memory_bounded_on_10k_mesh():
+    mesh = jittered_icosphere(5, seed=0)
+    graph = edge_graph(mesh)
+    n = mesh.n_vertices
+    assert n == 10242
+    pm = PointMap(targets=graph.indices[graph.indptr[:-1]].astype(np.int64), target_size=n)
+    gt = identity_map(n)
+    tracemalloc.start()
+    try:
+        errors = geodesic_errors(pm, gt, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(errors).all() and (errors > 0).all()
+    # an all-sources search holds a (sources x n) float64 matrix: ~355 MiB here
+    assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_size_mismatch_rejected(ico162):

@@ -54,6 +54,18 @@ def test_multi_matches_single(ico162):
     np.testing.assert_array_equal(multi[1], geodesic_distances(ico162, 50, graph=graph))
 
 
+def test_limit_truncates_without_changing_near_distances(ico162):
+    graph = edge_graph(ico162)
+    sources = [0, 17, 99]
+    full = geodesic_distances_multi(ico162, sources, graph=graph)
+    limit = float(np.median(full))
+    bounded = geodesic_distances_multi(ico162, sources, graph=graph, limit=limit)
+    near = full <= limit
+    assert near.any() and (~near).any()
+    np.testing.assert_array_equal(bounded[near].view(np.uint64), full[near].view(np.uint64))
+    assert np.isinf(bounded[~near]).all()
+
+
 def test_concurrent_calls_consistent(ico162):
     graph = edge_graph(ico162)
     expected = [geodesic_distances(ico162, s, graph=graph) for s in range(16)]
