@@ -43,8 +43,9 @@ def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np
     other pairs are grouped by the image on the side with fewer distinct
     vertices, and Dijkstra runs once per such vertex, in chunks of 256
     sources, each chunk searching only to 1.5 times its longest Euclidean
-    chord; the few pairs beyond that radius are searched again without a
-    limit. Memory is O(256 * n), not O(sources * n).
+    chord, or without a limit once that spans the mesh's bounding box; the
+    few pairs beyond a limit are searched again without one. Memory is
+    O(256 * n), not O(sources * n).
     Unreachable image pairs (disconnected target) give ``inf`` with a warning.
     """
     if pm.source_size != gt.source_size:
@@ -64,12 +65,8 @@ def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np
     # the tests chooses it.
     if np.unique(b).size < np.unique(a).size:
         a, b = b, a
-    src, dst = a[miss], b[miss]
-    errors[miss] = _chunked_distances(unit_mesh, graph, src, dst, bounded=True)
-    far = np.flatnonzero(np.isinf(errors[miss]))
-    if far.size:
-        errors[miss[far]] = _chunked_distances(unit_mesh, graph, src[far], dst[far],
-                                               bounded=False)
+    extent = np.ptp(unit_mesh.vertices, axis=0).max()
+    errors[miss] = _chunked_distances(unit_mesh, graph, a[miss], b[miss], extent)
     if not np.isfinite(errors).all():
         warnings.warn(f"{int(np.isinf(errors).sum())} correspondences span "
                       "disconnected components (infinite geodesic error)", stacklevel=2)
@@ -77,13 +74,14 @@ def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np
 
 
 def _chunked_distances(mesh: TriangleMesh, graph, src: np.ndarray, dst: np.ndarray,
-                       bounded: bool) -> np.ndarray:
+                       extent: float) -> np.ndarray:
     """Graph distance from ``src[k]`` to ``dst[k]`` for every pair ``k``.
 
     Runs Dijkstra once per distinct source, ``_DIJKSTRA_CHUNK`` sources per
-    call, in order of each source's longest Euclidean chord to a partner. On
-    a ``bounded`` pass each call stops at ``_REACH_SLACK`` times the longest
-    chord in its chunk, and pairs beyond that get ``inf``.
+    call, in order of each source's longest Euclidean chord to a partner.
+    Each call stops at ``_REACH_SLACK`` times the longest chord in its chunk,
+    or runs without a limit once that reaches ``extent``; pairs beyond a
+    limit are searched again, all together, without one.
     """
     sources, row = np.unique(src, return_inverse=True)
     chord = np.linalg.norm(mesh.vertices[src] - mesh.vertices[dst], axis=1)
@@ -97,14 +95,20 @@ def _chunked_distances(mesh: TriangleMesh, graph, src: np.ndarray, dst: np.ndarr
     bounds = np.searchsorted(pair_rank[by_rank],
                              np.arange(0, sources.size + _DIJKSTRA_CHUNK, _DIJKSTRA_CHUNK))
     out = np.empty(src.size)
+    limited = np.zeros(src.size, dtype=bool)
     for k, lo in enumerate(range(0, sources.size, _DIJKSTRA_CHUNK)):
         chunk = order[lo:lo + _DIJKSTRA_CHUNK]
         # the chord is a lower bound on the graph distance; chunks are sorted,
         # so the last source has the longest chord
-        limit = _REACH_SLACK * reach[chunk[-1]] if bounded else np.inf
+        limit = _REACH_SLACK * reach[chunk[-1]]
+        limit = limit if limit < extent else np.inf
         dists = geodesic_distances_multi(mesh, sources[chunk], graph=graph, limit=limit)
         pairs = by_rank[bounds[k]:bounds[k + 1]]
         out[pairs] = dists[pair_rank[pairs] - lo, dst[pairs]]
+        limited[pairs] = limit < np.inf
+    far = np.flatnonzero(limited & np.isinf(out))
+    if far.size:
+        out[far] = _chunked_distances(mesh, graph, src[far], dst[far], extent=0.0)
     return out
 
 

@@ -92,8 +92,7 @@ def build_gamma(n_samples: int, n_scales: int) -> TikhonovRegularizer:
 
 
 def reconstruct_delta_map(dictionary: _DictionaryBase,
-                          regularizer: TikhonovRegularizer | None,
-                          block: int = _NN_BLOCK) -> PointMap:
+                          regularizer: TikhonovRegularizer | None) -> PointMap:
     """Recover the location of every vertex indicator from the dictionary.
 
     Solves the ridge-regularized least squares min ||Psi a - I||^2 + ||G a||^2
@@ -112,15 +111,39 @@ def reconstruct_delta_map(dictionary: _DictionaryBase,
                              f"{m} dictionary columns")
         gram = gram + np.diag(regularizer.weights ** 2)
     try:
-        factor = scipy.linalg.cho_factor(gram)
+        lower = scipy.linalg.cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"normal matrix is singular: {exc}") from exc
-    targets = np.empty(n, dtype=np.int64)
-    for start in range(0, n, block):
-        alpha = scipy.linalg.cho_solve(factor, psi[start:start + block].T)
-        recon = psi @ alpha  # (n, block): column j is the image of indicator start+j
-        targets[start:start + block] = np.argmax(recon, axis=0)
-    return PointMap(targets=targets, target_size=n)
+    # Psi a = Psi G^-1 Psi^T = B B^T with B = Psi L^-T, where G = L L^T
+    b = scipy.linalg.solve_triangular(lower, psi.T, lower=True).T
+    return PointMap(targets=gram_argmax(b), target_size=n)
+
+
+def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
+    """``targets[j] = argmax_i <b_i, b_j>`` over the rows of ``b``, ties to the lowest i.
+
+    Walks strips ``b[s:e] @ b[s:].T`` so that each entry of the symmetric Gram
+    matrix is computed once and at most ``block * n`` of it is held at a time.
+    Columns ``s:e`` of the strip's own rows are reduced along rows (contiguous
+    memory, via symmetry); later columns are reduced down the strip.
+    """
+    n = b.shape[0]
+    best = np.full(n, -np.inf)
+    arg = np.zeros(n, dtype=np.int64)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        strip = b[s:e] @ b[s:].T
+        head = strip.argmax(axis=1)
+        tail = strip[:, e - s:]
+        tail_max = tail.max(axis=0, initial=-np.inf)
+        values = np.concatenate([strip[np.arange(e - s), head], tail_max])
+        rows = np.concatenate([head, (tail == tail_max).argmax(axis=0)]) + s
+        # every column sees its candidate rows in increasing order, so a
+        # strict comparison lets ties keep the lowest row
+        take = values > best[s:]
+        best[s:][take] = values[take]
+        arg[s:][take] = rows[take]
+    return arg
 
 
 def nearest_rows(queries: np.ndarray, points: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:

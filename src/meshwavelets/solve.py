@@ -2,8 +2,7 @@
 
 The matrix A + tW is factorized once and reused for every right-hand side of
 every diffusion step; this single factorization is the main performance lever
-of the dictionary construction. A Jacobi-preconditioned conjugate-gradient
-path is available where a direct factorization is not wanted.
+of the dictionary construction.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
 
@@ -29,26 +28,18 @@ class SpdSystem:
     multiple threads are safe.
     """
 
-    def __init__(self, matrix: sparse.csc_matrix, method: str = "direct",
-                 max_iter_factor: int = 10):
+    def __init__(self, matrix: sparse.csc_matrix):
         matrix = matrix.tocsc()
         gap = abs(matrix - matrix.T)
         if gap.nnz and gap.max() > 1e-12 * abs(matrix).max():
             raise ValueError("matrix is not symmetric")
         self.matrix = matrix
         self.n = matrix.shape[0]
-        self.method = method
-        self._max_iter = max(1, max_iter_factor * self.n)
         self._lock = threading.Lock()
-        if method == "direct":
-            try:
-                self._lu = splu(matrix)
-            except RuntimeError as exc:  # SuperLU reports the failing pivot
-                raise NumericalError(f"factorization breakdown (matrix not SPD?): {exc}") from exc
-        elif method == "cg":
-            self._jacobi = sparse.diags(1.0 / matrix.diagonal())
-        else:
-            raise ValueError(f"unknown method {method!r}, expected 'direct' or 'cg'")
+        try:
+            self._lu = splu(matrix)
+        except RuntimeError as exc:  # SuperLU reports the failing pivot
+            raise NumericalError(f"factorization breakdown (matrix not SPD?): {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -56,23 +47,12 @@ class SpdSystem:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, system has {self.n}")
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
-        if self.method == "direct":
-            with self._lock:  # SuperLU solves share internal buffers
-                x = self._lu.solve(b)
-                # one step of iterative refinement sharpens the residual well
-                # below the guaranteed tolerance
-                x += self._lu.solve(b - self.matrix @ x)
-            self._check_residual(x, b)
-        else:
-            x = np.empty_like(b)
-            for j in range(b.shape[1]):
-                xj, info = cg(self.matrix, b[:, j], rtol=SOLVE_RTOL, atol=0.0,
-                              maxiter=self._max_iter, M=self._jacobi)
-                if info != 0:
-                    raise NumericalError(
-                        f"CG did not reach rtol={SOLVE_RTOL} within {self._max_iter} "
-                        f"iterations (column {j}, info={info})")
-                x[:, j] = xj
+        with self._lock:  # SuperLU solves share internal buffers
+            x = self._lu.solve(b)
+            # one step of iterative refinement sharpens the residual well
+            # below the guaranteed tolerance
+            x += self._lu.solve(b - self.matrix @ x)
+        self._check_residual(x, b)
         return x[:, 0] if single else x
 
     def _check_residual(self, x, b):
@@ -86,8 +66,7 @@ class SpdSystem:
                 f"(column {j})")
 
 
-def factorize(mass: np.ndarray, stiffness: sparse.spmatrix, t: float,
-              method: str = "direct", max_iter_factor: int = 10) -> SpdSystem:
+def factorize(mass: np.ndarray, stiffness: sparse.spmatrix, t: float) -> SpdSystem:
     """Factorize A + tW for repeated multi-right-hand-side solves.
 
     ``mass`` is the strictly positive diagonal of A, ``stiffness`` the
@@ -98,8 +77,7 @@ def factorize(mass: np.ndarray, stiffness: sparse.spmatrix, t: float,
     mass = np.asarray(mass, dtype=np.float64)
     if (mass <= 0).any():
         raise ValueError("mass diagonal must be strictly positive")
-    return SpdSystem(sparse.diags(mass) + t * stiffness.tocsc(),
-                     method=method, max_iter_factor=max_iter_factor)
+    return SpdSystem(sparse.diags(mass) + t * stiffness.tocsc())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .laplacian import LaplacianPair
-from .matching import PointMap, nearest_rows
+from .matching import PointMap, gram_argmax, nearest_rows
 from .sampling import SampleSet
 from .solve import Spectrum
 from .wavelets import _normalize_columns
@@ -199,7 +199,7 @@ def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) ->
     return PointMap(targets=targets, target_size=spec_n.n)
 
 
-def eigenbasis_selfmatch_map(spectrum: Spectrum, k: int, block: int = 256) -> PointMap:
+def eigenbasis_selfmatch_map(spectrum: Spectrum, k: int) -> PointMap:
     """Self-matching through a truncated eigenbasis (the LBO-basis baseline).
 
     Each vertex indicator is reconstructed in the span of the first k
@@ -209,13 +209,8 @@ def eigenbasis_selfmatch_map(spectrum: Spectrum, k: int, block: int = 256) -> Po
     """
     if not 1 <= k <= spectrum.count:
         raise ValueError(f"k must be in [1, {spectrum.count}], got {k}")
-    phi = spectrum.eigenvectors[:, :k]
-    n = phi.shape[0]
-    targets = np.empty(n, dtype=np.int64)
-    for start in range(0, n, block):
-        recon = phi @ phi[start:start + block].T  # (n, block): columns are delta recon
-        targets[start:start + block] = np.argmax(recon, axis=0)
-    return PointMap(targets=targets, target_size=n)
+    return PointMap(targets=gram_argmax(spectrum.eigenvectors[:, :k]),
+                    target_size=spectrum.n)
 
 
 def exponential_sum(coefficients, rates, times) -> np.ndarray:

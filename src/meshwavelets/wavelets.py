@@ -136,8 +136,8 @@ def pair_rhos(area_source: float, area_target: float) -> tuple[float, float]:
     return 1.0, compute_rho(area_source, area_target)
 
 
-def _diffuse_scales(lap, first_block, n_scales, t, method, zero_mean=False):
-    system = factorize(lap.mass, lap.stiffness, t, method=method)
+def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
+    system = factorize(lap.mass, lap.stiffness, t)
     scales = []
     block = first_block
     for _ in range(n_scales):
@@ -172,8 +172,8 @@ def _check_degenerate(values, n_samp, samples, what):
 
 
 def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
-                     t_max: float = 1.0, rho: float = 1.0, normalize: bool = True,
-                     method: str = "direct") -> WaveletDictionary:
+                     t_max: float = 1.0, rho: float = 1.0,
+                     normalize: bool = True) -> WaveletDictionary:
     """Build the multi-scale wavelet dictionary for a sample set.
 
     The per-step diffusion time is t = rho * t_max / (n_scales * sqrt(area)),
@@ -186,8 +186,7 @@ def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
     ``normalize=False`` returns the raw diffused columns (diagnostics).
     """
     t = _time_step(lap, n_scales, t_max, rho)
-    cols = _diffuse_scales(lap, mother_wavelets(lap, samples), n_scales, t, method,
-                           zero_mean=True)
+    cols = _diffuse_scales(lap, mother_wavelets(lap, samples), n_scales, t, zero_mean=True)
     if normalize:
         cols = _normalize_columns(cols, lap.mass, samples, apply_range=True)
     return WaveletDictionary(columns=cols, samples=samples, n_scales=n_scales,
@@ -195,11 +194,11 @@ def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
 
 
 def build_heat_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
-                          t_max: float = 1.0, rho: float = 1.0, normalize: bool = True,
-                          method: str = "direct") -> HeatDictionary:
+                          t_max: float = 1.0, rho: float = 1.0,
+                          normalize: bool = True) -> HeatDictionary:
     """Heat-kernel baseline: diffuse raw indicators, skip the range normalization."""
     t = _time_step(lap, n_scales, t_max, rho)
-    cols = _diffuse_scales(lap, indicator_columns(lap.n, samples), n_scales, t, method)
+    cols = _diffuse_scales(lap, indicator_columns(lap.n, samples), n_scales, t)
     if normalize:
         cols = _normalize_columns(cols, lap.mass, samples, apply_range=False)
     return HeatDictionary(columns=cols, samples=samples, n_scales=n_scales,

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meshwavelets import (TriangleMesh, curve, edge_graph, geodesic_distances_multi,
-                          geodesic_errors, identity_map, normalize_unit_area, total_area)
+from meshwavelets import (TriangleMesh, curve, edge_graph, evaluation,
+                          geodesic_distances_multi, geodesic_errors, identity_map,
+                          normalize_unit_area, total_area)
 from meshwavelets.matching import PointMap
-from meshwavelets.synthetic import jittered_icosphere
+from meshwavelets.synthetic import jittered_icosphere, triangulated_grid
 from tests.conftest import chain_mesh
 
 
@@ -82,7 +83,7 @@ def test_errors_match_all_sources_reference(ico162, ico642, use_642, kinds, pool
         v = gt[i]
         if kind == "ring":
             pm[i] = rng.choice(graph.indices[graph.indptr[v]:graph.indptr[v + 1]])
-        elif kind == "antipode":  # graph/chord >= pi/2 > 1.5: beyond the bounded search
+        elif kind == "antipode":  # graph/chord >= pi/2 > 1.5: no bound can prune
             pm[i] = np.argmin(np.linalg.norm(mesh.vertices + mesh.vertices[v], axis=1))
     if swap:  # the side with fewer distinct images may be either map
         pm, gt = gt, pm
@@ -91,6 +92,47 @@ def test_errors_match_all_sources_reference(ico162, ico642, use_642, kinds, pool
     errors = geodesic_errors(pm, gt, mesh)
     assert np.array_equal(errors.view(np.uint64),
                           all_sources_errors(pm, gt, mesh).view(np.uint64))
+
+
+def test_detour_beyond_the_bound_is_searched_again():
+    # a strip folded into two sheets 0.5 apart: the free ends are close in
+    # space but far along the mesh, beyond any bound their chord gives
+    grid = triangulated_grid(20, 2, width=20.0, height=2.0)
+    v = np.array(grid.vertices)
+    top = v[:, 0] > 10
+    v[top, 0] = 20 - v[top, 0]
+    v[top, 2] = 0.5
+    mesh = TriangleMesh(vertices=v, faces=grid.faces)
+    n = mesh.n_vertices
+    targets = np.arange(n)
+    targets[0] = 60  # (0, 0, 0) sent to (0, 0, 0.5), the other free end
+    pm = PointMap(targets=targets, target_size=n)
+    gt = identity_map(n)
+    errors = geodesic_errors(pm, gt, mesh)
+    assert errors[0] > 20 / np.sqrt(total_area(mesh))
+    assert np.array_equal(errors.view(np.uint64),
+                          all_sources_errors(pm, gt, mesh).view(np.uint64))
+
+
+def test_far_sources_are_searched_once(ico642, monkeypatch):
+    # antipodal partners lie beyond any bound that could prune on a sphere,
+    # so their sources go straight to one unbounded search
+    calls = []
+
+    def spy(mesh, sources, graph=None, limit=np.inf):
+        calls.append((len(sources), limit))
+        return geodesic_distances_multi(mesh, sources, graph=graph, limit=limit)
+
+    monkeypatch.setattr(evaluation, "geodesic_distances_multi", spy)
+    n = ico642.n_vertices
+    targets = np.arange(n)
+    v = ico642.vertices
+    for i in range(40):
+        targets[i] = np.argmin(np.linalg.norm(v + v[i], axis=1))
+    errors = geodesic_errors(PointMap(targets=targets, target_size=n), identity_map(n),
+                             ico642)
+    assert (errors[:40] > 0).all() and np.isfinite(errors).all()
+    assert calls == [(40, np.inf)]
 
 
 def test_memory_bounded_on_10k_mesh():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshwavelets import (NumericalError, build_dictionary, build_gamma,
                           build_heat_dictionary, build_laplacian, curve,
@@ -7,8 +10,8 @@ from meshwavelets import (NumericalError, build_dictionary, build_gamma,
                           identity_map, load_pointmap, nearest_rows,
                           normalize_unit_area, reconstruct_delta_map,
                           sample, save_pointmap, transfer_pointmap)
-from meshwavelets.matching import PointMap, TikhonovRegularizer
-from meshwavelets.synthetic import (jittered_icosphere, rigid_transform,
+from meshwavelets.matching import PointMap, TikhonovRegularizer, gram_argmax
+from meshwavelets.synthetic import (icosphere, jittered_icosphere, rigid_transform,
                                     rotation_matrix, stretched_icosphere)
 from meshwavelets.wavelets import WaveletDictionary
 
@@ -101,6 +104,55 @@ class TestReconstruct:
             errors.append(errs.mean())
         assert errors[1] <= errors[0] * 1.1
         assert errors[2] <= errors[1] * 1.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 4))
+def test_gram_argmax_matches_dense_oracle(data, n, m):
+    # small integers make many Gram entries exactly equal: the lowest row must win
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+    b = np.array(values, dtype=np.float64).reshape(n, m)
+    block = data.draw(st.sampled_from([1, 7, n, 512]))
+    np.testing.assert_array_equal(gram_argmax(b, block=block),
+                                  np.argmax(b @ b.T, axis=0))
+
+
+def _two_sided_reconstruction(dictionary, regularizer, block=512):
+    """Reference: solve the normal equations per block of indicators, then
+    take the argmax of each reconstructed column. Returns targets and Psi a."""
+    psi = dictionary.columns
+    n = psi.shape[0]
+    factor = scipy.linalg.cho_factor(psi.T @ psi + np.diag(regularizer.weights ** 2))
+    recon = np.empty((n, n))
+    for start in range(0, n, block):
+        alpha = scipy.linalg.cho_solve(factor, psi[start:start + block].T)
+        recon[:, start:start + block] = psi @ alpha
+    return np.argmax(recon, axis=0), recon
+
+
+@pytest.mark.parametrize("build", [build_dictionary, build_heat_dictionary])
+def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, build):
+    samples = sample(jitter642, 6, seed=5)
+    d = build(lap_jitter642, samples, n_scales=25, t_max=1.0)
+    gamma = build_gamma(6, 25)
+    expected, _ = _two_sided_reconstruction(d, gamma)
+    np.testing.assert_array_equal(reconstruct_delta_map(d, gamma).targets, expected)
+
+
+@pytest.mark.parametrize("subdivisions", [2, 3])
+@pytest.mark.parametrize("n_samples", [1, 2])
+def test_reconstruction_ties_on_symmetric_sphere(subdivisions, n_samples):
+    # an exactly symmetric mesh has reconstructions tied in exact arithmetic;
+    # roundoff may then pick either candidate, but only among equal values
+    mesh, _ = normalize_unit_area(icosphere(subdivisions))
+    samples = sample(mesh, n_samples, seed=0)
+    d = build_dictionary(build_laplacian(mesh), samples, n_scales=25, t_max=1.0)
+    gamma = build_gamma(n_samples, 25)
+    expected, recon = _two_sided_reconstruction(d, gamma)
+    got = reconstruct_delta_map(d, gamma).targets
+    cols = np.flatnonzero(got != expected)
+    gap = np.abs(recon[got[cols], cols] - recon[expected[cols], cols])
+    assert (gap <= 1e-12 * np.abs(recon).max()).all()
 
 
 class TestNearestRows:

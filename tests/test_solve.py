@@ -62,22 +62,6 @@ def test_factorization_reuse_matches_refactorization(lap162):
         assert np.abs(fresh.solve(B[:, j]) - X_shared[:, j]).max() <= 1e-12
 
 
-def test_cg_matches_direct(lap162):
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(lap162.n)
-    direct = factorize(lap162.mass, lap162.stiffness, t=1e-2)
-    iterative = factorize(lap162.mass, lap162.stiffness, t=1e-2, method="cg")
-    assert np.linalg.norm(direct.solve(b) - iterative.solve(b)) \
-        <= 1e-8 * np.linalg.norm(b)
-
-
-def test_cg_iteration_cap():
-    lap = build_laplacian(normalize_unit_area(icosphere(2))[0])
-    system = factorize(lap.mass, lap.stiffness, t=1.0, method="cg", max_iter_factor=0)
-    with pytest.raises(NumericalError, match="CG"):
-        system.solve(np.ones(lap.n))
-
-
 def test_singular_factorization_breakdown():
     n = 4
     mass = np.ones(n)
