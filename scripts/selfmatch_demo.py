@@ -9,7 +9,7 @@ Usage: python scripts/selfmatch_demo.py [n_samples] [n_scales]
 """
 import sys
 
-from meshwavelets import (build_dictionary, build_gamma, build_laplacian, curve,
+from meshwavelets import (build_dictionary, build_laplacian, curve,
                           eigenbasis_selfmatch_map, generalized_eigs,
                           geodesic_errors, identity_map, normalize_unit_area,
                           reconstruct_delta_map, sample)
@@ -25,7 +25,7 @@ gt = identity_map(mesh.n_vertices)
 print(f"mesh: {mesh.n_vertices} vertices; samples: {samples.indices.tolist()}")
 
 dictionary = build_dictionary(lap, samples, n_scales=n_scales, t_max=1.0)
-pm = reconstruct_delta_map(dictionary, build_gamma(n_samples, n_scales))
+pm = reconstruct_delta_map(dictionary)
 ours = curve(geodesic_errors(pm, gt, mesh))
 print(f"wavelet dictionary ({dictionary.n_columns} columns): "
       f"mean geodesic error {ours.mean_error:.4f}, AUC@0.25 {ours.auc_025:.3f}")

@@ -1,38 +1,29 @@
 #!/usr/bin/env python3
 """Dictionary construction time vs the truncated-spectral baseline.
 
-Builds icospheres of growing size and times the diffusion dictionary
-(10 samples, 25 scales) against the 300-eigenpair spectral route evaluated at
-the same diffusion times. The large sizes take a few minutes (dense
-eigensolve).
+Runs the ``timing`` experiment on icospheres of growing size: the diffusion
+dictionary (10 samples, 25 scales) against the 300-eigenpair spectral route
+evaluated at the same diffusion times. The large sizes take a few minutes
+(dense eigensolve).
 
 Usage: python scripts/timing_comparison.py [max_subdivisions]
 """
 import sys
-import time
+import tempfile
+from pathlib import Path
 
-from meshwavelets import (build_dictionary, build_laplacian, generalized_eigs,
-                          ground_truth_wavelets, normalize_unit_area, sample)
+from meshwavelets import run_experiment, write_off
+from meshwavelets.experiments import resolve_config
 from meshwavelets.synthetic import icosphere
 
 max_level = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 
 print(f"{'vertices':>10} {'ours (s)':>10} {'baseline (s)':>13} {'speedup':>8}")
-for level in range(3, max_level + 1):
-    mesh, _ = normalize_unit_area(icosphere(level))
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, 10, seed=0)
-
-    t0 = time.perf_counter()
-    dictionary = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
-    t_ours = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness,
-                                k=min(300, lap.n), max_n=20000)
-    ground_truth_wavelets(spectrum, lap, dictionary.t_step, 25, samples,
-                          mode="linear", truncation=300)
-    t_base = time.perf_counter() - t0
-
-    print(f"{mesh.n_vertices:>10} {t_ours:>10.2f} {t_base:>13.2f} "
-          f"{t_base / t_ours:>7.1f}x")
+with tempfile.TemporaryDirectory() as tmp:
+    for level in range(3, max_level + 1):
+        mesh_path = Path(tmp) / f"icosphere_{level}.off"
+        write_off(icosphere(level), mesh_path)
+        summary = run_experiment(resolve_config(
+            {"experiment": "timing", "out_dir": tmp, "mesh": str(mesh_path)}))
+        print(f"{summary['n_vertices']:>10} {summary['seconds_ours']:>10.2f} "
+              f"{summary['seconds_baseline']:>13.2f} {summary['speedup']:>7.1f}x")

@@ -11,9 +11,8 @@ from .evaluation import EvalCurve, curve, geodesic_errors
 from .experiments import parse_config, run_experiment
 from .geodesics import edge_graph, geodesic_distances, geodesic_distances_multi
 from .laplacian import LaplacianPair, build_laplacian
-from .matching import (PointMap, TikhonovRegularizer, build_gamma, identity_map,
-                       load_pointmap, nearest_rows, reconstruct_delta_map,
-                       save_pointmap, transfer_pointmap)
+from .matching import (PointMap, identity_map, load_pointmap, nearest_rows,
+                       reconstruct_delta_map, save_pointmap, transfer_pointmap)
 from .mesh import (TriangleMesh, face_areas, load_mesh, normalize_unit_area,
                    total_area, write_obj, write_off)
 from .sampling import SampleSet, explicit_samples, perturb_samples, sample

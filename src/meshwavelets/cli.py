@@ -10,17 +10,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, NumericalError
 from .evaluation import curve, geodesic_errors
-from .experiments import resolve_config, run_experiment
+from .experiments import (load_landmarks, load_unit_mesh, resolve_config,
+                          resolve_rhos, run_experiment, selfmatch_map,
+                          transfer_map)
 from .laplacian import build_laplacian
-from .matching import (build_gamma, load_pointmap, reconstruct_delta_map,
-                       save_pointmap, transfer_pointmap)
-from .mesh import load_mesh, normalize_unit_area
-from .sampling import explicit_samples, sample
-from .wavelets import build_dictionary, pair_rhos, save_dictionary
+from .matching import load_pointmap, save_pointmap
+from .mesh import load_mesh
+from .sampling import sample
+from .wavelets import build_dictionary, save_dictionary
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -33,36 +32,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_unit(path):
-    if not Path(path).exists():
-        raise DataError(f"mesh file not found: {path}")
-    mesh = load_mesh(path)
-    return normalize_unit_area(mesh)
-
-
 def _resolve_samples(mesh, value, seed):
     """--samples accepts a count (FPS) or a path to a landmark index file."""
     try:
         n = int(value)
     except ValueError:
-        if not Path(value).exists():
-            raise DataError(f"landmark file not found: {value}")
-        return explicit_samples(np.loadtxt(value, dtype=np.int64, ndmin=1))
+        return load_landmarks(value, mesh)
     return sample(mesh, n, seed=seed)
 
 
-def _load_landmarks(path):
-    if not Path(path).exists():
-        raise DataError(f"landmark file not found: {path}")
-    return explicit_samples(np.loadtxt(path, dtype=np.int64, ndmin=1))
-
-
 def _cmd_dict_build(args):
-    mesh, area = _load_unit(args.mesh)
-    lap = build_laplacian(mesh)
+    mesh, area = load_unit_mesh(args.mesh)
     samples = _resolve_samples(mesh, args.samples, args.seed)
     rho = 1.0 if args.rho == "auto" else float(args.rho)
-    dictionary = build_dictionary(lap, samples, n_scales=args.scales,
+    dictionary = build_dictionary(build_laplacian(mesh), samples, n_scales=args.scales,
                                   t_max=args.tmax, rho=rho)
     save_dictionary(dictionary, args.out)
     print(f"wrote {args.out}: {dictionary.n_vertices} vertices x "
@@ -72,33 +55,22 @@ def _cmd_dict_build(args):
 
 
 def _cmd_match_self(args):
-    mesh, _ = _load_unit(args.mesh)
-    lap = build_laplacian(mesh)
+    mesh, _ = load_unit_mesh(args.mesh)
     samples = _resolve_samples(mesh, args.samples, args.seed)
-    dictionary = build_dictionary(lap, samples, n_scales=args.scales, t_max=args.tmax)
-    pm = reconstruct_delta_map(dictionary, build_gamma(len(samples), args.scales))
+    pm = selfmatch_map(build_laplacian(mesh), samples, args.scales, args.tmax)
     save_pointmap(pm, args.out)
     print(f"wrote {args.out} ({pm.source_size} correspondences)")
     return 0
 
 
 def _cmd_match_pair(args):
-    mesh_src, area_src = _load_unit(args.src)
-    mesh_dst, area_dst = _load_unit(args.dst)
-    lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
-    lm_src = _load_landmarks(args.landmarks_src)
-    lm_dst = _load_landmarks(args.landmarks_dst)
-    if len(lm_src) != len(lm_dst):
-        raise DataError(f"landmark counts differ: {len(lm_src)} vs {len(lm_dst)}")
-    if args.rho == "auto":
-        rho_src, rho_dst = pair_rhos(area_src, area_dst)
-    else:
-        rho_src = rho_dst = float(args.rho)
-    d_src = build_dictionary(lap_src, lm_src, n_scales=args.scales,
-                             t_max=args.tmax, rho=rho_src)
-    d_dst = build_dictionary(lap_dst, lm_dst, n_scales=args.scales,
-                             t_max=args.tmax, rho=rho_dst)
-    pm = transfer_pointmap(d_src, d_dst)
+    mesh_src, area_src = load_unit_mesh(args.src)
+    mesh_dst, area_dst = load_unit_mesh(args.dst)
+    rho_src, rho_dst = resolve_rhos(args.rho, area_src, area_dst)
+    pm = transfer_map(build_laplacian(mesh_src), build_laplacian(mesh_dst),
+                      load_landmarks(args.landmarks_src, mesh_src),
+                      load_landmarks(args.landmarks_dst, mesh_dst),
+                      args.scales, args.tmax, rhos=(rho_src, rho_dst))
     save_pointmap(pm, args.out)
     print(f"wrote {args.out} ({pm.source_size} -> {pm.target_size} vertices, "
           f"rho=({rho_src:.4g}, {rho_dst:.4g}))")
@@ -231,18 +203,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Configs are plain key=value files with a strict key set per experiment kind;
 unknown keys are rejected. Every CSV starts with a versioned schema tag line
-so golden-file comparisons stay stable.
+so golden-file comparisons stay stable. The loaders and the self-match and
+transfer stages below are also what the CLI's ``match`` commands call.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import numpy as np
 from .errors import DataError
 from .evaluation import curve, geodesic_errors
 from .laplacian import build_laplacian
-from .matching import (build_gamma, identity_map, load_pointmap,
-                       reconstruct_delta_map, save_pointmap, transfer_pointmap)
+from .matching import (identity_map, load_pointmap, reconstruct_delta_map,
+                       save_pointmap, transfer_pointmap)
 from .mesh import load_mesh, normalize_unit_area
 from .sampling import explicit_samples, perturb_samples, sample
 from .solve import DEFAULT_EIG_CAP, generalized_eigs
@@ -181,12 +182,47 @@ def run_experiment(config) -> dict:
     return summary
 
 
-def _load_unit_mesh(path):
+def load_unit_mesh(path):
+    """Load a mesh file and normalize it to unit area; returns (mesh, original area)."""
     if not Path(path).exists():
         raise DataError(f"mesh file not found: {path}")
-    mesh = load_mesh(path)
-    unit, area = normalize_unit_area(mesh)
-    return unit, area
+    return normalize_unit_area(load_mesh(path))
+
+
+def load_landmarks(path, mesh):
+    """Landmark samples of ``mesh`` from a file of 0-based vertex indices, one per line."""
+    if not Path(path).exists():
+        raise DataError(f"landmark file not found: {path}")
+    indices = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    if indices.size and not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
+        raise DataError(f"{path}: landmark index out of range [0, {mesh.n_vertices})")
+    return explicit_samples(indices)
+
+
+def resolve_rhos(rho, area_src, area_dst):
+    """(rho_src, rho_dst) of a pair: ``"auto"`` derives them from the original
+    areas (``pair_rhos``), a number is used for both shapes."""
+    if rho == "auto":
+        return pair_rhos(area_src, area_dst)
+    return float(rho), float(rho)
+
+
+def selfmatch_map(lap, samples, scales, tmax):
+    """Self-matching stage: the wavelet dictionary of ``samples``, then its
+    delta reconstruction."""
+    return reconstruct_delta_map(build_dictionary(lap, samples, n_scales=scales, t_max=tmax))
+
+
+def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos=(1.0, 1.0),
+                 kind="wavelet"):
+    """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
+    shape over matched samples, then row-wise nearest-neighbor transfer."""
+    if len(s_src) != len(s_dst):
+        raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
+    build = build_dictionary if kind == "wavelet" else build_heat_dictionary
+    d_src = build(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0])
+    d_dst = build(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1])
+    return transfer_pointmap(d_src, d_dst)
 
 
 def _write_csv(path, schema, header, rows):
@@ -219,13 +255,11 @@ def _curve_csv(out_dir, evalcurve):
 
 
 def _run_selfmatch(config, out_dir):
-    mesh, _ = _load_unit_mesh(config["mesh"])
+    mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
     samples = sample(mesh, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
-    dictionary = build_dictionary(lap, samples, n_scales=config["scales"],
-                                  t_max=config["tmax"])
-    pm = reconstruct_delta_map(dictionary, build_gamma(len(samples), config["scales"]))
+    pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
     gt = identity_map(mesh.n_vertices)
     errors = geodesic_errors(pm, gt, mesh)
     ec = curve(errors, n_thresholds=config["n_thresholds"],
@@ -249,12 +283,11 @@ def _run_selfmatch(config, out_dir):
 
 
 def _resolve_pair_samples(config, mesh_src, mesh_dst):
-    if config["landmarks_source"]:
-        src = explicit_samples(np.loadtxt(config["landmarks_source"], dtype=np.int64, ndmin=1))
-        dst = explicit_samples(np.loadtxt(config["landmarks_target"], dtype=np.int64, ndmin=1))
-        if len(src) != len(dst):
-            raise DataError("landmark files have different lengths")
-        return src, dst
+    lm_src, lm_dst = config["landmarks_source"], config["landmarks_target"]
+    if lm_src or lm_dst:
+        if not (lm_src and lm_dst):
+            raise DataError("landmarks_source and landmarks_target must be given together")
+        return load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
     # FPS on the source; identical indices on the target (meshes in
     # vertex-to-vertex correspondence, e.g. synthetic pairs)
     if mesh_dst.n_vertices != mesh_src.n_vertices:
@@ -264,31 +297,16 @@ def _resolve_pair_samples(config, mesh_src, mesh_dst):
     return src, src
 
 
-def _pair_dictionaries(config, kind, lap_src, lap_dst, area_src, area_dst,
-                       samples_src, samples_dst):
-    if config["rho"] == "auto":
-        rho_src, rho_dst = pair_rhos(area_src, area_dst)
-    else:
-        rho_src = rho_dst = float(config["rho"])
-    build = build_dictionary if kind == "wavelet" else build_heat_dictionary
-    d_src = build(lap_src, samples_src, n_scales=config["scales"],
-                  t_max=config["tmax"], rho=rho_src)
-    d_dst = build(lap_dst, samples_dst, n_scales=config["scales"],
-                  t_max=config["tmax"], rho=rho_dst)
-    return d_src, d_dst, rho_src, rho_dst
-
-
 def _run_pairmatch(config, out_dir):
     if not config["mesh_source"] or not config["mesh_target"]:
         raise DataError("pairmatch requires both mesh_source and mesh_target")
-    mesh_src, area_src = _load_unit_mesh(config["mesh_source"])
-    mesh_dst, area_dst = _load_unit_mesh(config["mesh_target"])
+    mesh_src, area_src = load_unit_mesh(config["mesh_source"])
+    mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
     lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
     samples_src, samples_dst = _resolve_pair_samples(config, mesh_src, mesh_dst)
-    d_src, d_dst, rho_src, rho_dst = _pair_dictionaries(
-        config, config["dictionary"], lap_src, lap_dst, area_src, area_dst,
-        samples_src, samples_dst)
-    pm = transfer_pointmap(d_src, d_dst)
+    rho_src, rho_dst = resolve_rhos(config["rho"], area_src, area_dst)
+    pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, config["scales"],
+                      config["tmax"], rhos=(rho_src, rho_dst), kind=config["dictionary"])
     if config["gt_map"]:
         gt = load_pointmap(config["gt_map"], target_size=mesh_dst.n_vertices)
         if gt.source_size != mesh_src.n_vertices:
@@ -323,7 +341,7 @@ def _run_pairmatch(config, out_dir):
 
 
 def _run_wavelets(config, out_dir):
-    mesh, _ = _load_unit_mesh(config["mesh"])
+    mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
     samples = sample(mesh, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
@@ -371,7 +389,7 @@ def _run_wavelets(config, out_dir):
 
 
 def _run_timing(config, out_dir):
-    mesh, _ = _load_unit_mesh(config["mesh"])
+    mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
     samples = sample(mesh, config["samples"], seed=config["seed"])
 
@@ -398,18 +416,13 @@ def _run_timing(config, out_dir):
 
 
 def _run_sampling(config, out_dir):
-    mesh, _ = _load_unit_mesh(config["mesh"])
+    mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
-    gamma_cache = {}
     rows = []
     for strategy in config["strategies"]:
         for n_samp in config["sample_counts"]:
             samples = sample(mesh, int(n_samp), strategy=strategy, seed=config["seed"])
-            dictionary = build_dictionary(lap, samples, n_scales=config["scales"],
-                                          t_max=config["tmax"])
-            gamma = gamma_cache.setdefault(len(samples),
-                                           build_gamma(len(samples), config["scales"]))
-            pm = reconstruct_delta_map(dictionary, gamma)
+            pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
             errors = geodesic_errors(pm, identity_map(mesh.n_vertices), mesh)
             ec = curve(errors)
             rows.append([strategy, int(n_samp), ec.mean_error, ec.auc_025])
@@ -418,18 +431,10 @@ def _run_sampling(config, out_dir):
     return {"rows": len(rows)}
 
 
-def _transfer_errors(lap_src, lap_dst, mesh_dst, samples_src, samples_dst,
-                     scales, tmax):
-    d_src = build_dictionary(lap_src, samples_src, n_scales=scales, t_max=tmax)
-    d_dst = build_dictionary(lap_dst, samples_dst, n_scales=scales, t_max=tmax)
-    pm = transfer_pointmap(d_src, d_dst)
-    return geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst)
-
-
 def _run_noise(config, out_dir):
-    mesh_src, _ = _load_unit_mesh(config["mesh"])
+    mesh_src, _ = load_unit_mesh(config["mesh"])
     if config["mesh_target"]:
-        mesh_dst, _ = _load_unit_mesh(config["mesh_target"])
+        mesh_dst, _ = load_unit_mesh(config["mesh_target"])
         if mesh_dst.n_vertices != mesh_src.n_vertices:
             raise DataError("noise experiment needs meshes in vertex correspondence")
     else:
@@ -442,9 +447,9 @@ def _run_noise(config, out_dir):
             for radius in config["noise_radii"]:
                 noisy = perturb_samples(mesh_src, base, float(radius), int(n_disp),
                                         seed=config["seed"])
-                errors = _transfer_errors(lap_src, lap_dst, mesh_dst, noisy, base,
-                                          int(n_scales), config["tmax"])
-                ec = curve(errors)
+                pm = transfer_map(lap_src, lap_dst, noisy, base, int(n_scales),
+                                  config["tmax"])
+                ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
                 rows.append([int(n_scales), int(n_disp), float(radius),
                              ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "noise.csv", "noise",
@@ -456,13 +461,14 @@ def _run_noise(config, out_dir):
 
 
 def _run_tmax(config, out_dir):
-    mesh_src, _ = _load_unit_mesh(config["mesh"])
+    mesh_src, _ = load_unit_mesh(config["mesh"])
     lap_src = build_laplacian(mesh_src)
     samples = sample(mesh_src, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
     pair = bool(config["mesh_target"])
+    mesh_dst = mesh_src
     if pair:
-        mesh_dst, _ = _load_unit_mesh(config["mesh_target"])
+        mesh_dst, _ = load_unit_mesh(config["mesh_target"])
         if mesh_dst.n_vertices != mesh_src.n_vertices:
             raise DataError("tmax experiment needs meshes in vertex correspondence")
         lap_dst = build_laplacian(mesh_dst)
@@ -470,15 +476,11 @@ def _run_tmax(config, out_dir):
     best = (None, np.inf)
     for tmax in config["tmax_values"]:
         if pair:
-            errors = _transfer_errors(lap_src, lap_dst, mesh_dst, samples, samples,
-                                      config["scales"], float(tmax))
+            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"],
+                              float(tmax))
         else:
-            dictionary = build_dictionary(lap_src, samples, n_scales=config["scales"],
-                                          t_max=float(tmax))
-            pm = reconstruct_delta_map(dictionary,
-                                       build_gamma(len(samples), config["scales"]))
-            errors = geodesic_errors(pm, identity_map(mesh_src.n_vertices), mesh_src)
-        ec = curve(errors)
+            pm = selfmatch_map(lap_src, samples, config["scales"], float(tmax))
+        ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
         rows.append([float(tmax), ec.mean_error, ec.auc_025])
         if ec.mean_error < best[1]:
             best = (float(tmax), ec.mean_error)

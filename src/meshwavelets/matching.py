@@ -1,6 +1,6 @@
 """Point-to-point map recovery from dictionaries.
 
-Two routes: Tikhonov-regularized delta reconstruction on a single shape
+Two routes: ridge-regularized delta reconstruction on a single shape
 (argmax over the reconstructed indicator images) and row-wise nearest
 neighbor transfer between the dictionaries of two shapes with matched
 samples.
@@ -62,54 +62,20 @@ def load_pointmap(path, target_size: int | None = None) -> PointMap:
     return PointMap(targets=targets, target_size=target_size)
 
 
-@dataclass(frozen=True)
-class TikhonovRegularizer:
-    """Scale-major diagonal weights 1/k^2, k the scale index of each column."""
-
-    weights: np.ndarray
-    n_samples: int
-    n_scales: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if (w <= 0).any() or (np.diff(w) > 0).any():
-            raise ValueError("regularizer weights must be positive and non-increasing")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
-
-
-def build_gamma(n_samples: int, n_scales: int) -> TikhonovRegularizer:
-    """Diagonal regularizer: the |S| columns of scale k get weight 1/k^2."""
-    if n_samples < 1 or n_scales < 1:
-        raise ValueError("counts must be >= 1")
-    k = np.repeat(np.arange(1, n_scales + 1), n_samples)
-    return TikhonovRegularizer(weights=1.0 / k.astype(np.float64) ** 2,
-                               n_samples=n_samples, n_scales=n_scales)
-
-
-def reconstruct_delta_map(dictionary: _DictionaryBase,
-                          regularizer: TikhonovRegularizer | None) -> PointMap:
+def reconstruct_delta_map(dictionary: _DictionaryBase) -> PointMap:
     """Recover the location of every vertex indicator from the dictionary.
 
-    Solves the ridge-regularized least squares min ||Psi a - I||^2 + ||G a||^2
+    Solves the ridge-regularized least squares min ||Psi a - I||^2 + ||Gamma a||^2
     through its normal equations (a dense system of dictionary size), then
     maps vertex j to the argmax over rows of column j of Psi a. Ties break to
-    the lowest row index. ``regularizer=None`` solves the plain normal
-    equations, which is unstable for rank-deficient dictionaries and raises
-    ``NumericalError`` when singular.
+    the lowest row index. Gamma is diagonal and scale-major: the |S| columns of
+    scale k get the weight 1/k^2.
     """
     psi = dictionary.columns
-    n, m = psi.shape
-    gram = psi.T @ psi
-    if regularizer is not None:
-        if regularizer.size != m:
-            raise ValueError(f"regularizer size {regularizer.size} does not match "
-                             f"{m} dictionary columns")
-        gram = gram + np.diag(regularizer.weights ** 2)
+    n = psi.shape[0]
+    k = np.repeat(np.arange(1, dictionary.n_scales + 1), len(dictionary.samples))
+    w = 1.0 / k.astype(np.float64) ** 2
+    gram = psi.T @ psi + np.diag(w ** 2)
     try:
         lower = scipy.linalg.cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:

@@ -29,6 +29,8 @@ class SampleSet:
             raise ValueError("sample set needs at least one index")
         if len(np.unique(idx)) != len(idx):
             raise ValueError("sample indices must be distinct")
+        if idx.min() < 0:
+            raise ValueError(f"sample index {idx.min()} is negative")
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 

@@ -73,8 +73,15 @@ class HeatDictionary(_DictionaryBase):
     """Heat-kernel dictionary: diffused raw indicators, L1-normalized only."""
 
 
+def _check_in_range(samples: SampleSet, n_vertices: int) -> None:
+    if samples.indices.max() >= n_vertices:
+        raise ValueError(f"sample index {samples.indices.max()} out of range for "
+                         f"{n_vertices} vertices")
+
+
 def indicator_columns(n_vertices: int, samples: SampleSet) -> np.ndarray:
     """Unit indicator matrix: column j is 1 at sample j, 0 elsewhere."""
+    _check_in_range(samples, n_vertices)
     d = np.zeros((n_vertices, len(samples)))
     d[samples.indices, np.arange(len(samples))] = 1.0
     return d
@@ -86,8 +93,7 @@ def mother_wavelets(lap: LaplacianPair, samples: SampleSet) -> np.ndarray:
     Every column has exact zero A-weighted mean (W has zero row sums) and a
     strictly positive value at its own sample vertex.
     """
-    if samples.indices.max() >= lap.n:
-        raise ValueError("sample index out of range for this Laplacian")
+    _check_in_range(samples, lap.n)
     cols = lap.stiffness[:, samples.indices].toarray()
     return cols / lap.mass[:, None]
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from meshwavelets import (build_dictionary, build_gamma, build_heat_dictionary,
+from meshwavelets import (build_dictionary, build_heat_dictionary,
                           build_laplacian, curve, diffusion_step,
                           eigenbasis_selfmatch_map, generalized_eigs,
                           geodesic_errors, ground_truth_wavelets, identity_map,
@@ -117,7 +117,7 @@ def test_criterion_06_selfmatch_ordering(jitter642, lap_jitter642):
     start = time.perf_counter()
     samples = sample(jitter642, 6, seed=7)
     dictionary = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0)
-    pm_ours = reconstruct_delta_map(dictionary, build_gamma(6, 25))
+    pm_ours = reconstruct_delta_map(dictionary)
     gt = identity_map(jitter642.n_vertices)
     err_ours = geodesic_errors(pm_ours, gt, jitter642).mean()
 

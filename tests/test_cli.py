@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from meshwavelets import NumericalError, load_dictionary, load_pointmap, write_off
+from meshwavelets import (NumericalError, load_dictionary, load_pointmap,
+                          run_experiment, write_off)
 from meshwavelets.cli import main
+from meshwavelets.experiments import resolve_config
 from meshwavelets.synthetic import (jittered_icosphere, rigid_transform,
-                                    rotation_matrix)
+                                    rotation_matrix, stretched_icosphere)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,37 @@ def test_match_pair_rigid_copy_is_identity(tmp_path, rigid_pair):
     np.testing.assert_array_equal(pm.targets, np.arange(162))
 
 
+def test_match_self_equals_selfmatch_experiment(tmp_path, mesh_off):
+    out = tmp_path / "map.txt"
+    assert main(["match", "self", "--mesh", str(mesh_off), "--samples", "4",
+                 "--scales", "8", "--tmax", "0.5", "--seed", "3", "--out", str(out)]) == 0
+    run_experiment(resolve_config({
+        "experiment": "selfmatch", "out_dir": str(tmp_path / "experiment"),
+        "mesh": str(mesh_off), "samples": "4", "scales": "8", "tmax": "0.5",
+        "seed": "3", "baseline": "none"}))
+    assert out.read_bytes() == (tmp_path / "experiment" / "map.txt").read_bytes()
+
+
+def test_match_pair_equals_pairmatch_experiment(tmp_path, mesh_off):
+    # a stretched target has a different area, so rho=auto is not (1, 1)
+    dst = tmp_path / "stretched.off"
+    write_off(stretched_icosphere(2, seed=6), dst)
+    lm_src, lm_dst = tmp_path / "lm_src.txt", tmp_path / "lm_dst.txt"
+    lm_src.write_text("3\n77\n130\n9\n")
+    lm_dst.write_text("3\n77\n130\n10\n")
+    out = tmp_path / "map.txt"
+    assert main(["match", "pair", "--src", str(mesh_off), "--dst", str(dst),
+                 "--landmarks-src", str(lm_src), "--landmarks-dst", str(lm_dst),
+                 "--scales", "8", "--tmax", "0.1", "--out", str(out)]) == 0
+    summary = run_experiment(resolve_config({
+        "experiment": "pairmatch", "out_dir": str(tmp_path / "experiment"),
+        "mesh_source": str(mesh_off), "mesh_target": str(dst),
+        "landmarks_source": str(lm_src), "landmarks_target": str(lm_dst),
+        "scales": "8", "tmax": "0.1", "baseline": "none"}))
+    assert summary["rho_target"] != 1.0 or summary["rho_source"] != 1.0
+    assert out.read_bytes() == (tmp_path / "experiment" / "map.txt").read_bytes()
+
+
 def test_compare_wavelets(tmp_path, mesh_off, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "wavelets", "--mesh", str(mesh_off), "--samples", "3",
@@ -133,6 +166,27 @@ class TestExitCodes:
         code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", str(lm),
                      "--out", str(tmp_path / "d.dwd")])
         assert code == 2
+
+    def test_negative_landmark_is_2(self, tmp_path, mesh_off, capsys):
+        lm = tmp_path / "lm.txt"
+        lm.write_text("-1\n5\n")
+        out = tmp_path / "d.dwd"
+        code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", str(lm),
+                     "--out", str(out)])
+        assert code == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_landmark_beyond_mesh_is_2(self, tmp_path, mesh_off, capsys):
+        lm = tmp_path / "lm.txt"
+        lm.write_text("0\n162\n")  # the mesh has vertices 0..161
+        config = tmp_path / "config.txt"
+        config.write_text(f"experiment=pairmatch\nout_dir={tmp_path}/out\n"
+                          f"mesh_source={mesh_off}\nmesh_target={mesh_off}\n"
+                          f"landmarks_source={lm}\nlandmarks_target={lm}\n"
+                          "dictionary=heat\nscales=4\nbaseline=none\n")
+        assert main(["experiment", "run", "--config", str(config)]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_numerical_failure_is_3(self, tmp_path, mesh_off, capsys, monkeypatch):
         import meshwavelets.cli as cli

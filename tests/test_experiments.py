@@ -151,6 +151,18 @@ class TestPairmatchExperiment:
         assert (tmp_path / "o2" / "map.txt").exists()
         assert summary["mean_error"] >= 0
 
+    def test_half_specified_landmarks_rejected(self, tmp_path, pair_files):
+        src, dst = pair_files
+        lm = tmp_path / "lm.txt"
+        lm.write_text("3\n77\n")
+        config = resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o3"),
+            "mesh_source": str(src), "mesh_target": str(dst),
+            "landmarks_source": str(lm), "scales": "4", "tmax": "0.1",
+        })
+        with pytest.raises(DataError, match="landmarks_source and landmarks_target"):
+            run_experiment(config)
+
 
 class TestWaveletComparisonExperiment:
     def test_csv_and_ordering(self, tmp_path, mesh_file):

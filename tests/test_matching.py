@@ -4,59 +4,41 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshwavelets import (NumericalError, build_dictionary, build_gamma,
-                          build_heat_dictionary, build_laplacian, curve,
-                          edge_graph, geodesic_distances, geodesic_errors,
-                          identity_map, load_pointmap, nearest_rows,
-                          normalize_unit_area, reconstruct_delta_map,
-                          sample, save_pointmap, transfer_pointmap)
-from meshwavelets.matching import PointMap, TikhonovRegularizer, gram_argmax
+from meshwavelets import (build_dictionary, build_heat_dictionary,
+                          build_laplacian, curve, edge_graph,
+                          geodesic_distances, geodesic_errors, identity_map,
+                          load_pointmap, nearest_rows, normalize_unit_area,
+                          reconstruct_delta_map, sample, save_pointmap,
+                          transfer_pointmap)
+from meshwavelets.matching import PointMap, gram_argmax
 from meshwavelets.synthetic import (icosphere, jittered_icosphere, rigid_transform,
                                     rotation_matrix, stretched_icosphere)
-from meshwavelets.wavelets import WaveletDictionary
 
 
-class TestGamma:
-    def test_single_scale_all_ones(self):
-        g = build_gamma(5, 1)
-        np.testing.assert_array_equal(g.weights, np.ones(5))
-
-    def test_scale_major_values(self):
-        g = build_gamma(2, 3)
-        np.testing.assert_allclose(g.weights, [1, 1, 0.25, 0.25, 1 / 9, 1 / 9])
-
-    def test_size(self):
-        assert build_gamma(7, 4).size == 28
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            TikhonovRegularizer(weights=np.array([1.0, 2.0]), n_samples=2, n_scales=1)
-        with pytest.raises(ValueError):
-            TikhonovRegularizer(weights=np.array([1.0, 0.0]), n_samples=2, n_scales=1)
-
-    def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            build_gamma(0, 3)
+def _ridge_weights(dictionary):
+    """Scale-major ridge weights: the |S| columns of scale k weigh 1/k^2,
+    e.g. [1, 1, 1/4, 1/4, 1/9, 1/9] for 2 samples and 3 scales."""
+    k = np.repeat(np.arange(1.0, dictionary.n_scales + 1), len(dictionary.samples))
+    return 1.0 / k ** 2
 
 
 @pytest.fixture(scope="module")
 def setup642(ico642, lap642):
     samples = sample(ico642, 6, seed=5)
     dictionary = build_dictionary(lap642, samples, n_scales=25, t_max=1.0)
-    gamma = build_gamma(6, 25)
-    return ico642, lap642, samples, dictionary, gamma
+    return ico642, lap642, samples, dictionary
 
 
 class TestReconstruct:
     def test_output_length(self, setup642):
-        mesh, _, _, dictionary, gamma = setup642
-        pm = reconstruct_delta_map(dictionary, gamma)
+        mesh, _, _, dictionary = setup642
+        pm = reconstruct_delta_map(dictionary)
         assert pm.source_size == mesh.n_vertices
         assert pm.target_size == mesh.n_vertices
 
     def test_sample_vertices_recovered_nearby(self, setup642):
-        mesh, _, samples, dictionary, gamma = setup642
-        pm = reconstruct_delta_map(dictionary, gamma)
+        mesh, _, samples, dictionary = setup642
+        pm = reconstruct_delta_map(dictionary)
         graph = edge_graph(mesh)
         for s in samples.indices:
             d = geodesic_distances(mesh, int(s), graph=graph)
@@ -67,39 +49,24 @@ class TestReconstruct:
         # so every vertex lands on the column's argmax
         samples = sample(ico162, 1, seed=0)
         d = build_heat_dictionary(lap162, samples, n_scales=1, t_max=0.2)
-        pm = reconstruct_delta_map(d, build_gamma(1, 1))
+        pm = reconstruct_delta_map(d)
         assert np.unique(pm.targets).size == 1
         assert pm.targets[0] == np.argmax(d.columns[:, 0])
 
     def test_regularization_necessity(self, setup642):
-        _, _, _, dictionary, gamma = setup642
+        _, _, _, dictionary = setup642
         gram = dictionary.columns.T @ dictionary.columns
         assert np.linalg.cond(gram) > 1e12  # rank-deficient without the ridge
-        regularized = gram + np.diag(gamma.weights**2)
+        regularized = gram + np.diag(_ridge_weights(dictionary) ** 2)
         assert np.linalg.cond(regularized) < 1e12
-        reconstruct_delta_map(dictionary, gamma)  # succeeds
-
-    def test_exactly_singular_without_regularizer(self, lap162, ico162):
-        samples = sample(ico162, 2, seed=1)
-        d = build_dictionary(lap162, samples, n_scales=2, t_max=0.5)
-        cols = np.array(d.columns)
-        cols[:, 3] = 0.0  # zero column: exactly singular normal matrix
-        broken = WaveletDictionary(columns=cols, samples=d.samples,
-                                   n_scales=2, t_max=0.5, t_step=d.t_step, rho=1.0)
-        with pytest.raises(NumericalError, match="singular"):
-            reconstruct_delta_map(broken, None)
-
-    def test_regularizer_size_checked(self, setup642):
-        _, _, _, dictionary, _ = setup642
-        with pytest.raises(ValueError, match="size"):
-            reconstruct_delta_map(dictionary, build_gamma(6, 10))
+        reconstruct_delta_map(dictionary)  # succeeds
 
     def test_monotone_improvement_with_samples(self, ico642, lap642):
         errors = []
         for n_samp in (2, 4, 6):
             samples = sample(ico642, n_samp, seed=5)
             d = build_dictionary(lap642, samples, n_scales=25, t_max=1.0)
-            pm = reconstruct_delta_map(d, build_gamma(n_samp, 25))
+            pm = reconstruct_delta_map(d)
             errs = geodesic_errors(pm, identity_map(ico642.n_vertices), ico642)
             errors.append(errs.mean())
         assert errors[1] <= errors[0] * 1.1
@@ -117,12 +84,12 @@ def test_gram_argmax_matches_dense_oracle(data, n, m):
                                   np.argmax(b @ b.T, axis=0))
 
 
-def _two_sided_reconstruction(dictionary, regularizer, block=512):
+def _two_sided_reconstruction(dictionary, block=512):
     """Reference: solve the normal equations per block of indicators, then
     take the argmax of each reconstructed column. Returns targets and Psi a."""
     psi = dictionary.columns
     n = psi.shape[0]
-    factor = scipy.linalg.cho_factor(psi.T @ psi + np.diag(regularizer.weights ** 2))
+    factor = scipy.linalg.cho_factor(psi.T @ psi + np.diag(_ridge_weights(dictionary) ** 2))
     recon = np.empty((n, n))
     for start in range(0, n, block):
         alpha = scipy.linalg.cho_solve(factor, psi[start:start + block].T)
@@ -134,9 +101,8 @@ def _two_sided_reconstruction(dictionary, regularizer, block=512):
 def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, build):
     samples = sample(jitter642, 6, seed=5)
     d = build(lap_jitter642, samples, n_scales=25, t_max=1.0)
-    gamma = build_gamma(6, 25)
-    expected, _ = _two_sided_reconstruction(d, gamma)
-    np.testing.assert_array_equal(reconstruct_delta_map(d, gamma).targets, expected)
+    expected, _ = _two_sided_reconstruction(d)
+    np.testing.assert_array_equal(reconstruct_delta_map(d).targets, expected)
 
 
 @pytest.mark.parametrize("subdivisions", [2, 3])
@@ -147,9 +113,8 @@ def test_reconstruction_ties_on_symmetric_sphere(subdivisions, n_samples):
     mesh, _ = normalize_unit_area(icosphere(subdivisions))
     samples = sample(mesh, n_samples, seed=0)
     d = build_dictionary(build_laplacian(mesh), samples, n_scales=25, t_max=1.0)
-    gamma = build_gamma(n_samples, 25)
-    expected, recon = _two_sided_reconstruction(d, gamma)
-    got = reconstruct_delta_map(d, gamma).targets
+    expected, recon = _two_sided_reconstruction(d)
+    got = reconstruct_delta_map(d).targets
     cols = np.flatnonzero(got != expected)
     gap = np.abs(recon[got[cols], cols] - recon[expected[cols], cols])
     assert (gap <= 1e-12 * np.abs(recon).max()).all()

@@ -123,3 +123,5 @@ def test_explicit_samples():
     np.testing.assert_array_equal(s.indices, [4, 2, 9])
     with pytest.raises(ValueError, match="distinct"):
         explicit_samples([1, 1])
+    with pytest.raises(ValueError, match="negative"):
+        explicit_samples([3, -1])

@@ -198,6 +198,12 @@ class TestBuildDictionary:
         assert errors[-1] < errors[0] / 4
 
 
+@pytest.mark.parametrize("build", [build_dictionary, build_heat_dictionary])
+def test_sample_beyond_mesh_rejected(lap162, build):
+    with pytest.raises(ValueError, match="out of range"):
+        build(lap162, explicit_samples([3, lap162.n]), n_scales=2, t_max=0.5)
+
+
 class TestHeatDictionary:
     def test_indicator_columns(self, lap162, samples162):
         cols = indicator_columns(lap162.n, samples162)
