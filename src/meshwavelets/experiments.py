@@ -75,6 +75,9 @@ _DEFAULTS = {
     "tmax_values": [0.25, 0.5, 1.0, 2.0, 4.0],
 }
 
+# string keys with a closed set of values
+_CHOICES = {"dictionary": ("wavelet", "heat"), "baseline": ("lbo", "none")}
+
 # kind-specific defaults that differ from the shared table
 _KIND_DEFAULTS = {
     "noise": {"samples": 10, "displace_counts": [1, 2, 3, 5, 10]},
@@ -121,6 +124,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
             config[key] = defaults[key]
         else:
             raise DataError(f"{source}: missing required key {key!r}")
+        if key in _CHOICES and config[key] not in _CHOICES[key]:
+            raise DataError(f"{source}: bad value for {key!r}: {config[key]!r}; "
+                            f"expected one of {list(_CHOICES[key])}")
     return config
 
 

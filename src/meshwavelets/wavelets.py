@@ -237,7 +237,9 @@ def save_dictionary(d: _DictionaryBase, path) -> None:
         fh.write(struct.pack("<4Q", d.n_vertices, d.n_columns, d.n_scales, len(d.samples)))
         fh.write(struct.pack("<3d", d.t_max, d.rho, d.t_step))
         fh.write(d.samples.indices.astype("<u8").tobytes())
-        fh.write(np.asfortranarray(d.columns).astype("<f8").tobytes(order="F"))
+        # the transpose of a column-major array is row-major: written as is,
+        # with no copy when the columns are already column-major f64
+        np.asfortranarray(d.columns, dtype="<f8").T.tofile(fh)
     kind = "heat" if isinstance(d, HeatDictionary) else "wavelet"
     meta = {
         "kind": kind,

@@ -188,6 +188,15 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(config)]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_misspelled_dictionary_kind_is_2(self, tmp_path, mesh_off, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(f"experiment=pairmatch\nout_dir={tmp_path}/out\n"
+                          f"mesh_source={mesh_off}\nmesh_target={mesh_off}\n"
+                          "dictionary=wavelets\nscales=4\nbaseline=none\n")
+        assert main(["experiment", "run", "--config", str(config)]) == 2
+        assert "['wavelet', 'heat']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, mesh_off, capsys, monkeypatch):
         import meshwavelets.cli as cli
         monkeypatch.setattr(cli, "build_dictionary",

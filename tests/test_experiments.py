@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestConfigParsing:
                             "experiment=selfmatch\nout_dir=o\nmesh=m\nsamples=four\n")
         with pytest.raises(DataError, match="samples"):
             parse_config(path)
+
+    @pytest.mark.parametrize("kind, line, allowed", [
+        ("selfmatch", "baseline=LBO", "['lbo', 'none']"),
+        ("pairmatch", "baseline=eigen", "['lbo', 'none']"),
+        ("pairmatch", "dictionary=wavelets", "['wavelet', 'heat']"),
+    ])
+    def test_unknown_choice_rejected(self, tmp_path, kind, line, allowed):
+        meshes = "mesh=m\n" if kind == "selfmatch" else "mesh_source=a\nmesh_target=b\n"
+        path = write_config(tmp_path, f"experiment={kind}\nout_dir={tmp_path}/o\n"
+                                      f"{meshes}{line}\n")
+        with pytest.raises(DataError, match=re.escape(allowed)):
+            run_experiment(path)
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write_config(tmp_path, "experiment selfmatch\n")

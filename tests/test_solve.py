@@ -91,6 +91,79 @@ def test_concurrent_solves(lap642):
         np.testing.assert_array_equal(got, want)
 
 
+class _CountingLU:
+    """Test double around the SuperLU factor: records the width of every
+    solve and lets ``perturb(call_number, x)`` damage the result."""
+
+    def __init__(self, lu, perturb=None):
+        self._lu, self._perturb, self.widths = lu, perturb, []
+
+    def solve(self, b):
+        x = self._lu.solve(b)
+        self.widths.append(b.shape[1])
+        if self._perturb is not None:
+            self._perturb(len(self.widths), x)
+        return x
+
+
+def _counted_system(lap, perturb=None):
+    system = factorize(lap.mass, lap.stiffness, t=1e-3)
+    system._lu = _CountingLU(system._lu, perturb)
+    return system
+
+
+def test_well_conditioned_solve_runs_one_lu_solve(lap642):
+    system = _counted_system(lap642)
+    b = np.random.default_rng(6).standard_normal((lap642.n, 8))
+    system.solve(b)
+    system.solve(b[:, 0])
+    assert system._lu.widths == [8, 1]
+
+
+def test_only_the_failing_column_is_refined(lap642):
+    b = np.random.default_rng(7).standard_normal((lap642.n, 8))
+    clean = factorize(lap642.mass, lap642.stiffness, t=1e-3).solve(b)
+
+    def damage_first_solve(call, x):
+        if call == 1:
+            x[:, 3] += 1e-6 * np.linalg.norm(x[:, 3])
+
+    system = _counted_system(lap642, damage_first_solve)
+    x = system.solve(b)
+    assert system._lu.widths == [8, 1]
+    res = np.linalg.norm(system.matrix @ x - b, axis=0)
+    assert (res <= 1e-10 * np.linalg.norm(b, axis=0)).all()
+    others = [0, 1, 2, 4, 5, 6, 7]
+    np.testing.assert_array_equal(x[:, others], clean[:, others])
+
+
+def test_column_failing_after_refinement_is_named(lap642):
+    b = np.random.default_rng(8).standard_normal((lap642.n, 8))
+
+    def damage(call, x):
+        if call == 1:  # columns 3 and 5 fail the first check
+            x[:, [3, 5]] += 1e-6 * np.linalg.norm(x[:, 5])
+        else:  # the refinement block is [3, 5]; only column 5's correction is lost
+            x[:, 1] = 0.0
+
+    system = _counted_system(lap642, damage)
+    with pytest.raises(NumericalError, match=r"\(column 5\)"):
+        system.solve(b)
+    assert system._lu.widths == [8, 2]
+
+
+def test_nan_column_is_refined_then_rejected(lap642):
+    def poison(call, x):
+        if call == 1:
+            x[0, 2] = np.nan
+
+    system = _counted_system(lap642, poison)
+    b = np.random.default_rng(9).standard_normal((lap642.n, 4))
+    with pytest.raises(NumericalError, match=r"\(column 2\)"):
+        system.solve(b)
+    assert system._lu.widths == [4, 1]
+
+
 def test_spectrum_first_pair(spec642):
     assert -1e-8 <= spec642.eigenvalues[0] <= 1e-8
     phi0 = spec642.eigenvectors[:, 0]

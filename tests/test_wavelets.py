@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,30 @@ class TestSerialization:
         assert loaded.t_max == dict162.t_max
         assert loaded.t_step == dict162.t_step
         assert loaded.rho == dict162.rho
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_bytes_match_column_major_layout(self, tmp_path, dict162, order):
+        cols = np.array(dict162.columns, order=order)
+        d = dataclasses.replace(dict162, columns=cols)
+        assert d.columns.flags[f"{order}_CONTIGUOUS"]
+        path = tmp_path / "d.dwd"
+        save_dictionary(d, path)
+        header = 8 + 32 + 24 + 8 * len(d.samples)
+        assert path.read_bytes()[header:] == \
+            np.asfortranarray(cols).astype("<f8").tobytes(order="F")
+
+    def test_column_major_columns_are_written_without_a_copy(self, tmp_path, lap162):
+        cols = np.asfortranarray(np.random.default_rng(0).random((lap162.n, 2000)))
+        samples = explicit_samples(np.arange(100))
+        d = WaveletDictionary(columns=cols, samples=samples, n_scales=20, t_max=1.0,
+                              t_step=0.05, rho=1.0)
+        tracemalloc.start()
+        try:
+            save_dictionary(d, tmp_path / "d.dwd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cols.nbytes / 4
 
     def test_heat_kind_roundtrip(self, tmp_path, lap162, samples162):
         d = build_heat_dictionary(lap162, samples162, n_scales=3, t_max=0.5)
