@@ -19,7 +19,7 @@ from .matching import (identity_map, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
 from .mesh import load_mesh, normalize_unit_area
 from .sampling import explicit_samples, perturb_samples, sample
-from .solve import DEFAULT_EIG_CAP, generalized_eigs
+from .solve import generalized_eigs
 from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
                        fmap_to_pointmap, ground_truth_wavelets,
                        gt_functional_map)
@@ -167,8 +167,7 @@ def run_experiment(config) -> dict:
     Writes CSV and summary files into ``out_dir`` and returns the summary
     values (plus output paths) as a dict.
     """
-    if not isinstance(config, dict):
-        config = parse_config(config)
+    config = resolve_config(config) if isinstance(config, dict) else parse_config(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -223,9 +222,12 @@ def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos=(1.0, 1.0),
                  kind="wavelet"):
     """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
     shape over matched samples, then row-wise nearest-neighbor transfer."""
+    builders = {"wavelet": build_dictionary, "heat": build_heat_dictionary}
+    if kind not in builders:
+        raise DataError(f"unknown dictionary kind {kind!r}; expected one of {list(builders)}")
     if len(s_src) != len(s_dst):
         raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
-    build = build_dictionary if kind == "wavelet" else build_heat_dictionary
+    build = builders[kind]
     d_src = build(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0])
     d_dst = build(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1])
     return transfer_pointmap(d_src, d_dst)
@@ -275,7 +277,7 @@ def _run_selfmatch(config, out_dir):
     summary = {"mean_error": ec.mean_error, "auc_025": ec.auc_025,
                "samples": ",".join(map(str, samples.indices))}
     # eigenbasis baseline at the same budget: |S| + 1 basis functions
-    if config["baseline"] == "lbo" and lap.n <= DEFAULT_EIG_CAP:
+    if config["baseline"] == "lbo":
         k = len(samples) + 1
         spectrum = generalized_eigs(lap.mass, lap.stiffness, k=k)
         base_errors = geodesic_errors(eigenbasis_selfmatch_map(spectrum, k), gt, mesh)
@@ -283,8 +285,6 @@ def _run_selfmatch(config, out_dir):
                      max_threshold=config["max_threshold"])
         summary["baseline_mean_error"] = base.mean_error
         summary["baseline_auc_025"] = base.auc_025
-    elif config["baseline"] == "lbo":
-        summary["baseline"] = "skipped-over-eigensolver-cap"
     return summary
 
 
@@ -330,7 +330,7 @@ def _run_pairmatch(config, out_dir):
                "rho_source": rho_src, "rho_target": rho_dst}
     # eigenbasis baseline: ground-truth functional map over |S| + 1 basis
     # functions, converted to a point map by nearest neighbors
-    if config["baseline"] == "lbo" and max(lap_src.n, lap_dst.n) <= DEFAULT_EIG_CAP:
+    if config["baseline"] == "lbo":
         k = len(samples_src) + 1
         spec_src = generalized_eigs(lap_src.mass, lap_src.stiffness, k=k)
         spec_dst = generalized_eigs(lap_dst.mass, lap_dst.stiffness, k=k)
@@ -341,8 +341,6 @@ def _run_pairmatch(config, out_dir):
                      max_threshold=config["max_threshold"])
         summary["baseline_mean_error"] = base.mean_error
         summary["baseline_auc_025"] = base.auc_025
-    elif config["baseline"] == "lbo":
-        summary["baseline"] = "skipped-over-eigensolver-cap"
     return summary
 
 

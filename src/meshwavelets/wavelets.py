@@ -173,8 +173,13 @@ def _normalize_columns(columns, mass, samples, apply_range):
 def _check_degenerate(values, n_samp, samples, what):
     bad = np.flatnonzero(values < DEGENERATE_RANGE)
     if bad.size:
-        pairs = [(int(samples.indices[j % n_samp]), j // n_samp + 1) for j in bad]
-        raise NumericalError(f"degenerate column {what} for (sample, scale) pairs: {pairs}")
+        def pair(j):
+            return int(samples.indices[j % n_samp]), int(j // n_samp + 1)
+        worst = bad[np.argmin(values[bad])]
+        raise NumericalError(
+            f"degenerate column {what} in {bad.size} of {values.size} columns; worst "
+            f"(sample, scale) {pair(worst)} at {values[worst]:.3e}; first pairs "
+            f"{[pair(j) for j in bad[:5]]}")
 
 
 def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The timing criterion
-builds a ~10K vertex mesh and runs a dense 300-pair eigensolve, so the full
-module takes a few minutes.
+builds a ~10K vertex mesh and runs a sparse 300-pair eigensolve, so the full
+module takes 10–15 s.
 """
 import os
 import time

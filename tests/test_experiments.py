@@ -92,6 +92,19 @@ class TestConfigParsing:
             "# a comment\n\nexperiment=selfmatch\nout_dir=o\nmesh=m\n"))
         assert parse_config(path)["experiment"] == "selfmatch"
 
+    def test_dict_config_is_validated(self, tmp_path, pair_files):
+        src, dst = pair_files
+        with pytest.raises(DataError, match=re.escape("['wavelet', 'heat']")):
+            run_experiment({"experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+                            "mesh_source": str(src), "mesh_target": str(dst),
+                            "dictionary": "bogus"})
+        assert not (tmp_path / "o").exists()
+
+    def test_resolve_config_is_idempotent(self, tmp_path):
+        config = resolve_config({"experiment": "noise", "out_dir": str(tmp_path),
+                                 "mesh": "m", "noise_radii": "0.01,0.05", "tmax": "2"})
+        assert resolve_config(config) == config
+
     def test_missing_mesh_file_reported(self, tmp_path):
         config = resolve_config({"experiment": "selfmatch", "out_dir": str(tmp_path),
                                  "mesh": str(tmp_path / "nope.off")})
@@ -126,6 +139,16 @@ class TestSelfmatchExperiment:
         lines = (tmp_path / "o" / "curve.csv").read_text().splitlines()
         assert lines[0] == "# schema=curve/1"
         assert lines[1] == "threshold,fraction"
+
+    def test_lbo_baseline_above_the_dense_cap(self, tmp_path):
+        # 10242 vertices: the truncated eigensolve is sparse, so nothing is skipped
+        path = tmp_path / "jitter10k.off"
+        write_off(jittered_icosphere(5, seed=2), path)
+        summary = run_experiment(resolve_config({
+            "experiment": "selfmatch", "out_dir": str(tmp_path / "o"), "mesh": str(path),
+            "samples": "6", "scales": "6", "tmax": "0.5"}))
+        assert 0 <= summary["baseline_auc_025"] <= 1
+        assert "baseline" not in summary
 
 
 class TestPairmatchExperiment:
@@ -250,3 +273,13 @@ class TestSweepExperiments:
         assert summary["best_tmax"] in (0.25, 0.5)
         lines = (tmp_path / "o" / "tmax.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
+
+
+def test_transfer_map_rejects_unknown_kind():
+    from meshwavelets import build_laplacian, normalize_unit_area, sample
+    from meshwavelets.experiments import transfer_map
+    mesh, _ = normalize_unit_area(jittered_icosphere(1, seed=4))
+    lap = build_laplacian(mesh)
+    samples = sample(mesh, 3, seed=0)
+    with pytest.raises(DataError, match="bogus"):
+        transfer_map(lap, lap, samples, samples, 4, 0.5, kind="bogus")

@@ -2,7 +2,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from meshwavelets import NumericalError, build_laplacian, factorize, generalized_eigs
 from meshwavelets.mesh import normalize_unit_area
@@ -215,6 +217,70 @@ def test_desk_scale_cap(lap642):
         generalized_eigs(lap642.mass, lap642.stiffness, max_n=100)
     with pytest.raises(ValueError):
         generalized_eigs(lap642.mass, lap642.stiffness, k=lap642.n + 1)
+    # the cap guards only the dense path; a truncated k is solved sparsely
+    assert generalized_eigs(lap642.mass, lap642.stiffness, k=11, max_n=100).count == 11
+
+
+@pytest.fixture(scope="module")
+def dense_oracles():
+    """Full dense spectra (k="all") of the exact and a jittered sphere."""
+    from meshwavelets.synthetic import jittered_icosphere
+    out = {}
+    for name, mesh in (("sphere2562", icosphere(4)),
+                       ("jitter642", jittered_icosphere(3, seed=5))):
+        lap = build_laplacian(normalize_unit_area(mesh)[0])
+        out[name] = (lap, generalized_eigs(lap.mass, lap.stiffness))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sphere2562", "jitter642"])
+@pytest.mark.parametrize("k", [11, 17])
+def test_sparse_eigenvalues_match_dense_oracle(dense_oracles, name, k):
+    lap, full = dense_oracles[name]
+    spec = generalized_eigs(lap.mass, lap.stiffness, k=k)
+    assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (lap.n, k)
+    np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[:k], rtol=1e-8, atol=1e-8)
+
+
+def test_sparse_clusters_span_the_dense_eigenspaces(dense_oracles):
+    # exact sphere: l = 1 and l = 2 are (near-)degenerate clusters of 3 and 5
+    # eigenpairs, so only the spanned subspaces are determined; k = 11 cuts
+    # the l = 3 cluster, which is left out
+    lap, full = dense_oracles["sphere2562"]
+    spec = generalized_eigs(lap.mass, lap.stiffness, k=11)
+    root = np.sqrt(lap.mass)[:, None]  # A-inner product as a Euclidean one
+    for cluster in (slice(1, 4), slice(4, 9)):
+        angles = scipy.linalg.subspace_angles(root * spec.eigenvectors[:, cluster],
+                                              root * full.eigenvectors[:, cluster])
+        assert angles.max() <= 1e-6
+
+
+def test_sparse_output_contract(lap642):
+    first = generalized_eigs(lap642.mass, lap642.stiffness, k=17)
+    second = generalized_eigs(lap642.mass, lap642.stiffness, k=17)
+    assert np.array_equal(first.eigenvectors.view(np.uint64),
+                          second.eigenvectors.view(np.uint64))
+    lam, phi = first.eigenvalues, first.eigenvectors
+    assert np.all(np.diff(lam) >= 0)
+    for j in range(first.count):
+        big = np.flatnonzero(np.abs(phi[:, j]) > 1e-8)
+        assert phi[big[0], j] > 0
+    gram = phi.T @ (lap642.mass[:, None] * phi)
+    assert np.abs(gram - np.eye(first.count)).max() <= 1e-10
+    res = lap642.stiffness @ phi - lap642.mass[:, None] * phi * lam
+    assert np.all(np.linalg.norm(res, axis=0) <= 1e-8 * (1.0 + lam))
+
+
+@pytest.mark.parametrize("failure", [
+    ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))),
+    ArpackError(-9999),
+])
+def test_arpack_failure_is_numerical_error(lap162, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr("meshwavelets.solve.eigsh", fail)
+    with pytest.raises(NumericalError, match="eigensolver"):
+        generalized_eigs(lap162.mass, lap162.stiffness, k=5)
 
 
 def test_sphere_spectrum_clusters():

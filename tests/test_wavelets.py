@@ -183,6 +183,22 @@ class TestBuildDictionary:
         with pytest.raises(NumericalError, match=r"degenerate.*range.*scale"):
             _normalize_columns(cols, lap162.mass, samples162, apply_range=True)
 
+    def test_many_degenerate_columns_summarized(self, lap162, samples162):
+        from meshwavelets.wavelets import _normalize_columns
+        n_scales = 10
+        cols = np.ones((lap162.n, 4 * n_scales))
+        cols[:, :4] += np.linspace(0, 1, lap162.n)[:, None]  # scale 1: fine
+        cols[:, 4:] += 4.4e-16 * np.linspace(0, 1, lap162.n)[:, None]  # range ~4e-16
+        cols[:, 11] = 1.0  # range 0: the worst, sample 3 at scale 3
+        with pytest.raises(NumericalError) as info:
+            _normalize_columns(cols, lap162.mass, samples162, apply_range=True)
+        message = str(info.value)
+        assert "range in 36 of 40 columns" in message
+        s3 = int(samples162.indices[3])
+        assert f"worst (sample, scale) ({s3}, 3) at 0.000e+00" in message
+        assert message.count("),") == 4  # the first five pairs only
+        assert "np." not in message
+
     def test_convergence_to_spectral_wavelets(self, lap162, spec162, samples162):
         # fixed total diffusion, halving the step: error to the full-spectrum
         # Mexican hat at the total time decreases monotonically
