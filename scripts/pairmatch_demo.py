@@ -9,10 +9,9 @@ Usage: python scripts/pairmatch_demo.py [n_landmarks] [t_max]
 """
 import sys
 
-from meshwavelets import (build_dictionary, build_heat_dictionary,
-                          build_laplacian, curve, geodesic_errors,
-                          identity_map, normalize_unit_area, sample,
-                          transfer_pointmap)
+from meshwavelets import (build_dictionary, build_laplacian, curve,
+                          geodesic_errors, identity_map, normalize_unit_area,
+                          sample, transfer_pointmap)
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
 
 n_landmarks = int(sys.argv[1]) if len(sys.argv) > 1 else 8
@@ -26,11 +25,10 @@ gt = identity_map(src.n_vertices)
 print(f"pair: {src.n_vertices} vertices, {n_landmarks} matched landmarks, "
       f"t_max={t_max}")
 
-for label, build in (("wavelet", build_dictionary),
-                     ("heat   ", build_heat_dictionary)):
-    d_src = build(lap_src, samples, n_scales=25, t_max=t_max)
-    d_dst = build(lap_dst, samples, n_scales=25, t_max=t_max)
+for kind in ("wavelet", "heat"):
+    d_src = build_dictionary(lap_src, samples, n_scales=25, t_max=t_max, kind=kind)
+    d_dst = build_dictionary(lap_dst, samples, n_scales=25, t_max=t_max, kind=kind)
     pm = transfer_pointmap(d_src, d_dst)
     ec = curve(geodesic_errors(pm, gt, dst))
-    print(f"{label}: AUC@0.25 {ec.auc_025:.3f}, mean geodesic error "
+    print(f"{kind:7}: AUC@0.25 {ec.auc_025:.3f}, mean geodesic error "
           f"{ec.mean_error:.4f}")

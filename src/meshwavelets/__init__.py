@@ -22,8 +22,7 @@ from .spectral import (DictionaryError, FunctionalMap, ReferenceDictionary,
                        exponential_sum, fmap_to_pointmap, gt_functional_map,
                        ground_truth_wavelets, reference_times,
                        spectral_heat_kernel, spectral_mexican_hat)
-from .wavelets import (HeatDictionary, WaveletDictionary, build_dictionary,
-                       build_heat_dictionary, compute_rho, diffusion_step,
+from .wavelets import (Dictionary, build_dictionary, compute_rho, diffusion_step,
                        indicator_columns, load_dictionary, mother_wavelets,
                        pair_rhos, save_dictionary)
 

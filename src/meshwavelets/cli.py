@@ -14,7 +14,7 @@ from .errors import DataError, NumericalError
 from .evaluation import curve, geodesic_errors
 from .experiments import (load_landmarks, load_unit_mesh, resolve_config,
                           resolve_rhos, run_experiment, selfmatch_map,
-                          transfer_map)
+                          transfer_map, write_curve_csv)
 from .laplacian import build_laplacian
 from .matching import load_pointmap, save_pointmap
 from .mesh import load_mesh
@@ -83,11 +83,7 @@ def _cmd_eval(args):
     gt = load_pointmap(args.gt, target_size=mesh.n_vertices)
     errors = geodesic_errors(pm, gt, mesh)
     ec = curve(errors, n_thresholds=args.thresholds, max_threshold=args.max_threshold)
-    with open(args.out, "w") as fh:
-        fh.write("# schema=curve/1\n")
-        fh.write("threshold,fraction\n")
-        for t, f in zip(ec.thresholds.tolist(), ec.fractions.tolist()):
-            fh.write(f"{t!r},{f!r}\n")
+    write_curve_csv(args.out, ec)
     print(f"mean_error={ec.mean_error!r}")
     print(f"auc_025={ec.auc_025!r}")
     print(f"wrote {args.out}")

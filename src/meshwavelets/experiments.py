@@ -2,8 +2,9 @@
 
 Configs are plain key=value files with a strict key set per experiment kind;
 unknown keys are rejected. Every CSV starts with a versioned schema tag line
-so golden-file comparisons stay stable. The loaders and the self-match and
-transfer stages below are also what the CLI's ``match`` commands call.
+so golden-file comparisons stay stable. The loaders, the self-match and
+transfer stages and the curve writer below are also what the CLI's ``match``
+and ``eval`` commands call.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .solve import generalized_eigs
 from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
                        fmap_to_pointmap, ground_truth_wavelets,
                        gt_functional_map)
-from .wavelets import build_dictionary, build_heat_dictionary, pair_rhos
+from .wavelets import KINDS, build_dictionary, pair_rhos
 
 _COMMON_KEYS = {"experiment", "out_dir", "seed"}
 
@@ -38,7 +39,7 @@ _SCHEMAS = {
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "time_mode": str, "strategy": str},
     "timing": {"mesh": str, "samples": int, "scales": int, "tmax": float,
-               "eigenpairs": int, "eig_cap": int},
+               "eigenpairs": int},
     "sampling": {"mesh": str, "sample_counts": list, "strategies": list,
                  "scales": int, "tmax": float},
     "noise": {"mesh": str, "mesh_target": str, "samples": int,
@@ -65,7 +66,6 @@ _DEFAULTS = {
     "truncation": 300,
     "time_mode": "linear",
     "eigenpairs": 300,
-    "eig_cap": 20000,
     "sample_counts": [2, 4, 6],
     "strategies": ["fps-euclidean", "fps-geodesic", "random"],
     "mesh_target": "",
@@ -76,7 +76,7 @@ _DEFAULTS = {
 }
 
 # string keys with a closed set of values
-_CHOICES = {"dictionary": ("wavelet", "heat"), "baseline": ("lbo", "none")}
+_CHOICES = {"dictionary": KINDS, "baseline": ("lbo", "none")}
 
 # kind-specific defaults that differ from the shared table
 _KIND_DEFAULTS = {
@@ -222,14 +222,12 @@ def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos=(1.0, 1.0),
                  kind="wavelet"):
     """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
     shape over matched samples, then row-wise nearest-neighbor transfer."""
-    builders = {"wavelet": build_dictionary, "heat": build_heat_dictionary}
-    if kind not in builders:
-        raise DataError(f"unknown dictionary kind {kind!r}; expected one of {list(builders)}")
     if len(s_src) != len(s_dst):
         raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
-    build = builders[kind]
-    d_src = build(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0])
-    d_dst = build(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1])
+    d_src = build_dictionary(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0],
+                             kind=kind)
+    d_dst = build_dictionary(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1],
+                             kind=kind)
     return transfer_pointmap(d_src, d_dst)
 
 
@@ -255,11 +253,10 @@ def _write_summary(path, config, summary):
             fh.write(f"{key}={value}\n")
 
 
-def _curve_csv(out_dir, evalcurve):
-    path = out_dir / "curve.csv"
+def write_curve_csv(path, evalcurve):
+    """Write an error curve as a ``curve/1`` CSV of (threshold, fraction) rows."""
     _write_csv(path, "curve", ["threshold", "fraction"],
                zip(evalcurve.thresholds.tolist(), evalcurve.fractions.tolist()))
-    return path
 
 
 def _run_selfmatch(config, out_dir):
@@ -272,7 +269,7 @@ def _run_selfmatch(config, out_dir):
     errors = geodesic_errors(pm, gt, mesh)
     ec = curve(errors, n_thresholds=config["n_thresholds"],
                max_threshold=config["max_threshold"])
-    _curve_csv(out_dir, ec)
+    write_curve_csv(out_dir / "curve.csv", ec)
     save_pointmap(pm, out_dir / "map.txt")
     summary = {"mean_error": ec.mean_error, "auc_025": ec.auc_025,
                "samples": ",".join(map(str, samples.indices))}
@@ -324,7 +321,7 @@ def _run_pairmatch(config, out_dir):
     errors = geodesic_errors(pm, gt, mesh_dst)
     ec = curve(errors, n_thresholds=config["n_thresholds"],
                max_threshold=config["max_threshold"])
-    _curve_csv(out_dir, ec)
+    write_curve_csv(out_dir / "curve.csv", ec)
     save_pointmap(pm, out_dir / "map.txt")
     summary = {"mean_error": ec.mean_error, "auc_025": ec.auc_025,
                "rho_source": rho_src, "rho_target": rho_dst}
@@ -355,8 +352,8 @@ def _run_wavelets(config, out_dir):
     t_ours = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    heat = build_heat_dictionary(lap, samples, n_scales=config["scales"],
-                                 t_max=config["tmax"])
+    heat = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"],
+                            kind="heat")
     t_heat = time.perf_counter() - t0
 
     spectrum = generalized_eigs(lap.mass, lap.stiffness, k="all")
@@ -405,8 +402,7 @@ def _run_timing(config, out_dir):
     # the spectral Mexican hats at the same times
     t0 = time.perf_counter()
     spectrum = generalized_eigs(lap.mass, lap.stiffness,
-                                k=min(config["eigenpairs"], lap.n),
-                                max_n=config["eig_cap"])
+                                k=min(config["eigenpairs"], lap.n))
     ground_truth_wavelets(spectrum, lap, ours.t_step, config["scales"], samples,
                           mode="linear", truncation=config["eigenpairs"])
     t_baseline = time.perf_counter() - t0

@@ -34,9 +34,6 @@ class LaplacianPair:
     def n(self) -> int:
         return self.mass.shape[0]
 
-    def mass_matrix(self) -> sparse.dia_matrix:
-        return sparse.diags(self.mass)
-
     def apply_operator(self, f: np.ndarray) -> np.ndarray:
         """Apply L = A^-1 W to a function (or a column block)."""
         out = self.stiffness @ f

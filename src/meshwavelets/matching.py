@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DataError, NumericalError
-from .wavelets import _DictionaryBase
+from .wavelets import Dictionary
 
 _NN_BLOCK = 512
 
@@ -62,7 +62,7 @@ def load_pointmap(path, target_size: int | None = None) -> PointMap:
     return PointMap(targets=targets, target_size=target_size)
 
 
-def reconstruct_delta_map(dictionary: _DictionaryBase) -> PointMap:
+def reconstruct_delta_map(dictionary: Dictionary) -> PointMap:
     """Recover the location of every vertex indicator from the dictionary.
 
     Solves the ridge-regularized least squares min ||Psi a - I||^2 + ||Gamma a||^2
@@ -127,7 +127,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray, block: int = _NN_BLOCK
     return out
 
 
-def transfer_pointmap(dict_source: _DictionaryBase, dict_target: _DictionaryBase) -> PointMap:
+def transfer_pointmap(dict_source: Dictionary, dict_target: Dictionary) -> PointMap:
     """Match source vertices to target vertices through dictionary rows.
 
     The embedding of a vertex is the row of values taken by every dictionary
@@ -135,7 +135,7 @@ def transfer_pointmap(dict_source: _DictionaryBase, dict_target: _DictionaryBase
     target row. Requires dictionaries of the same kind with equal column
     layout (matched samples in order, same scale count).
     """
-    if type(dict_source) is not type(dict_target):
+    if dict_source.kind != dict_target.kind:
         raise ValueError("source and target dictionaries must be the same kind")
     if dict_source.n_columns != dict_target.n_columns:
         raise ValueError(f"column count mismatch: {dict_source.n_columns} vs "

@@ -91,7 +91,7 @@ def normalize_unit_area(mesh: TriangleMesh) -> tuple[TriangleMesh, float]:
     return TriangleMesh(mesh.vertices / np.sqrt(area), mesh.faces), area
 
 
-def _read_text(source, fmt: str | None) -> tuple[list[str], str | None]:
+def _read_text(source) -> tuple[list[str], str | None]:
     """Pull text lines out of a path, text stream or byte stream."""
     if isinstance(source, (str, os.PathLike)):
         suffix = os.path.splitext(os.fspath(source))[1].lower().lstrip(".")
@@ -118,7 +118,7 @@ def load_mesh(source, fmt: str | None = None) -> TriangleMesh:
     Vertex and face order are preserved from the file. Only triangles are
     accepted; polygons with more than three vertices raise ``DataError``.
     """
-    lines, inferred = _read_text(source, fmt)
+    lines, inferred = _read_text(source)
     fmt = (fmt or inferred or "").lower()
     if fmt == "off":
         verts, faces = _parse_off(lines)
@@ -248,11 +248,3 @@ def write_obj(mesh: TriangleMesh, path) -> None:
             fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
         for a, b, c in mesh.faces:
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
-
-
-def load_off(source) -> TriangleMesh:
-    return load_mesh(source, fmt="off")
-
-
-def load_obj(source) -> TriangleMesh:
-    return load_mesh(source, fmt="obj")

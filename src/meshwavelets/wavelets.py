@@ -3,12 +3,14 @@
 The mother wavelet at a sample s is the Laplacian of a vertex indicator,
 A^-1 W d_s. Applying n backward-Euler steps (A + tW)^-1 A yields the wavelet
 at scale n; every intermediate step is kept as a dictionary column. All
-samples and scales share one factorization of A + tW. A heat-kernel
-dictionary (diffused raw indicators, no Laplacian) is built the same way as
-a comparison baseline.
+samples and scales share one factorization of A + tW. One ``Dictionary``
+type holds both kinds: ``kind="wavelet"`` is the Mexican-hat family and
+``kind="heat"`` the heat-kernel comparison baseline (diffused raw
+indicators, no Laplacian, no zero-mean projection, L1 normalization only).
 """
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -23,14 +25,15 @@ from .solve import SpdSystem, factorize
 
 MAGIC = b"DWDICT01"
 DEGENERATE_RANGE = 1e-14
+KINDS = ("wavelet", "heat")
 
 
 @dataclass(frozen=True)
-class _DictionaryBase:
-    """Column matrix of per-vertex functions plus construction metadata.
+class Dictionary:
+    """Column matrix of normalized per-vertex functions plus construction metadata.
 
     Layout is scale-major: columns [k*|S|, (k+1)*|S|) hold scale k+1 for all
-    samples in order, k = 0 .. n_scales-1.
+    samples in order, k = 0 .. n_scales-1. ``kind`` is one of ``KINDS``.
     """
 
     columns: np.ndarray   # (n_vertices, |S| * n_scales)
@@ -39,9 +42,10 @@ class _DictionaryBase:
     t_max: float
     t_step: float
     rho: float
-    normalized: bool = True
+    kind: str
 
     def __post_init__(self):
+        _check_kind(self.kind)
         cols = np.asarray(self.columns, dtype=np.float64)
         if cols.shape[1] != len(self.samples) * self.n_scales:
             raise ValueError(f"expected {len(self.samples) * self.n_scales} columns, "
@@ -65,12 +69,9 @@ class _DictionaryBase:
         return self.columns[:, (scale - 1) * k: scale * k]
 
 
-class WaveletDictionary(_DictionaryBase):
-    """Mexican-hat wavelet dictionary (Laplacian-filtered, diffused indicators)."""
-
-
-class HeatDictionary(_DictionaryBase):
-    """Heat-kernel dictionary: diffused raw indicators, L1-normalized only."""
+def _check_kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown dictionary kind {kind!r}; expected one of {list(KINDS)}")
 
 
 def _check_in_range(samples: SampleSet, n_vertices: int) -> None:
@@ -184,36 +185,28 @@ def _check_degenerate(values, n_samp, samples, what):
 
 def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
                      t_max: float = 1.0, rho: float = 1.0,
-                     normalize: bool = True) -> WaveletDictionary:
-    """Build the multi-scale wavelet dictionary for a sample set.
+                     kind: str = "wavelet") -> Dictionary:
+    """Build the multi-scale dictionary of ``kind`` for a sample set.
 
     The per-step diffusion time is t = rho * t_max / (n_scales * sqrt(area)),
-    with the mesh expected in unit-area normalization. Mother wavelets
-    (scale 0) seed the recursion but are not part of the dictionary; scales
-    1..n_scales are produced by successive backward-Euler steps sharing a
-    single factorization. Each column is then normalized by its A-weighted
-    L1 norm and by its range, so that max(c) - min(c) = 1.
+    with the mesh expected in unit-area normalization. The seed block (scale
+    0) is not part of the dictionary; scales 1..n_scales are produced by
+    successive backward-Euler steps sharing a single factorization, and each
+    column is then normalized by its A-weighted L1 norm.
 
-    ``normalize=False`` returns the raw diffused columns (diagnostics).
+    ``kind="wavelet"`` seeds with the mother wavelets, projects every scale
+    back to zero A-weighted mean and also normalizes each column by its
+    range, so that max(c) - min(c) = 1. ``kind="heat"`` seeds with the unit
+    indicators and does neither.
     """
+    _check_kind(kind)
     t = _time_step(lap, n_scales, t_max, rho)
-    cols = _diffuse_scales(lap, mother_wavelets(lap, samples), n_scales, t, zero_mean=True)
-    if normalize:
-        cols = _normalize_columns(cols, lap.mass, samples, apply_range=True)
-    return WaveletDictionary(columns=cols, samples=samples, n_scales=n_scales,
-                             t_max=t_max, t_step=t, rho=rho, normalized=normalize)
-
-
-def build_heat_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
-                          t_max: float = 1.0, rho: float = 1.0,
-                          normalize: bool = True) -> HeatDictionary:
-    """Heat-kernel baseline: diffuse raw indicators, skip the range normalization."""
-    t = _time_step(lap, n_scales, t_max, rho)
-    cols = _diffuse_scales(lap, indicator_columns(lap.n, samples), n_scales, t)
-    if normalize:
-        cols = _normalize_columns(cols, lap.mass, samples, apply_range=False)
-    return HeatDictionary(columns=cols, samples=samples, n_scales=n_scales,
-                          t_max=t_max, t_step=t, rho=rho, normalized=normalize)
+    wavelet = kind == "wavelet"
+    seed = mother_wavelets(lap, samples) if wavelet else indicator_columns(lap.n, samples)
+    cols = _diffuse_scales(lap, seed, n_scales, t, zero_mean=wavelet)
+    cols = _normalize_columns(cols, lap.mass, samples, apply_range=wavelet)
+    return Dictionary(columns=cols, samples=samples, n_scales=n_scales,
+                      t_max=t_max, t_step=t, rho=rho, kind=kind)
 
 
 def _time_step(lap, n_scales, t_max, rho):
@@ -226,7 +219,7 @@ def _time_step(lap, n_scales, t_max, rho):
     return rho * t_max / (n_scales * np.sqrt(lap.total_area))
 
 
-def save_dictionary(d: _DictionaryBase, path) -> None:
+def save_dictionary(d: Dictionary, path) -> None:
     """Serialize a dictionary to the DWDICT01 binary format plus a .meta sidecar.
 
     Binary layout: magic, little-endian u64 n_vertices / n_columns / n_scales /
@@ -234,8 +227,6 @@ def save_dictionary(d: _DictionaryBase, path) -> None:
     matrix as column-major f64. The sidecar (same stem, .meta suffix) repeats
     the metadata as key=value lines.
     """
-    if not d.normalized:
-        raise ValueError("refusing to serialize an unnormalized dictionary")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -245,9 +236,8 @@ def save_dictionary(d: _DictionaryBase, path) -> None:
         # the transpose of a column-major array is row-major: written as is,
         # with no copy when the columns are already column-major f64
         np.asfortranarray(d.columns, dtype="<f8").T.tofile(fh)
-    kind = "heat" if isinstance(d, HeatDictionary) else "wavelet"
     meta = {
-        "kind": kind,
+        "kind": d.kind,
         "n_vertices": d.n_vertices,
         "n_columns": d.n_columns,
         "n_scales": d.n_scales,
@@ -264,9 +254,10 @@ def save_dictionary(d: _DictionaryBase, path) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def load_dictionary(path) -> _DictionaryBase:
+def load_dictionary(path) -> Dictionary:
     """Read a DWDICT01 file back; the sidecar, when present, restores the kind
-    and sampling provenance (otherwise samples are marked explicit)."""
+    and sampling provenance (otherwise the kind is ``wavelet`` and samples are
+    marked explicit)."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -275,12 +266,14 @@ def load_dictionary(path) -> _DictionaryBase:
         try:
             n_vertices, n_columns, n_scales, n_samples = struct.unpack("<4Q", fh.read(32))
             t_max, rho, t_step = struct.unpack("<3d", fh.read(24))
-            idx = np.frombuffer(fh.read(8 * n_samples), dtype="<u8").astype(np.int64)
-            data = np.frombuffer(fh.read(8 * n_vertices * n_columns), dtype="<f8")
-        except (struct.error, ValueError) as exc:
+        except struct.error as exc:
             raise DataError(f"{path}: truncated dictionary file") from exc
-    if idx.size != n_samples or data.size != n_vertices * n_columns:
-        raise DataError(f"{path}: truncated dictionary file")
+        # checked before any payload read, so that a corrupt header cannot ask
+        # for more memory than the file holds
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * (n_samples + n_vertices * n_columns):
+            raise DataError(f"{path}: truncated dictionary file")
+        idx = np.frombuffer(fh.read(8 * n_samples), dtype="<u8").astype(np.int64)
+        data = np.frombuffer(fh.read(8 * n_vertices * n_columns), dtype="<f8")
     columns = data.reshape((n_vertices, n_columns), order="F")
 
     kind, strategy, seed = "wavelet", "explicit", 0
@@ -290,10 +283,12 @@ def load_dictionary(path) -> _DictionaryBase:
         kind = meta.get("kind", kind)
         strategy = meta.get("strategy", strategy)
         seed = int(meta.get("seed", seed))
+        if kind not in KINDS:
+            raise DataError(f"{meta_path}: unknown dictionary kind {kind!r}; "
+                            f"expected one of {list(KINDS)}")
     if strategy == "explicit":
         samples = explicit_samples(idx)
     else:
         samples = SampleSet(indices=idx, strategy=strategy, seed=seed)
-    cls = HeatDictionary if kind == "heat" else WaveletDictionary
-    return cls(columns=columns, samples=samples, n_scales=int(n_scales),
-               t_max=t_max, rho=rho, t_step=t_step)
+    return Dictionary(columns=columns, samples=samples, n_scales=int(n_scales),
+                      t_max=t_max, rho=rho, t_step=t_step, kind=kind)

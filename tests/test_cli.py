@@ -98,6 +98,21 @@ def test_match_self_equals_selfmatch_experiment(tmp_path, mesh_off):
     assert out.read_bytes() == (tmp_path / "experiment" / "map.txt").read_bytes()
 
 
+def test_eval_equals_selfmatch_experiment_curve(tmp_path, mesh_off):
+    run_experiment(resolve_config({
+        "experiment": "selfmatch", "out_dir": str(tmp_path / "experiment"),
+        "mesh": str(mesh_off), "samples": "3", "scales": "6", "tmax": "0.5",
+        "baseline": "none"}))
+    map_path = tmp_path / "experiment" / "map.txt"
+    assert (load_pointmap(map_path).targets != np.arange(162)).any()
+    gt = tmp_path / "gt.txt"
+    gt.write_text("".join(f"{i}\n" for i in range(162)))
+    csv = tmp_path / "curve.csv"
+    assert main(["eval", "--map", str(map_path), "--gt", str(gt),
+                 "--mesh", str(mesh_off), "--out", str(csv)]) == 0
+    assert csv.read_bytes() == (tmp_path / "experiment" / "curve.csv").read_bytes()
+
+
 def test_match_pair_equals_pairmatch_experiment(tmp_path, mesh_off):
     # a stretched target has a different area, so rho=auto is not (1, 1)
     dst = tmp_path / "stretched.off"

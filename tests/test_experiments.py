@@ -281,5 +281,5 @@ def test_transfer_map_rejects_unknown_kind():
     mesh, _ = normalize_unit_area(jittered_icosphere(1, seed=4))
     lap = build_laplacian(mesh)
     samples = sample(mesh, 3, seed=0)
-    with pytest.raises(DataError, match="bogus"):
+    with pytest.raises(ValueError, match="bogus"):
         transfer_map(lap, lap, samples, samples, 4, 0.5, kind="bogus")

@@ -4,8 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshwavelets import (build_dictionary, build_heat_dictionary,
-                          build_laplacian, curve, edge_graph,
+from meshwavelets import (build_dictionary, build_laplacian, curve, edge_graph,
                           geodesic_distances, geodesic_errors, identity_map,
                           load_pointmap, nearest_rows, normalize_unit_area,
                           reconstruct_delta_map, sample, save_pointmap,
@@ -48,7 +47,7 @@ class TestReconstruct:
         # all-positive single column: every indicator coefficient is positive,
         # so every vertex lands on the column's argmax
         samples = sample(ico162, 1, seed=0)
-        d = build_heat_dictionary(lap162, samples, n_scales=1, t_max=0.2)
+        d = build_dictionary(lap162, samples, n_scales=1, t_max=0.2, kind="heat")
         pm = reconstruct_delta_map(d)
         assert np.unique(pm.targets).size == 1
         assert pm.targets[0] == np.argmax(d.columns[:, 0])
@@ -97,10 +96,10 @@ def _two_sided_reconstruction(dictionary, block=512):
     return np.argmax(recon, axis=0), recon
 
 
-@pytest.mark.parametrize("build", [build_dictionary, build_heat_dictionary])
-def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, build):
+@pytest.mark.parametrize("kind", ["wavelet", "heat"])
+def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, kind):
     samples = sample(jitter642, 6, seed=5)
-    d = build(lap_jitter642, samples, n_scales=25, t_max=1.0)
+    d = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0, kind=kind)
     expected, _ = _two_sided_reconstruction(d)
     np.testing.assert_array_equal(reconstruct_delta_map(d).targets, expected)
 
@@ -170,7 +169,7 @@ class TestTransfer:
 
     def test_kind_mismatch_rejected(self, jmesh, jdict):
         lap = build_laplacian(jmesh)
-        heat = build_heat_dictionary(lap, jdict.samples, n_scales=10, t_max=0.5)
+        heat = build_dictionary(lap, jdict.samples, n_scales=10, t_max=0.5, kind="heat")
         with pytest.raises(ValueError, match="kind"):
             transfer_pointmap(jdict, heat)
 
@@ -188,10 +187,9 @@ class TestTransfer:
         for n_samp in (4, 8):
             samples = sample(src, n_samp, seed=11)
             aucs = {}
-            for kind, build in (("wavelet", build_dictionary),
-                                ("heat", build_heat_dictionary)):
-                d_s = build(lap_s, samples, n_scales=25, t_max=0.1)
-                d_d = build(lap_d, samples, n_scales=25, t_max=0.1)
+            for kind in ("wavelet", "heat"):
+                d_s = build_dictionary(lap_s, samples, n_scales=25, t_max=0.1, kind=kind)
+                d_d = build_dictionary(lap_d, samples, n_scales=25, t_max=0.1, kind=kind)
                 pm = transfer_pointmap(d_s, d_d)
                 errors = geodesic_errors(pm, gt, dst)
                 aucs[kind] = curve(errors).auc_025

@@ -1,16 +1,17 @@
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from meshwavelets import (HeatDictionary, NumericalError, WaveletDictionary,
-                          build_dictionary, build_heat_dictionary, compute_rho,
-                          diffusion_step, factorize, load_dictionary,
-                          mother_wavelets, pair_rhos, sample, save_dictionary)
+from meshwavelets import (DataError, Dictionary, NumericalError,
+                          build_dictionary, compute_rho, diffusion_step,
+                          factorize, load_dictionary, mother_wavelets,
+                          pair_rhos, sample, save_dictionary)
 from meshwavelets.sampling import explicit_samples
 from meshwavelets.synthetic import rigid_transform, rotation_matrix
-from meshwavelets.wavelets import indicator_columns
+from meshwavelets.wavelets import MAGIC, indicator_columns
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,12 @@ def dict162(lap162, samples162):
 
 def a_dot(mass, f):
     return float(mass @ f)
+
+
+def normalize_like_dictionary(mass, cols):
+    """Wavelet-dictionary normalization of a column block: A-weighted L1, then range."""
+    cols = cols / (mass @ np.abs(cols))
+    return cols / (cols.max(axis=0) - cols.min(axis=0))
 
 
 class TestMotherWavelets:
@@ -120,10 +127,10 @@ class TestBuildDictionary:
         system = factorize(lap162.mass, lap162.stiffness, t)
         scale1 = diffusion_step(lap162, t, mother_wavelets(lap162, samples162), system)
         scale2 = diffusion_step(lap162, t, scale1, system)
-        raw = build_dictionary(lap162, samples162, n_scales=6, t_max=0.5, normalize=False)
-        np.testing.assert_allclose(raw.columns[:, :4], scale1, atol=1e-12)
-        np.testing.assert_allclose(raw.columns[:, 4:8], scale2, atol=1e-12)
-        np.testing.assert_allclose(raw.scale_columns(2), scale2, atol=1e-12)
+        scale1, scale2 = (normalize_like_dictionary(lap162.mass, c) for c in (scale1, scale2))
+        np.testing.assert_allclose(dict162.columns[:, :4], scale1, atol=1e-12)
+        np.testing.assert_allclose(dict162.columns[:, 4:8], scale2, atol=1e-12)
+        np.testing.assert_allclose(dict162.scale_columns(2), scale2, atol=1e-12)
 
     def test_every_column_has_unit_range(self, dict162):
         spread = dict162.columns.max(axis=0) - dict162.columns.min(axis=0)
@@ -137,10 +144,12 @@ class TestBuildDictionary:
         assert d.t_step == pytest.approx(0.5 * 2.0 / (10 * np.sqrt(lap162.total_area)))
 
     def test_zero_mean_before_normalization(self, ico642, lap642):
+        # |A c| / ||c||_2 does not change under positive column scaling, so
+        # the normalized columns show the zero mean of the raw ones
         samples = sample(ico642, 3, seed=0)
-        raw = build_dictionary(lap642, samples, n_scales=8, t_max=1.0, normalize=False)
-        means = lap642.mass @ raw.columns
-        norms = np.linalg.norm(raw.columns, axis=0)
+        d = build_dictionary(lap642, samples, n_scales=8, t_max=1.0)
+        means = lap642.mass @ d.columns
+        norms = np.linalg.norm(d.columns, axis=0)
         assert (np.abs(means) <= 1e-8 * norms).all()
 
     def test_parameter_validation(self, lap162, samples162):
@@ -150,6 +159,19 @@ class TestBuildDictionary:
             build_dictionary(lap162, samples162, t_max=0.0)
         with pytest.raises(ValueError):
             build_dictionary(lap162, samples162, rho=1.5)
+
+    def test_unknown_kind_rejected(self, lap162, samples162, monkeypatch):
+        import meshwavelets.wavelets as wavelets
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("diffusion ran for an unknown kind")
+        monkeypatch.setattr(wavelets, "_diffuse_scales", no_work)
+        with pytest.raises(ValueError, match="'wavelets'"):
+            build_dictionary(lap162, samples162, kind="wavelets")
+
+    def test_dictionary_rejects_unknown_kind(self, dict162):
+        with pytest.raises(ValueError, match="'heet'"):
+            dataclasses.replace(dict162, kind="heet")
 
     def test_commutation_with_laplacian(self, lap162, samples162):
         # k diffusion steps then A^-1 W equals A^-1 W then k diffusion steps
@@ -206,10 +228,11 @@ class TestBuildDictionary:
         lam, phi = spec162.eigenvalues, spec162.eigenvectors
         s = int(samples162.indices[0])
         target = lap162.mass[s] * (phi @ (lam * np.exp(-total_t * lam) * phi[s]))
+        target = normalize_like_dictionary(lap162.mass, target[:, None])[:, 0]
         errors = []
         for steps in (2, 4, 8, 16):
             d = build_dictionary(lap162, explicit_samples([s]), n_scales=steps,
-                                 t_max=total_t, rho=1.0, normalize=False)
+                                 t_max=total_t, rho=1.0)
             # t_step = total_t / steps, so the last scale sits at total_t
             approx = d.columns[:, -1]
             errors.append(np.linalg.norm(approx - target))
@@ -217,10 +240,11 @@ class TestBuildDictionary:
         assert errors[-1] < errors[0] / 4
 
 
-@pytest.mark.parametrize("build", [build_dictionary, build_heat_dictionary])
-def test_sample_beyond_mesh_rejected(lap162, build):
+@pytest.mark.parametrize("kind", ["wavelet", "heat"])
+def test_sample_beyond_mesh_rejected(lap162, kind):
     with pytest.raises(ValueError, match="out of range"):
-        build(lap162, explicit_samples([3, lap162.n]), n_scales=2, t_max=0.5)
+        build_dictionary(lap162, explicit_samples([3, lap162.n]), n_scales=2, t_max=0.5,
+                         kind=kind)
 
 
 class TestHeatDictionary:
@@ -231,21 +255,24 @@ class TestHeatDictionary:
             assert cols[:, j].sum() == 1.0
 
     def test_mass_conserved_across_scales(self, lap162, samples162):
-        d = build_heat_dictionary(lap162, samples162, n_scales=5, t_max=0.5,
-                                  normalize=False)
-        for j, s in enumerate(samples162.indices):
-            expected = lap162.mass[s]  # A-weighted sum of the unit indicator
-            for scale in range(1, 6):
-                got = a_dot(lap162.mass, d.scale_columns(scale)[:, j])
+        t = 0.5 / (5 * np.sqrt(lap162.total_area))
+        system = factorize(lap162.mass, lap162.stiffness, t)
+        block = indicator_columns(lap162.n, samples162)
+        for _ in range(5):
+            block = diffusion_step(lap162, t, block, system)
+            for j, s in enumerate(samples162.indices):
+                expected = lap162.mass[s]  # A-weighted sum of the unit indicator
+                got = a_dot(lap162.mass, block[:, j])
                 assert abs(got - expected) <= 1e-10 * abs(expected)
 
     def test_monotone_smoothing(self, lap162, samples162):
-        d = build_heat_dictionary(lap162, samples162, n_scales=6, t_max=1.0,
-                                  normalize=False)
+        # diffusion conserves each column's mass, so the L1 normalization
+        # scales every scale of a sample by the same factor
+        d = build_dictionary(lap162, samples162, n_scales=6, t_max=1.0, kind="heat")
         assert (d.scale_columns(6).std(axis=0) < d.scale_columns(1).std(axis=0)).all()
 
     def test_l1_only_normalization(self, lap162, samples162):
-        d = build_heat_dictionary(lap162, samples162, n_scales=4, t_max=0.5)
+        d = build_dictionary(lap162, samples162, n_scales=4, t_max=0.5, kind="heat")
         l1 = lap162.mass @ np.abs(d.columns)
         np.testing.assert_allclose(l1, 1.0, rtol=1e-10)
         spread = d.columns.max(axis=0) - d.columns.min(axis=0)
@@ -258,7 +285,7 @@ class TestSerialization:
         save_dictionary(dict162, path)
         assert path.exists() and path.with_suffix(".meta").exists()
         loaded = load_dictionary(path)
-        assert isinstance(loaded, WaveletDictionary)
+        assert loaded.kind == "wavelet"
         np.testing.assert_array_equal(loaded.columns, dict162.columns)
         np.testing.assert_array_equal(loaded.samples.indices, dict162.samples.indices)
         assert loaded.samples.strategy == dict162.samples.strategy
@@ -281,8 +308,8 @@ class TestSerialization:
     def test_column_major_columns_are_written_without_a_copy(self, tmp_path, lap162):
         cols = np.asfortranarray(np.random.default_rng(0).random((lap162.n, 2000)))
         samples = explicit_samples(np.arange(100))
-        d = WaveletDictionary(columns=cols, samples=samples, n_scales=20, t_max=1.0,
-                              t_step=0.05, rho=1.0)
+        d = Dictionary(columns=cols, samples=samples, n_scales=20, t_max=1.0,
+                       t_step=0.05, rho=1.0, kind="wavelet")
         tracemalloc.start()
         try:
             save_dictionary(d, tmp_path / "d.dwd")
@@ -292,10 +319,12 @@ class TestSerialization:
         assert peak < cols.nbytes / 4
 
     def test_heat_kind_roundtrip(self, tmp_path, lap162, samples162):
-        d = build_heat_dictionary(lap162, samples162, n_scales=3, t_max=0.5)
+        d = build_dictionary(lap162, samples162, n_scales=3, t_max=0.5, kind="heat")
         path = tmp_path / "h.dwd"
         save_dictionary(d, path)
-        assert isinstance(load_dictionary(path), HeatDictionary)
+        loaded = load_dictionary(path)
+        assert loaded.kind == "heat"
+        np.testing.assert_array_equal(loaded.columns, d.columns)
 
     def test_meta_sidecar_contents(self, tmp_path, dict162):
         path = tmp_path / "d.dwd"
@@ -310,7 +339,6 @@ class TestSerialization:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.dwd"
         path.write_bytes(b"NOTDICT1" + b"\0" * 64)
-        from meshwavelets import DataError
         with pytest.raises(DataError, match="magic"):
             load_dictionary(path)
 
@@ -319,12 +347,23 @@ class TestSerialization:
         save_dictionary(dict162, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        from meshwavelets import DataError
         with pytest.raises(DataError, match="truncated"):
             load_dictionary(path)
 
-    def test_refuses_unnormalized(self, tmp_path, lap162, samples162):
-        raw = build_dictionary(lap162, samples162, n_scales=2, t_max=0.5,
-                               normalize=False)
-        with pytest.raises(ValueError, match="unnormalized"):
-            save_dictionary(raw, tmp_path / "raw.dwd")
+    @pytest.mark.parametrize("sizes", [(2 ** 40, 2 ** 10, 1, 4), (4, 1, 1, 2 ** 62)],
+                             ids=["columns", "samples"])
+    def test_header_larger_than_file(self, tmp_path, sizes):
+        # a 128-byte file whose header claims far more values than it holds
+        path = tmp_path / "corrupt.dwd"
+        header = MAGIC + struct.pack("<4Q", *sizes) + struct.pack("<3d", 1.0, 1.0, 0.04)
+        path.write_bytes(header + b"\0" * (128 - len(header)))
+        with pytest.raises(DataError, match="truncated"):
+            load_dictionary(path)
+
+    def test_unknown_sidecar_kind(self, tmp_path, dict162):
+        path = tmp_path / "d.dwd"
+        save_dictionary(dict162, path)
+        meta = path.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace("kind=wavelet", "kind=heet"))
+        with pytest.raises(DataError, match="'heet'"):
+            load_dictionary(path)
