@@ -17,11 +17,11 @@ from .mesh import (TriangleMesh, face_areas, load_mesh, normalize_unit_area,
                    total_area, write_obj, write_off)
 from .sampling import SampleSet, explicit_samples, perturb_samples, sample
 from .solve import Spectrum, SpdSystem, factorize, generalized_eigs
-from .spectral import (DictionaryError, FunctionalMap, ReferenceDictionary,
-                       dictionary_error, eigenbasis_selfmatch_map,
-                       exponential_sum, fmap_to_pointmap, gt_functional_map,
-                       ground_truth_wavelets, reference_times,
-                       spectral_heat_kernel, spectral_mexican_hat)
+from .spectral import (DictionaryError, FunctionalMap, dictionary_error,
+                       eigenbasis_selfmatch_map, exponential_sum,
+                       fmap_to_pointmap, gt_functional_map,
+                       ground_truth_wavelets, spectral_heat_kernel,
+                       spectral_mexican_hat)
 from .wavelets import (Dictionary, build_dictionary, compute_rho, diffusion_step,
                        indicator_columns, load_dictionary, mother_wavelets,
                        pair_rhos, save_dictionary)

@@ -98,7 +98,6 @@ def _cmd_compare_wavelets(args):
         "samples": str(args.samples),
         "scales": str(args.scales),
         "tmax": str(args.tmax),
-        "time_mode": args.time_mode,
         "truncation": str(args.truncation),
         "seed": str(args.seed),
     }
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--rho", default="auto",
                    help="'auto' computes the ratio from the original areas")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match_pair)
 
@@ -180,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", type=int, default=25)
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--truncation", type=int, default=300)
-    p.add_argument("--time-mode", choices=("linear", "log"), default="linear")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path or directory")
     p.set_defaults(func=_cmd_compare_wavelets)

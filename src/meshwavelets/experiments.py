@@ -37,7 +37,7 @@ _SCHEMAS = {
                   "scales": int, "tmax": float, "rho": str, "dictionary": str,
                   "baseline": str, "n_thresholds": int, "max_threshold": float},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
-                 "truncation": int, "time_mode": str, "strategy": str},
+                 "truncation": int, "strategy": str},
     "timing": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                "eigenpairs": int},
     "sampling": {"mesh": str, "sample_counts": list, "strategies": list,
@@ -64,7 +64,6 @@ _DEFAULTS = {
     "dictionary": "wavelet",
     "baseline": "lbo",
     "truncation": 300,
-    "time_mode": "linear",
     "eigenpairs": 300,
     "sample_counts": [2, 4, 6],
     "strategies": ["fps-euclidean", "fps-geodesic", "random"],
@@ -357,16 +356,12 @@ def _run_wavelets(config, out_dir):
     t_heat = time.perf_counter() - t0
 
     spectrum = generalized_eigs(lap.mass, lap.stiffness, k="all")
-    reference = ground_truth_wavelets(spectrum, lap, ours.t_step, config["scales"],
-                                      samples, mode=config["time_mode"])
+    reference = ground_truth_wavelets(spectrum, lap, ours)
 
     t0 = time.perf_counter()
     trunc_spectrum = generalized_eigs(lap.mass, lap.stiffness,
                                       k=min(config["truncation"], lap.n))
-    truncated = ground_truth_wavelets(trunc_spectrum, lap, ours.t_step,
-                                      config["scales"], samples,
-                                      mode=config["time_mode"],
-                                      truncation=config["truncation"])
+    truncated = ground_truth_wavelets(trunc_spectrum, lap, ours)
     t_truncated = time.perf_counter() - t0
 
     err_ours = dictionary_error(ours, reference, lap.mass)
@@ -374,8 +369,9 @@ def _run_wavelets(config, out_dir):
     err_heat = dictionary_error(heat, reference, lap.mass)
 
     rows = []
-    for i, scale in enumerate(reference.scales):
-        rows.append([scale, reference.times[i],
+    for i in range(ours.n_scales):
+        scale = i + 1
+        rows.append([scale, scale * ours.t_step,
                      err_ours.l2_per_scale[i], err_ours.linf_per_scale[i],
                      err_trunc.l2_per_scale[i], err_trunc.linf_per_scale[i],
                      err_heat.l2_per_scale[i], err_heat.linf_per_scale[i]])
@@ -403,8 +399,7 @@ def _run_timing(config, out_dir):
     t0 = time.perf_counter()
     spectrum = generalized_eigs(lap.mass, lap.stiffness,
                                 k=min(config["eigenpairs"], lap.n))
-    ground_truth_wavelets(spectrum, lap, ours.t_step, config["scales"], samples,
-                          mode="linear", truncation=config["eigenpairs"])
+    ground_truth_wavelets(spectrum, lap, ours)
     t_baseline = time.perf_counter() - t0
 
     speedup = t_baseline / t_ours

@@ -44,19 +44,13 @@ def explicit_samples(indices) -> SampleSet:
 
 
 def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
-           seed: int = 0, distances=None) -> SampleSet:
+           seed: int = 0) -> SampleSet:
     """Select ``n`` distinct vertices of the mesh.
 
     Farthest-point strategies start from a seed-chosen uniform random vertex
     and greedily add the vertex maximizing the minimum distance (Euclidean or
     geodesic) to the already-chosen set; ties go to the lowest vertex index.
     ``random`` draws n distinct uniform indices. Deterministic given ``seed``.
-
-    Parameters
-    ----------
-    distances : callable, optional
-        Geodesic oracle ``f(vertex) -> (n,) distances`` used by
-        ``fps-geodesic``; defaults to Dijkstra over the mesh edges.
     """
     if not 1 <= n <= mesh.n_vertices:
         raise ValueError(f"n must be in [1, {mesh.n_vertices}], got {n}")
@@ -68,10 +62,10 @@ def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
         idx = rng.choice(mesh.n_vertices, size=n, replace=False)
         return SampleSet(indices=idx, strategy=strategy, seed=seed)
 
-    if strategy == "fps-geodesic" and distances is None:
+    if strategy == "fps-geodesic":
         graph = edge_graph(mesh)
         distances = lambda s: geodesic_distances(mesh, s, graph=graph)
-    if strategy == "fps-euclidean":
+    else:
         distances = lambda s: np.linalg.norm(mesh.vertices - mesh.vertices[s], axis=1)
 
     first = int(rng.integers(mesh.n_vertices))

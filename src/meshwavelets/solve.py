@@ -138,7 +138,8 @@ def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix,
     else:
         if n > max_n:
             raise ValueError(f"mesh has {n} vertices, above the dense-eigensolver cap "
-                             f"{max_n}; raise max_n explicitly to override")
+                             f"{max_n}: the solve of all {n} eigenpairs builds a "
+                             f"{n}x{n} matrix of {8 * n * n / 2 ** 30:.3g} GiB")
         s = 1.0 / np.sqrt(mass)
         B = stiffness.toarray() * s[None, :] * s[:, None]
         lam, U = scipy.linalg.eigh(0.5 * (B + B.T))

@@ -1,24 +1,22 @@
 """Spectral constructions: heat kernel, spectral Mexican hats, ground-truth
 wavelets, dictionary error measures, and eigenbasis matching baselines.
 
-Everything here is built from a (truncated or full) generalized eigensystem
-and serves as oracle or comparison target for the diffusion-based dictionary.
+Everything here is built from a generalized eigensystem and serves as oracle
+or comparison target for the diffusion-based dictionary. A truncated spectrum
+(``generalized_eigs(..., k=300)``) gives the truncated spectral construction,
+the full one (``k="all"``) the ground truth; the functions below use every
+eigenpair they are given.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
 from .laplacian import LaplacianPair
 from .matching import PointMap, gram_argmax, nearest_rows
-from .sampling import SampleSet
 from .solve import Spectrum
-from .wavelets import _normalize_columns
-
-DEFAULT_TRUNCATION = 300
+from .wavelets import Dictionary, _normalize_columns
 
 
 def spectral_heat_kernel(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:
@@ -29,124 +27,69 @@ def spectral_heat_kernel(spectrum: Spectrum, t: float, sample: int) -> np.ndarra
     return phi @ (np.exp(-t * lam) * phi[sample])
 
 
-def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int,
-                         truncation: int = DEFAULT_TRUNCATION) -> np.ndarray:
-    """Spectral Mexican hat sum_{k<K} lam_k exp(-t lam_k) Phi_k(sample) Phi_k.
+def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:
+    """Spectral Mexican hat sum_k lam_k exp(-t lam_k) Phi_k(sample) Phi_k.
 
-    This is the negative time derivative of the heat kernel. The default
-    truncation of 300 eigenpairs is the usual budget of the truncated
-    spectral construction; pass ``truncation=spectrum.count`` for the full
-    series.
+    This is the negative time derivative of the heat kernel, summed over
+    every eigenpair of ``spectrum``.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    K = min(truncation, spectrum.count)
-    lam = spectrum.eigenvalues[:K]
-    phi = spectrum.eigenvectors[:, :K]
-    return phi @ (lam * np.exp(-t * lam) * phi[sample, :K])
+    lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
+    return phi @ (lam * np.exp(-t * lam) * phi[sample])
 
 
-@dataclass(frozen=True)
-class ReferenceDictionary:
-    """Spectrally computed wavelet columns at reference times, scale-major.
+def ground_truth_wavelets(spectrum: Spectrum, lap: LaplacianPair,
+                          like: Dictionary) -> Dictionary:
+    """Wavelet dictionary evaluated from the eigensystem on the grid of ``like``.
 
-    ``scales`` lists the (1-based) scale numbers that were kept; with the
-    logarithmic time rule some scales have non-positive times and are
-    excluded. Columns are normalized exactly like wavelet dictionary columns
-    (A-weighted L1 norm, then range) so errors compare like with like.
+    Scale n is the spectral Mexican hat at time n * ``like.t_step``, the total
+    diffusion time reached by n backward-Euler steps, for every sample of
+    ``like``. Columns carry the unit-indicator mass convention (a factor
+    A_ss), matching the diffusion construction, and are normalized like
+    wavelet columns. The result keeps ``like``'s samples, scale count and
+    time parameters, with ``kind="wavelet"``.
     """
-
-    columns: np.ndarray
-    scales: tuple
-    times: tuple
-    samples: SampleSet
-
-    def scale_columns(self, scale: int) -> np.ndarray:
-        pos = self.scales.index(scale)
-        k = len(self.samples)
-        return self.columns[:, pos * k: (pos + 1) * k]
-
-
-def reference_times(t_step: float, n_scales: int, mode: str = "log"):
-    """Per-scale reference diffusion times.
-
-    ``log`` follows the stated ground-truth rule log(n * t) and flags scales
-    whose time is non-positive; ``linear`` uses n * t, the total diffusion
-    time reached by n backward-Euler steps.
-    """
-    if mode == "log":
-        raw = [(n, float(np.log(n * t_step))) for n in range(1, n_scales + 1)]
-        kept = [(n, t) for n, t in raw if t > 0]
-        dropped = [n for n, t in raw if t <= 0]
-        if dropped:
-            warnings.warn(f"excluding scales with non-positive log-time: {dropped}",
-                          stacklevel=2)
-        return kept
-    if mode == "linear":
-        return [(n, n * t_step) for n in range(1, n_scales + 1)]
-    raise ValueError(f"unknown time mode {mode!r}, expected 'log' or 'linear'")
-
-
-def ground_truth_wavelets(spectrum: Spectrum, lap: LaplacianPair, t_step: float,
-                          n_scales: int, samples: SampleSet, mode: str = "log",
-                          truncation: int | None = None) -> ReferenceDictionary:
-    """Reference Mexican-hat dictionary evaluated from the eigensystem.
-
-    With ``truncation=None`` the full available spectrum is used (the ground
-    truth); an integer truncation gives the truncated spectral baseline.
-    Columns carry the unit-indicator mass convention (a factor A_ss), matching
-    the diffusion construction, and are normalized like dictionary columns.
-    """
-    kept = reference_times(t_step, n_scales, mode=mode)
-    if not kept:
-        raise DataError("no valid reference scales: every log-time is non-positive "
-                        f"for t_step={t_step}, n_scales={n_scales}")
-    K = spectrum.count if truncation is None else min(truncation, spectrum.count)
-    cols = []
-    for _, t in kept:
-        for s in samples.indices:
-            cols.append(lap.mass[s] * spectral_mexican_hat(spectrum, t, int(s), truncation=K))
-    columns = np.column_stack(cols)
-    # scale-major: regroup from (time, sample) nesting, already in that order
-    columns = _normalize_columns(columns, lap.mass, samples, apply_range=True)
-    return ReferenceDictionary(columns=columns,
-                               scales=tuple(n for n, _ in kept),
-                               times=tuple(t for _, t in kept),
-                               samples=samples)
+    cols = [lap.mass[s] * spectral_mexican_hat(spectrum, n * like.t_step, int(s))
+            for n in range(1, like.n_scales + 1) for s in like.samples.indices]
+    columns = _normalize_columns(np.column_stack(cols), lap.mass, like.samples,
+                                 apply_range=True)
+    return replace(like, columns=columns, kind="wavelet")
 
 
 @dataclass(frozen=True)
 class DictionaryError:
     """Per-scale and averaged L2 / Linf errors between two dictionaries."""
 
-    scales: tuple
     l2_per_scale: np.ndarray
     linf_per_scale: np.ndarray
     l2_average: float
     linf_average: float
 
 
-def dictionary_error(candidate, reference: ReferenceDictionary,
+def dictionary_error(candidate: Dictionary, reference: Dictionary,
                      mass: np.ndarray) -> DictionaryError:
-    """Column-wise error of ``candidate`` against a reference dictionary.
+    """Column-wise error of ``candidate`` against ``reference``, scale by scale.
 
     Per column the A-weighted L2 norm and the plain Linf norm of the
-    difference are computed, then averaged per scale and overall. Scales
-    missing from the reference (flagged log-times) are skipped.
+    difference are computed, then averaged per scale and overall. The two
+    dictionaries must agree in vertex, sample and scale counts.
     """
-    if candidate.columns.shape[0] != reference.columns.shape[0]:
-        raise ValueError("dictionaries live on different meshes")
-    if len(candidate.samples) != len(reference.samples):
-        raise ValueError("dictionaries have different sample counts")
+    for what, ours, theirs in (("vertex", candidate.n_vertices, reference.n_vertices),
+                               ("sample", len(candidate.samples), len(reference.samples)),
+                               ("scale", candidate.n_scales, reference.n_scales)):
+        if ours != theirs:
+            raise ValueError(f"dictionaries have different {what} counts: "
+                             f"{ours} vs {theirs}")
     l2s, linfs = [], []
-    for scale in reference.scales:
+    for scale in range(1, reference.n_scales + 1):
         diff = candidate.scale_columns(scale) - reference.scale_columns(scale)
         l2s.append(np.sqrt((mass[:, None] * diff * diff).sum(axis=0)).mean())
         linfs.append(np.abs(diff).max(axis=0).mean())
     l2s = np.array(l2s)
     linfs = np.array(linfs)
-    return DictionaryError(scales=reference.scales, l2_per_scale=l2s,
-                           linf_per_scale=linfs, l2_average=float(l2s.mean()),
+    return DictionaryError(l2_per_scale=l2s, linf_per_scale=linfs,
+                           l2_average=float(l2s.mean()),
                            linf_average=float(linfs.mean()))
 
 

@@ -50,6 +50,7 @@ class Dictionary:
         if cols.shape[1] != len(self.samples) * self.n_scales:
             raise ValueError(f"expected {len(self.samples) * self.n_scales} columns, "
                              f"got {cols.shape[1]}")
+        _check_in_range(self.samples, cols.shape[0])
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
 
@@ -257,7 +258,7 @@ def save_dictionary(d: Dictionary, path) -> None:
 def load_dictionary(path) -> Dictionary:
     """Read a DWDICT01 file back; the sidecar, when present, restores the kind
     and sampling provenance (otherwise the kind is ``wavelet`` and samples are
-    marked explicit)."""
+    marked explicit). Every corrupt header is reported as a ``DataError``."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -286,9 +287,12 @@ def load_dictionary(path) -> Dictionary:
         if kind not in KINDS:
             raise DataError(f"{meta_path}: unknown dictionary kind {kind!r}; "
                             f"expected one of {list(KINDS)}")
-    if strategy == "explicit":
-        samples = explicit_samples(idx)
-    else:
-        samples = SampleSet(indices=idx, strategy=strategy, seed=seed)
-    return Dictionary(columns=columns, samples=samples, n_scales=int(n_scales),
-                      t_max=t_max, rho=rho, t_step=t_step, kind=kind)
+    try:
+        if strategy == "explicit":
+            samples = explicit_samples(idx)
+        else:
+            samples = SampleSet(indices=idx, strategy=strategy, seed=seed)
+        return Dictionary(columns=columns, samples=samples, n_scales=int(n_scales),
+                          t_max=t_max, rho=rho, t_step=t_step, kind=kind)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -90,8 +90,7 @@ def test_criterion_04_mother_wavelet_spectral_agreement(ico162, lap162, spec162)
     worst = 0.0
     for j, s in enumerate(samples.indices):
         # full-spectrum Mexican hat at t -> 0, unit-indicator mass convention
-        expected = lap162.mass[s] * spectral_mexican_hat(
-            spec162, 1e-300, int(s), truncation=spec162.count)
+        expected = lap162.mass[s] * spectral_mexican_hat(spec162, 1e-300, int(s))
         worst = max(worst, np.linalg.norm(cols[:, j] - expected)
                     / np.linalg.norm(cols[:, j]))
     report(4, f"mother wavelet matches the spectral formula within 1e-6 "
@@ -164,8 +163,7 @@ def test_criterion_08_timing_ordering():
 
     t0 = time.perf_counter()
     spectrum = generalized_eigs(lap.mass, lap.stiffness, k=300, max_n=20000)
-    ground_truth_wavelets(spectrum, lap, ours.t_step, 25, samples,
-                          mode="linear", truncation=300)
+    ground_truth_wavelets(spectrum, lap, ours)
     seconds_baseline = time.perf_counter() - t0
 
     elapsed = time.perf_counter() - start
@@ -237,7 +235,7 @@ FAUST_DIR = os.environ.get("MESHWAVELETS_FAUST_DIR", "")
 def test_criterion_12_optional_faust_dataset():
     from pathlib import Path
 
-    from meshwavelets import dictionary_error, load_mesh
+    from meshwavelets import Spectrum, dictionary_error, load_mesh
 
     paths = sorted(p for p in Path(FAUST_DIR).iterdir()
                    if p.suffix.lower() in (".off", ".obj"))
@@ -249,10 +247,10 @@ def test_criterion_12_optional_faust_dataset():
         samples = sample(mesh, 10, seed=0)
         ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
         spectrum = generalized_eigs(lap.mass, lap.stiffness, max_n=6000)
-        reference = ground_truth_wavelets(spectrum, lap, ours.t_step, 25,
-                                          samples, mode="linear")
-        truncated = ground_truth_wavelets(spectrum, lap, ours.t_step, 25,
-                                          samples, mode="linear", truncation=300)
+        reference = ground_truth_wavelets(spectrum, lap, ours)
+        truncated = ground_truth_wavelets(
+            Spectrum(eigenvalues=spectrum.eigenvalues[:300],
+                     eigenvectors=spectrum.eigenvectors[:, :300]), lap, ours)
         l2_ours.append(dictionary_error(ours, reference, lap.mass).l2_average)
         l2_truncated.append(dictionary_error(truncated, reference, lap.mass).l2_average)
     mean_ours = float(np.mean(l2_ours))

@@ -159,6 +159,14 @@ class TestExitCodes:
             main(["dict", "build", "--mesh", "x.off"])  # missing required args
         assert exc.value.code == 1
 
+    def test_match_pair_takes_no_seed(self, tmp_path):
+        # the landmark files fix the samples: there is nothing to seed
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "pair", "--src", "a.off", "--dst", "b.off",
+                  "--landmarks-src", "a.txt", "--landmarks-dst", "b.txt",
+                  "--seed", "0", "--out", str(tmp_path / "m.txt")])
+        assert exc.value.code == 1
+
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -207,7 +207,7 @@ class TestWaveletComparisonExperiment:
         config = resolve_config({
             "experiment": "wavelets", "out_dir": str(tmp_path / "o"),
             "mesh": str(mesh_file), "samples": "3", "scales": "6",
-            "tmax": "0.2", "truncation": "40", "time_mode": "linear",
+            "tmax": "0.2", "truncation": "40",
         })
         summary = run_experiment(config)
         lines = (tmp_path / "o" / "wavelet_errors.csv").read_text().splitlines()

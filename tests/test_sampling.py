@@ -66,16 +66,16 @@ def test_fps_spreads_better_than_random(ico642):
 
 
 def test_fps_geodesic_accepts_oracle(ico162):
+    # reference: greedy farthest-point loop over Dijkstra distances, from the
+    # same seed-chosen first vertex, ties to the lowest index
     graph = edge_graph(ico162)
-    calls = []
-
-    def oracle(s):
-        calls.append(s)
-        return geodesic_distances(ico162, s, graph=graph)
-
-    s = sample(ico162, 5, strategy="fps-geodesic", seed=2, distances=oracle)
-    assert len(calls) == 5
-    assert len(np.unique(s.indices)) == 5
+    chosen = [int(np.random.default_rng(2).integers(ico162.n_vertices))]
+    dmin = geodesic_distances(ico162, chosen[0], graph=graph)
+    for _ in range(4):
+        chosen.append(int(np.argmax(dmin)))
+        dmin = np.minimum(dmin, geodesic_distances(ico162, chosen[-1], graph=graph))
+    s = sample(ico162, 5, strategy="fps-geodesic", seed=2)
+    assert s.indices.tolist() == chosen
 
 
 def test_perturb_zero_radius_is_identity(ico162):

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from meshwavelets import (DataError, FunctionalMap, build_dictionary,
-                          build_laplacian, dictionary_error, diffusion_step,
+from meshwavelets import (FunctionalMap, build_dictionary, build_laplacian,
+                          dictionary_error, diffusion_step,
                           eigenbasis_selfmatch_map, exponential_sum,
                           fmap_to_pointmap, generalized_eigs, gt_functional_map,
                           ground_truth_wavelets, identity_map,
-                          normalize_unit_area, reference_times, sample,
-                          spectral_heat_kernel, spectral_mexican_hat)
+                          normalize_unit_area, sample, spectral_heat_kernel,
+                          spectral_mexican_hat)
 from meshwavelets.synthetic import jittered_icosphere, rigid_transform, rotation_matrix
 
 
@@ -56,19 +56,14 @@ class TestHeatKernel:
 class TestMexicanHat:
     def test_is_negative_time_derivative_of_heat_kernel(self, spec162):
         s, t, h = 17, 0.02, 1e-6
-        hat = spectral_mexican_hat(spec162, t, s, truncation=spec162.count)
+        hat = spectral_mexican_hat(spec162, t, s)
         fd = -(spectral_heat_kernel(spec162, t + h, s)
                - spectral_heat_kernel(spec162, t - h, s)) / (2 * h)
         assert np.linalg.norm(hat - fd) <= 1e-4 * np.linalg.norm(hat)
 
     def test_zero_a_weighted_mean(self, lap162, spec162):
-        hat = spectral_mexican_hat(spec162, 0.05, 3, truncation=spec162.count)
+        hat = spectral_mexican_hat(spec162, 0.05, 3)
         assert abs(lap162.mass @ hat) <= 1e-10 * np.abs(hat).max()
-
-    def test_default_truncation_is_300(self):
-        import inspect
-        from meshwavelets.spectral import spectral_mexican_hat as f
-        assert inspect.signature(f).parameters["truncation"].default == 300
 
     def test_t_zero_rejected(self, spec162):
         with pytest.raises(ValueError):
@@ -76,65 +71,61 @@ class TestMexicanHat:
 
 
 class TestReferenceTimes:
-    def test_log_of_e_is_one(self):
-        kept = reference_times(np.e, 1, mode="log")
-        assert kept == [(1, pytest.approx(1.0))]
-
-    def test_nonpositive_log_times_excluded(self):
-        with pytest.warns(UserWarning, match="excluding"):
-            kept = reference_times(0.2, 6, mode="log")
-        assert [n for n, _ in kept] == [6]  # only 6*0.2 > 1
-
-    def test_linear_mode(self):
-        kept = reference_times(0.1, 3, mode="linear")
-        assert kept == [(1, pytest.approx(0.1)), (2, pytest.approx(0.2)),
-                        (3, pytest.approx(0.3))]
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            reference_times(0.1, 3, mode="sqrt")
+    def test_linear_mode(self, ico162, lap162, spec162):
+        # scale n of the reference is the Mexican hat at time n * t_step,
+        # normalized like a wavelet column
+        like = build_dictionary(lap162, sample(ico162, 3, seed=4), n_scales=4, t_max=0.3)
+        ref = ground_truth_wavelets(spec162, lap162, like)
+        for n in range(1, like.n_scales + 1):
+            for j, s in enumerate(like.samples.indices):
+                col = lap162.mass[s] * spectral_mexican_hat(spec162, n * like.t_step, int(s))
+                col /= lap162.mass @ np.abs(col)
+                col /= col.max() - col.min()
+                np.testing.assert_allclose(ref.scale_columns(n)[:, j], col,
+                                           rtol=0, atol=1e-12)
 
 
 class TestGroundTruthWavelets:
     def test_finite_and_range_normalized(self, ico642, lap642, spec642):
         samples = sample(ico642, 3, seed=1)
-        ref = ground_truth_wavelets(spec642, lap642, 0.04, 5, samples, mode="linear")
+        like = build_dictionary(lap642, samples, n_scales=5, t_max=0.2, kind="heat")
+        ref = ground_truth_wavelets(spec642, lap642, like)
         assert np.isfinite(ref.columns).all()
         spread = ref.columns.max(axis=0) - ref.columns.min(axis=0)
         np.testing.assert_allclose(spread, 1.0, atol=1e-10)
-        assert ref.scales == (1, 2, 3, 4, 5)
-
-    def test_all_scales_invalid_is_an_error(self, lap162, spec162, ico162):
-        samples = sample(ico162, 2, seed=0)
-        with pytest.raises(DataError, match="no valid"), pytest.warns(UserWarning):
-            ground_truth_wavelets(spec162, lap162, 0.04, 5, samples, mode="log")
+        assert ref.kind == "wavelet"
+        assert ref.samples is like.samples
+        assert (ref.n_scales, ref.t_max, ref.t_step, ref.rho) == \
+            (like.n_scales, like.t_max, like.t_step, like.rho)
 
     def test_matches_euler_dictionary_in_the_limit(self, ico162, lap162, spec162):
-        # the diffusion dictionary converges to the linear-time reference as
-        # the number of scales grows at fixed t_max (smaller Euler steps)
+        # the diffusion dictionary converges to the reference as the number
+        # of scales grows at fixed t_max (smaller Euler steps)
         samples = sample(ico162, 2, seed=3)
         t_max = 0.05
         errs = []
         for n_scales in (4, 16):
             d = build_dictionary(lap162, samples, n_scales=n_scales, t_max=t_max)
-            ref = ground_truth_wavelets(spec162, lap162, d.t_step, n_scales,
-                                        samples, mode="linear")
+            ref = ground_truth_wavelets(spec162, lap162, d)
             err = dictionary_error(d, ref, lap162.mass)
             errs.append(err.l2_average)
         assert errs[1] < errs[0]
 
 
+def _reference(mesh, lap, spectrum, n_scales=4):
+    like = build_dictionary(lap, sample(mesh, 2, seed=2), n_scales=n_scales, t_max=0.2)
+    return ground_truth_wavelets(spectrum, lap, like)
+
+
 class TestDictionaryError:
     def test_identical_inputs_zero(self, ico162, lap162, spec162):
-        samples = sample(ico162, 2, seed=2)
-        ref = ground_truth_wavelets(spec162, lap162, 0.05, 4, samples, mode="linear")
+        ref = _reference(ico162, lap162, spec162)
         err = dictionary_error(ref, ref, lap162.mass)
         assert err.l2_average == 0.0 and err.linf_average == 0.0
         assert (err.l2_per_scale == 0).all() and (err.linf_per_scale == 0).all()
 
     def test_norm_homogeneity(self, ico162, lap162, spec162):
-        samples = sample(ico162, 2, seed=2)
-        ref = ground_truth_wavelets(spec162, lap162, 0.05, 4, samples, mode="linear")
+        ref = _reference(ico162, lap162, spec162)
         other = dataclasses.replace(ref, columns=-ref.columns)
         base = dictionary_error(other, ref, lap162.mass)
         c = 3.0
@@ -145,12 +136,16 @@ class TestDictionaryError:
         assert scaled.linf_average == pytest.approx(c * base.linf_average, rel=1e-12)
 
     def test_dimension_mismatch(self, ico162, lap162, spec162, lap642, spec642, ico642):
-        s162 = sample(ico162, 2, seed=2)
-        s642 = sample(ico642, 2, seed=2)
-        ref162 = ground_truth_wavelets(spec162, lap162, 0.05, 4, s162, mode="linear")
-        ref642 = ground_truth_wavelets(spec642, lap642, 0.05, 4, s642, mode="linear")
-        with pytest.raises(ValueError, match="meshes"):
+        ref162 = _reference(ico162, lap162, spec162)
+        ref642 = _reference(ico642, lap642, spec642)
+        with pytest.raises(ValueError, match="vertex counts"):
             dictionary_error(ref642, ref162, lap162.mass)
+
+    def test_scale_count_mismatch(self, ico162, lap162, spec162):
+        ref4 = _reference(ico162, lap162, spec162, n_scales=4)
+        ref5 = _reference(ico162, lap162, spec162, n_scales=5)
+        with pytest.raises(ValueError, match="scale counts: 5 vs 4"):
+            dictionary_error(ref5, ref4, lap162.mass)
 
 
 class TestFunctionalMap:

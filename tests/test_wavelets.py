@@ -360,6 +360,23 @@ class TestSerialization:
         with pytest.raises(DataError, match="truncated"):
             load_dictionary(path)
 
+    @pytest.mark.parametrize("n_columns, samples, message", [
+        (2, [0, 0], "distinct"),
+        (0, [], "at least one"),
+        (3, [0, 1], "expected 2 columns"),
+        (2, [0, 9], "out of range"),
+    ], ids=["repeated-samples", "no-samples", "column-count", "sample-beyond-mesh"])
+    def test_corrupt_header_is_a_data_error(self, tmp_path, n_columns, samples, message):
+        # a 4-vertex, 1-scale file with no sidecar
+        path = tmp_path / "corrupt.dwd"
+        header = MAGIC + struct.pack("<4Q", 4, n_columns, 1, len(samples)) \
+            + struct.pack("<3d", 1.0, 1.0, 1.0)
+        payload = np.array(samples, dtype="<u8").tobytes() + bytes(8 * 4 * n_columns)
+        path.write_bytes(header + payload)
+        with pytest.raises(DataError, match=message) as exc:
+            load_dictionary(path)
+        assert str(path) in str(exc.value)
+
     def test_unknown_sidecar_kind(self, tmp_path, dict162):
         path = tmp_path / "d.dwd"
         save_dictionary(dict162, path)
