@@ -31,7 +31,7 @@ print(f"wavelet dictionary ({dictionary.n_columns} columns): "
       f"mean geodesic error {ours.mean_error:.4f}, AUC@0.25 {ours.auc_025:.3f}")
 
 spectrum = generalized_eigs(lap.mass, lap.stiffness, k=n_samples + 1)
-pm_basis = eigenbasis_selfmatch_map(spectrum, k=n_samples + 1)
+pm_basis = eigenbasis_selfmatch_map(spectrum)
 basis = curve(geodesic_errors(pm_basis, gt, mesh))
 print(f"eigenbasis baseline ({n_samples + 1} functions):     "
       f"mean geodesic error {basis.mean_error:.4f}, AUC@0.25 {basis.auc_025:.3f}")

@@ -18,11 +18,10 @@ from .mesh import (TriangleMesh, face_areas, load_mesh, normalize_unit_area,
 from .sampling import SampleSet, explicit_samples, perturb_samples, sample
 from .solve import Spectrum, SpdSystem, factorize, generalized_eigs
 from .spectral import (DictionaryError, FunctionalMap, dictionary_error,
-                       eigenbasis_selfmatch_map, exponential_sum,
-                       fmap_to_pointmap, gt_functional_map,
-                       ground_truth_wavelets, spectral_heat_kernel,
-                       spectral_mexican_hat)
-from .wavelets import (Dictionary, build_dictionary, compute_rho, diffusion_step,
+                       eigenbasis_selfmatch_map, fmap_to_pointmap,
+                       gt_functional_map, ground_truth_wavelets,
+                       spectral_heat_kernel, spectral_mexican_hat)
+from .wavelets import (Dictionary, build_dictionary, diffusion_step,
                        indicator_columns, load_dictionary, mother_wavelets,
                        pair_rhos, save_dictionary)
 

@@ -13,13 +13,13 @@ from pathlib import Path
 from .errors import DataError, NumericalError
 from .evaluation import curve, geodesic_errors
 from .experiments import (load_landmarks, load_unit_mesh, resolve_config,
-                          resolve_rhos, run_experiment, selfmatch_map,
-                          transfer_map, write_curve_csv)
+                          run_experiment, selfmatch_map, transfer_map,
+                          write_curve_csv)
 from .laplacian import build_laplacian
 from .matching import load_pointmap, save_pointmap
 from .mesh import load_mesh
 from .sampling import sample
-from .wavelets import build_dictionary, save_dictionary
+from .wavelets import build_dictionary, pair_rhos, save_dictionary
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -44,7 +44,7 @@ def _resolve_samples(mesh, value, seed):
 def _cmd_dict_build(args):
     mesh, area = load_unit_mesh(args.mesh)
     samples = _resolve_samples(mesh, args.samples, args.seed)
-    rho = 1.0 if args.rho == "auto" else float(args.rho)
+    rho, _ = pair_rhos(area, area, args.rho)
     dictionary = build_dictionary(build_laplacian(mesh), samples, n_scales=args.scales,
                                   t_max=args.tmax, rho=rho)
     save_dictionary(dictionary, args.out)
@@ -66,7 +66,7 @@ def _cmd_match_self(args):
 def _cmd_match_pair(args):
     mesh_src, area_src = load_unit_mesh(args.src)
     mesh_dst, area_dst = load_unit_mesh(args.dst)
-    rho_src, rho_dst = resolve_rhos(args.rho, area_src, area_dst)
+    rho_src, rho_dst = pair_rhos(area_src, area_dst, args.rho)
     pm = transfer_map(build_laplacian(mesh_src), build_laplacian(mesh_dst),
                       load_landmarks(args.landmarks_src, mesh_src),
                       load_landmarks(args.landmarks_dst, mesh_dst),

@@ -1,10 +1,11 @@
 """Experiment drivers: seeded end-to-end runs writing CSV curves and summaries.
 
 Configs are plain key=value files with a strict key set per experiment kind;
-unknown keys are rejected. Every CSV starts with a versioned schema tag line
-so golden-file comparisons stay stable. The loaders, the self-match and
-transfer stages and the curve writer below are also what the CLI's ``match``
-and ``eval`` commands call.
+unknown keys are rejected. A list key is a comma-separated value whose items
+all have the element type its schema declares. Every CSV starts with a
+versioned schema tag line so golden-file comparisons stay stable. The
+loaders, the self-match and transfer stages and the curve writer below are
+also what the CLI's ``match`` and ``eval`` commands call.
 """
 from __future__ import annotations
 
@@ -28,24 +29,30 @@ from .wavelets import KINDS, build_dictionary, pair_rhos
 
 _COMMON_KEYS = {"experiment", "out_dir", "seed"}
 
+
+def _rho(value):
+    """``auto`` or a number; its (0, 1] range is checked by ``build_dictionary``."""
+    return value if value == "auto" else float(value)
+
+
 _SCHEMAS = {
     "selfmatch": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                   "strategy": str, "baseline": str, "n_thresholds": int,
                   "max_threshold": float},
     "pairmatch": {"mesh_source": str, "mesh_target": str, "landmarks_source": str,
                   "landmarks_target": str, "gt_map": str, "samples": int,
-                  "scales": int, "tmax": float, "rho": str, "dictionary": str,
+                  "scales": int, "tmax": float, "rho": _rho, "dictionary": str,
                   "baseline": str, "n_thresholds": int, "max_threshold": float},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "strategy": str},
     "timing": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                "eigenpairs": int},
-    "sampling": {"mesh": str, "sample_counts": list, "strategies": list,
+    "sampling": {"mesh": str, "sample_counts": [int], "strategies": [str],
                  "scales": int, "tmax": float},
     "noise": {"mesh": str, "mesh_target": str, "samples": int,
-              "displace_counts": list, "noise_radii": list, "scales_list": list,
+              "displace_counts": [int], "noise_radii": [float], "scales_list": [int],
               "tmax": float},
-    "tmax": {"mesh": str, "mesh_target": str, "tmax_values": list,
+    "tmax": {"mesh": str, "mesh_target": str, "tmax_values": [float],
              "samples": int, "scales": int, "strategy": str},
 }
 
@@ -130,34 +137,18 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
 
 
 def _convert(key, value, typ, source):
-    if isinstance(value, str):
-        try:
-            if typ is list:
-                items = [v.strip() for v in value.split(",") if v.strip()]
-                return [_number(v) for v in items] if items and _is_number(items[0]) else items
-            if typ is int:
-                return int(value)
-            if typ is float:
-                return float(value)
-        except ValueError:
-            raise DataError(f"{source}: bad value for {key!r}: {value!r}") from None
-        return value
-    if typ is list and isinstance(value, (list, tuple)):
-        return list(value)
-    return typ(value)
-
-
-def _is_number(text):
+    """``typ`` applied to a scalar value; for a list key, ``[typ]``, ``typ``
+    applied to each item of a comma-separated string or a sequence."""
     try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
-def _number(text):
-    value = float(text)
-    return int(value) if value == int(value) and "." not in text and "e" not in text.lower() else value
+        if not isinstance(typ, list):
+            return typ(value)
+        items = value.split(",") if isinstance(value, str) else value
+        converted = [typ[0](text) for text in (str(item).strip() for item in items) if text]
+    except (TypeError, ValueError):
+        raise DataError(f"{source}: bad value for {key!r}: {value!r}") from None
+    if not converted:
+        raise DataError(f"{source}: empty list for {key!r}")
+    return converted
 
 
 def run_experiment(config) -> dict:
@@ -201,14 +192,6 @@ def load_landmarks(path, mesh):
     if indices.size and not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
         raise DataError(f"{path}: landmark index out of range [0, {mesh.n_vertices})")
     return explicit_samples(indices)
-
-
-def resolve_rhos(rho, area_src, area_dst):
-    """(rho_src, rho_dst) of a pair: ``"auto"`` derives them from the original
-    areas (``pair_rhos``), a number is used for both shapes."""
-    if rho == "auto":
-        return pair_rhos(area_src, area_dst)
-    return float(rho), float(rho)
 
 
 def selfmatch_map(lap, samples, scales, tmax):
@@ -274,9 +257,8 @@ def _run_selfmatch(config, out_dir):
                "samples": ",".join(map(str, samples.indices))}
     # eigenbasis baseline at the same budget: |S| + 1 basis functions
     if config["baseline"] == "lbo":
-        k = len(samples) + 1
-        spectrum = generalized_eigs(lap.mass, lap.stiffness, k=k)
-        base_errors = geodesic_errors(eigenbasis_selfmatch_map(spectrum, k), gt, mesh)
+        spectrum = generalized_eigs(lap.mass, lap.stiffness, k=len(samples) + 1)
+        base_errors = geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, mesh)
         base = curve(base_errors, n_thresholds=config["n_thresholds"],
                      max_threshold=config["max_threshold"])
         summary["baseline_mean_error"] = base.mean_error
@@ -306,7 +288,7 @@ def _run_pairmatch(config, out_dir):
     mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
     lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
     samples_src, samples_dst = _resolve_pair_samples(config, mesh_src, mesh_dst)
-    rho_src, rho_dst = resolve_rhos(config["rho"], area_src, area_dst)
+    rho_src, rho_dst = pair_rhos(area_src, area_dst, config["rho"])
     pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, config["scales"],
                       config["tmax"], rhos=(rho_src, rho_dst), kind=config["dictionary"])
     if config["gt_map"]:
@@ -328,9 +310,9 @@ def _run_pairmatch(config, out_dir):
     # functions, converted to a point map by nearest neighbors
     if config["baseline"] == "lbo":
         k = len(samples_src) + 1
-        spec_src = generalized_eigs(lap_src.mass, lap_src.stiffness, k=k)
-        spec_dst = generalized_eigs(lap_dst.mass, lap_dst.stiffness, k=k)
-        fmap = gt_functional_map(spec_src, spec_dst, lap_dst.mass, gt, k=k)
+        spec_src = generalized_eigs(lap_src.mass, lap_src.stiffness, k)
+        spec_dst = generalized_eigs(lap_dst.mass, lap_dst.stiffness, k)
+        fmap = gt_functional_map(spec_src, spec_dst, lap_dst.mass, gt)
         pm_base = fmap_to_pointmap(fmap, spec_src, spec_dst)
         base = curve(geodesic_errors(pm_base, gt, mesh_dst),
                      n_thresholds=config["n_thresholds"],
@@ -345,10 +327,8 @@ def _run_wavelets(config, out_dir):
     lap = build_laplacian(mesh)
     samples = sample(mesh, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
-
-    t0 = time.perf_counter()
-    ours = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"])
-    t_ours = time.perf_counter() - t0
+    ours, truncated, t_ours, t_truncated = _timed_routes(lap, samples, config,
+                                                         config["truncation"])
 
     t0 = time.perf_counter()
     heat = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"],
@@ -357,12 +337,6 @@ def _run_wavelets(config, out_dir):
 
     spectrum = generalized_eigs(lap.mass, lap.stiffness, k="all")
     reference = ground_truth_wavelets(spectrum, lap, ours)
-
-    t0 = time.perf_counter()
-    trunc_spectrum = generalized_eigs(lap.mass, lap.stiffness,
-                                      k=min(config["truncation"], lap.n))
-    truncated = ground_truth_wavelets(trunc_spectrum, lap, ours)
-    t_truncated = time.perf_counter() - t0
 
     err_ours = dictionary_error(ours, reference, lap.mass)
     err_trunc = dictionary_error(truncated, reference, lap.mass)
@@ -385,23 +359,28 @@ def _run_wavelets(config, out_dir):
             "seconds_truncated": round(t_truncated, 4)}
 
 
-def _run_timing(config, out_dir):
-    mesh, _ = load_unit_mesh(config["mesh"])
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, config["samples"], seed=config["seed"])
+def _timed_routes(lap, samples, config, eigenpairs):
+    """Time the two routes to the wavelets of ``samples``: the diffusion
+    dictionary, and the truncated-spectral baseline (a restricted eigensolve
+    of ``eigenpairs`` pairs plus the spectral Mexican hats at the same times).
 
+    Returns (ours, truncated, seconds_ours, seconds_truncated).
+    """
     t0 = time.perf_counter()
     ours = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"])
     t_ours = time.perf_counter() - t0
 
-    # truncated-spectral baseline: restricted eigensolve plus evaluation of
-    # the spectral Mexican hats at the same times
     t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness,
-                                k=min(config["eigenpairs"], lap.n))
-    ground_truth_wavelets(spectrum, lap, ours)
-    t_baseline = time.perf_counter() - t0
+    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(eigenpairs, lap.n))
+    truncated = ground_truth_wavelets(spectrum, lap, ours)
+    return ours, truncated, t_ours, time.perf_counter() - t0
 
+
+def _run_timing(config, out_dir):
+    mesh, _ = load_unit_mesh(config["mesh"])
+    lap = build_laplacian(mesh)
+    samples = sample(mesh, config["samples"], seed=config["seed"])
+    _, _, t_ours, t_baseline = _timed_routes(lap, samples, config, config["eigenpairs"])
     speedup = t_baseline / t_ours
     _write_csv(out_dir / "timing.csv", "timing",
                ["method", "seconds"],
@@ -416,37 +395,44 @@ def _run_sampling(config, out_dir):
     rows = []
     for strategy in config["strategies"]:
         for n_samp in config["sample_counts"]:
-            samples = sample(mesh, int(n_samp), strategy=strategy, seed=config["seed"])
+            samples = sample(mesh, n_samp, strategy=strategy, seed=config["seed"])
             pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
             errors = geodesic_errors(pm, identity_map(mesh.n_vertices), mesh)
             ec = curve(errors)
-            rows.append([strategy, int(n_samp), ec.mean_error, ec.auc_025])
+            rows.append([strategy, n_samp, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "sampling.csv", "sampling",
                ["strategy", "n_samples", "mean_error", "auc_025"], rows)
     return {"rows": len(rows)}
 
 
+def _corresponding_target(config, mesh_src, lap_src):
+    """The optional ``mesh_target`` and its Laplacian, else the source's own.
+
+    The sweeps score their maps against the identity, so a target must be in
+    vertex correspondence with the source.
+    """
+    if not config["mesh_target"]:
+        return mesh_src, lap_src
+    mesh_dst, _ = load_unit_mesh(config["mesh_target"])
+    if mesh_dst.n_vertices != mesh_src.n_vertices:
+        raise DataError(f"{config['experiment']} experiment needs meshes in "
+                        "vertex correspondence")
+    return mesh_dst, build_laplacian(mesh_dst)
+
+
 def _run_noise(config, out_dir):
     mesh_src, _ = load_unit_mesh(config["mesh"])
-    if config["mesh_target"]:
-        mesh_dst, _ = load_unit_mesh(config["mesh_target"])
-        if mesh_dst.n_vertices != mesh_src.n_vertices:
-            raise DataError("noise experiment needs meshes in vertex correspondence")
-    else:
-        mesh_dst = mesh_src
-    lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
+    lap_src = build_laplacian(mesh_src)
+    mesh_dst, lap_dst = _corresponding_target(config, mesh_src, lap_src)
     base = sample(mesh_src, config["samples"], seed=config["seed"])
     rows = []
     for n_scales in config["scales_list"]:
         for n_disp in config["displace_counts"]:
             for radius in config["noise_radii"]:
-                noisy = perturb_samples(mesh_src, base, float(radius), int(n_disp),
-                                        seed=config["seed"])
-                pm = transfer_map(lap_src, lap_dst, noisy, base, int(n_scales),
-                                  config["tmax"])
+                noisy = perturb_samples(mesh_src, base, radius, n_disp, seed=config["seed"])
+                pm = transfer_map(lap_src, lap_dst, noisy, base, n_scales, config["tmax"])
                 ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
-                rows.append([int(n_scales), int(n_disp), float(radius),
-                             ec.mean_error, ec.auc_025])
+                rows.append([n_scales, n_disp, radius, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "noise.csv", "noise",
                ["n_scales", "n_displaced", "noise_radius", "mean_error", "auc_025"],
                rows)
@@ -458,27 +444,18 @@ def _run_noise(config, out_dir):
 def _run_tmax(config, out_dir):
     mesh_src, _ = load_unit_mesh(config["mesh"])
     lap_src = build_laplacian(mesh_src)
+    mesh_dst, lap_dst = _corresponding_target(config, mesh_src, lap_src)
     samples = sample(mesh_src, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
-    pair = bool(config["mesh_target"])
-    mesh_dst = mesh_src
-    if pair:
-        mesh_dst, _ = load_unit_mesh(config["mesh_target"])
-        if mesh_dst.n_vertices != mesh_src.n_vertices:
-            raise DataError("tmax experiment needs meshes in vertex correspondence")
-        lap_dst = build_laplacian(mesh_dst)
     rows = []
-    best = (None, np.inf)
     for tmax in config["tmax_values"]:
-        if pair:
-            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"],
-                              float(tmax))
+        if mesh_dst is mesh_src:
+            pm = selfmatch_map(lap_src, samples, config["scales"], tmax)
         else:
-            pm = selfmatch_map(lap_src, samples, config["scales"], float(tmax))
+            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"], tmax)
         ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
-        rows.append([float(tmax), ec.mean_error, ec.auc_025])
-        if ec.mean_error < best[1]:
-            best = (float(tmax), ec.mean_error)
+        rows.append([tmax, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "tmax.csv", "tmax",
                ["tmax", "mean_error", "auc_025"], rows)
-    return {"best_tmax": best[0], "best_mean_error": best[1]}
+    best_tmax, best_error, _ = min(rows, key=lambda row: row[1])
+    return {"best_tmax": best_tmax, "best_mean_error": best_error}

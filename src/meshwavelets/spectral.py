@@ -111,20 +111,19 @@ class FunctionalMap:
 
 
 def gt_functional_map(spec_m: Spectrum, spec_n: Spectrum, mass_n: np.ndarray,
-                      gt_map: PointMap, k: int) -> FunctionalMap:
+                      gt_map: PointMap) -> FunctionalMap:
     """Ground-truth functional map C = Phi_N^T A_N Pi Phi_M from a point map.
 
     ``gt_map`` sends every vertex of the source M to a vertex of the target
-    N; Pi is its 0/1 matrix. With the identity self-map and the full spectrum
-    C is the identity, by A-orthonormality.
+    N; Pi is its 0/1 matrix. C is (spec_n.count, spec_m.count). With the
+    identity self-map and the full spectrum C is the identity, by
+    A-orthonormality.
     """
-    if k > spec_m.count or k > spec_n.count:
-        raise ValueError(f"k={k} exceeds available spectrum size")
     if gt_map.source_size != spec_m.n or gt_map.target_size != spec_n.n:
         raise ValueError("point map sizes do not match the spectra")
     t = gt_map.targets
-    lifted = spec_n.eigenvectors[t, :k] * np.asarray(mass_n)[t, None]
-    return FunctionalMap(matrix=lifted.T @ spec_m.eigenvectors[:, :k])
+    lifted = spec_n.eigenvectors[t] * np.asarray(mass_n)[t, None]
+    return FunctionalMap(matrix=lifted.T @ spec_m.eigenvectors)
 
 
 def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) -> PointMap:
@@ -142,23 +141,12 @@ def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) ->
     return PointMap(targets=targets, target_size=spec_n.n)
 
 
-def eigenbasis_selfmatch_map(spectrum: Spectrum, k: int) -> PointMap:
+def eigenbasis_selfmatch_map(spectrum: Spectrum) -> PointMap:
     """Self-matching through a truncated eigenbasis (the LBO-basis baseline).
 
-    Each vertex indicator is reconstructed in the span of the first k
-    eigenfunctions and mapped to the vertex where the reconstruction is
-    maximal: T(x) = argmax_y sum_{j<k} Phi_j(x) Phi_j(y). Ties break to the
-    lowest index.
+    Each vertex indicator is reconstructed in the span of the k =
+    ``spectrum.count`` eigenfunctions and mapped to the vertex where the
+    reconstruction is maximal: T(x) = argmax_y sum_{j<k} Phi_j(x) Phi_j(y).
+    Ties break to the lowest index.
     """
-    if not 1 <= k <= spectrum.count:
-        raise ValueError(f"k must be in [1, {spectrum.count}], got {k}")
-    return PointMap(targets=gram_argmax(spectrum.eigenvectors[:, :k]),
-                    target_size=spectrum.n)
-
-
-def exponential_sum(coefficients, rates, times) -> np.ndarray:
-    """Evaluate sum_i c_i exp(-t r_i) on a grid of times (vectorized)."""
-    c = np.asarray(coefficients, dtype=np.float64)
-    r = np.asarray(rates, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    return np.exp(-np.outer(t, r)) @ c
+    return PointMap(targets=gram_argmax(spectrum.eigenvectors), target_size=spectrum.n)

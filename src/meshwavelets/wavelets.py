@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,32 +115,20 @@ def diffusion_step(lap: LaplacianPair, t: float, block: np.ndarray,
     return system.solve(rhs)
 
 
-def compute_rho(area_n: float, area_m: float) -> float:
-    """Diffusion-scale adjustment ratio sqrt(area_n / area_m), clamped to (0, 1].
+def pair_rhos(area_source: float, area_target: float, rho="auto") -> tuple[float, float]:
+    """Per-shape rho values (source, target), the diffusion-time adjustment ratios.
 
-    For a pair of shapes the smaller (e.g. partial) shape is expected as
-    ``area_n``; a ratio above 1 is clamped with a warning. With a single
-    shape the ratio is 1.
+    A number ``rho`` is used for both shapes. ``"auto"`` derives them from the
+    original (pre-normalization) areas: the larger shape's diffusion times are
+    shrunk by sqrt(smaller/larger) and the smaller shape keeps rho = 1, so a
+    single shape (its own area twice) gets 1.
     """
-    if area_n <= 0 or area_m <= 0:
-        raise ValueError(f"areas must be positive, got {area_n}, {area_m}")
-    rho = float(np.sqrt(area_n / area_m))
-    if rho > 1.0:
-        warnings.warn(f"area ratio {rho:.4g} exceeds 1 (expected the smaller shape "
-                      "first); clamping rho to 1", stacklevel=2)
-        rho = 1.0
-    return rho
-
-
-def pair_rhos(area_source: float, area_target: float) -> tuple[float, float]:
-    """Per-shape rho values for a matching pair, from original (pre-normalization) areas.
-
-    The larger shape's diffusion times are shrunk by sqrt(smaller/larger); the
-    smaller shape keeps rho = 1. For equal areas both are 1.
-    """
-    if area_source >= area_target:
-        return compute_rho(area_target, area_source), 1.0
-    return 1.0, compute_rho(area_source, area_target)
+    if rho != "auto":
+        return float(rho), float(rho)
+    if area_source <= 0 or area_target <= 0:
+        raise ValueError(f"areas must be positive, got {area_source}, {area_target}")
+    ratio = float(np.sqrt(min(area_source, area_target) / max(area_source, area_target)))
+    return (ratio, 1.0) if area_source > area_target else (1.0, ratio)
 
 
 def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
@@ -283,10 +270,13 @@ def load_dictionary(path) -> Dictionary:
         meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if "=" in line)
         kind = meta.get("kind", kind)
         strategy = meta.get("strategy", strategy)
-        seed = int(meta.get("seed", seed))
         if kind not in KINDS:
             raise DataError(f"{meta_path}: unknown dictionary kind {kind!r}; "
                             f"expected one of {list(KINDS)}")
+        try:
+            seed = int(meta.get("seed", seed))
+        except ValueError:
+            raise DataError(f"{meta_path}: bad seed {meta['seed']!r}") from None
     try:
         if strategy == "explicit":
             samples = explicit_samples(idx)

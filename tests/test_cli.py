@@ -40,6 +40,15 @@ def test_dict_build_and_load(tmp_path, mesh_off):
     assert d.samples.strategy == "fps-euclidean"
 
 
+@pytest.mark.parametrize("rho, expected", [("auto", 1.0), ("0.5", 0.5)])
+def test_dict_build_rho(tmp_path, mesh_off, rho, expected):
+    out = tmp_path / "dict.dwd"
+    code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
+                 "--scales", "4", "--rho", rho, "--out", str(out)])
+    assert code == 0
+    assert load_dictionary(out).rho == expected
+
+
 def test_dict_build_with_landmark_file(tmp_path, mesh_off):
     lm = tmp_path / "landmarks.txt"
     lm.write_text("0\n50\n100\n")

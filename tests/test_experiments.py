@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meshwavelets import DataError, parse_config, run_experiment, write_off
-from meshwavelets.experiments import resolve_config
+from meshwavelets.experiments import _DEFAULTS, _SCHEMAS, resolve_config
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
 
 
@@ -70,6 +70,42 @@ class TestConfigParsing:
         with pytest.raises(DataError, match=re.escape(allowed)):
             run_experiment(path)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, line, key", [
+        ("sampling", "sample_counts=2,2.5", "sample_counts"),
+        ("noise", "displace_counts=1.5", "displace_counts"),
+        ("noise", "scales_list=2.5", "scales_list"),
+        ("noise", "noise_radii=abc", "noise_radii"),
+        ("pairmatch", "rho=abc", "rho"),
+        ("sampling", "sample_counts=", "sample_counts"),
+        ("sampling", "strategies= , ", "strategies"),
+        ("noise", "displace_counts=", "displace_counts"),
+        ("noise", "noise_radii=", "noise_radii"),
+        ("noise", "scales_list=", "scales_list"),
+        ("tmax", "tmax_values=", "tmax_values"),
+    ])
+    def test_bad_typed_value_rejected(self, tmp_path, kind, line, key):
+        meshes = "mesh_source=a\n" if kind == "pairmatch" else "mesh=m\n"
+        path = write_config(tmp_path, f"experiment={kind}\nout_dir={tmp_path}/o\n"
+                                      f"{meshes}{line}\n")
+        with pytest.raises(DataError, match=repr(key)):
+            run_experiment(path)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+    def test_every_kind_resolves_typed(self, kind):
+        schema = _SCHEMAS[kind]
+        required = {key: "m" for key in schema if key not in _DEFAULTS}
+        config = resolve_config({"experiment": kind, "out_dir": "o", **required})
+        assert set(config) == set(schema) | {"experiment", "out_dir", "seed"}
+        assert resolve_config(config) == config
+        for key, typ in schema.items():
+            if isinstance(typ, list):
+                assert all(type(item) is typ[0] for item in config[key]), key
+                text = ",".join(str(item) for item in config[key])
+                parsed = resolve_config({**config, key: text})[key]
+                assert parsed == config[key]
+                assert all(type(item) is typ[0] for item in parsed), key
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write_config(tmp_path, "experiment selfmatch\n")
@@ -262,6 +298,35 @@ class TestSweepExperiments:
         assert summary["rows"] == 2
         lines = (tmp_path / "o" / "noise.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "n_scales"
+
+    def test_tmax_sweep_pair(self, tmp_path, pair_files):
+        src, dst = pair_files
+        config = resolve_config({
+            "experiment": "tmax", "out_dir": str(tmp_path / "o"),
+            "mesh": str(src), "mesh_target": str(dst), "tmax_values": "0.1,1",
+            "samples": "5", "scales": "6",
+        })
+        summary = run_experiment(config)
+        assert summary["best_tmax"] in (0.1, 1.0)
+        pair_csv = (tmp_path / "o" / "tmax.csv").read_text()
+        assert [line.split(",")[0] for line in pair_csv.splitlines()[2:]] == ["0.1", "1.0"]
+        # the target is used: the same sweep without it is a self-matching one
+        run_experiment({**config, "mesh_target": "", "out_dir": str(tmp_path / "s")})
+        assert (tmp_path / "s" / "tmax.csv").read_text() != pair_csv
+
+    @pytest.mark.parametrize("kind, lists", [
+        ("noise", {"displace_counts": "1", "noise_radii": "0.05", "scales_list": "2"}),
+        ("tmax", {"tmax_values": "0.5"}),
+    ])
+    def test_target_out_of_correspondence(self, tmp_path, mesh_file, kind, lists):
+        other = tmp_path / "ico42.off"
+        write_off(jittered_icosphere(1, seed=4), other)
+        config = resolve_config({"experiment": kind, "out_dir": str(tmp_path / "o"),
+                                 "mesh": str(mesh_file), "mesh_target": str(other),
+                                 "samples": "4", **lists})
+        with pytest.raises(DataError, match=f"^{kind} experiment needs meshes in "
+                                            "vertex correspondence$"):
+            run_experiment(config)
 
     def test_tmax_sweep_selfmatch(self, tmp_path, mesh_file):
         config = resolve_config({

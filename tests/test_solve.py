@@ -240,7 +240,7 @@ def dense_oracles():
 @pytest.mark.parametrize("k", [11, 17])
 def test_sparse_eigenvalues_match_dense_oracle(dense_oracles, name, k):
     lap, full = dense_oracles[name]
-    spec = generalized_eigs(lap.mass, lap.stiffness, k=k)
+    spec = generalized_eigs(lap.mass, lap.stiffness, k)
     assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (lap.n, k)
     np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[:k], rtol=1e-8, atol=1e-8)
 

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from meshwavelets import (FunctionalMap, build_dictionary, build_laplacian,
-                          dictionary_error, diffusion_step,
-                          eigenbasis_selfmatch_map, exponential_sum,
-                          fmap_to_pointmap, generalized_eigs, gt_functional_map,
+from meshwavelets import (FunctionalMap, Spectrum, build_dictionary,
+                          build_laplacian, dictionary_error, diffusion_step,
+                          eigenbasis_selfmatch_map, fmap_to_pointmap,
+                          generalized_eigs, gt_functional_map,
                           ground_truth_wavelets, identity_map,
                           normalize_unit_area, sample, spectral_heat_kernel,
                           spectral_mexican_hat)
@@ -148,24 +148,27 @@ class TestDictionaryError:
             dictionary_error(ref5, ref4, lap162.mass)
 
 
+def truncated(spectrum, k):
+    return Spectrum(spectrum.eigenvalues[:k], spectrum.eigenvectors[:, :k])
+
+
 class TestFunctionalMap:
     def test_identity_self_map_full_spectrum(self, jlap162, jspec162):
-        C = gt_functional_map(jspec162, jspec162, jlap162.mass,
-                              identity_map(jlap162.n), k=jspec162.count)
+        C = gt_functional_map(jspec162, jspec162, jlap162.mass, identity_map(jlap162.n))
         assert np.abs(C.matrix - np.eye(jspec162.count)).max() <= 1e-8
 
     def test_shape(self, jlap162, jspec162):
-        C = gt_functional_map(jspec162, jspec162, jlap162.mass,
-                              identity_map(jlap162.n), k=12)
-        assert C.shape == (12, 12)
+        C = gt_functional_map(truncated(jspec162, 12), truncated(jspec162, 9),
+                              jlap162.mass, identity_map(jlap162.n))
+        assert C.shape == (9, 12)
 
     def test_rigid_copy_diagonal(self, jitter162, jlap162, jspec162):
         moved = rigid_transform(jitter162, rotation=rotation_matrix([1, 0, 1], 0.6),
                                 translation=[0.1, 0.2, -0.3])
         lap_m = build_laplacian(moved)
         spec_m = generalized_eigs(lap_m.mass, lap_m.stiffness, k=10)
-        C = gt_functional_map(jspec162, spec_m, lap_m.mass,
-                              identity_map(jlap162.n), k=10).matrix
+        C = gt_functional_map(truncated(jspec162, 10), spec_m, lap_m.mass,
+                              identity_map(jlap162.n)).matrix
         off = C - np.diag(np.diag(C))
         assert np.abs(off).max() <= 1e-6
         np.testing.assert_allclose(np.abs(np.diag(C)), 1.0, atol=1e-6)
@@ -195,16 +198,12 @@ class TestFmapToPointmap:
 
 class TestEigenbasisSelfmatch:
     def test_full_spectrum_is_identity(self, jspec162):
-        pm = eigenbasis_selfmatch_map(jspec162, k=jspec162.count)
+        pm = eigenbasis_selfmatch_map(jspec162)
         np.testing.assert_array_equal(pm.targets, np.arange(jspec162.n))
 
     def test_truncated_is_not_identity(self, jspec162):
-        pm = eigenbasis_selfmatch_map(jspec162, k=7)
+        pm = eigenbasis_selfmatch_map(truncated(jspec162, 7))
         assert (pm.targets != np.arange(jspec162.n)).any()
-
-    def test_k_validation(self, jspec162):
-        with pytest.raises(ValueError):
-            eigenbasis_selfmatch_map(jspec162, k=0)
 
 
 class TestExponentialSums:
@@ -217,17 +216,6 @@ class TestExponentialSums:
                 acc += c * np.exp(-t * r)
             out.append(acc)
         return np.array(out)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        times = np.linspace(0.05, 5.0, 100)
-        for _ in range(20):
-            m = rng.integers(1, 6)
-            rates = np.sort(rng.uniform(0.1, 5.0, m))
-            coeffs = rng.uniform(0.2, 2.0, m) * rng.choice([-1.0, 1.0], m)
-            fast = exponential_sum(coeffs, rates, times)
-            np.testing.assert_allclose(fast, self.brute_force(coeffs, rates, times),
-                                       rtol=1e-12, atol=1e-14)
 
     def test_distinct_sums_separate_on_a_grid(self):
         # distinct strictly increasing rate sequences with nonzero coefficients

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meshwavelets import (DataError, Dictionary, NumericalError,
-                          build_dictionary, compute_rho, diffusion_step,
+                          build_dictionary, diffusion_step,
                           factorize, load_dictionary, mother_wavelets,
                           pair_rhos, sample, save_dictionary)
 from meshwavelets.sampling import explicit_samples
@@ -97,18 +97,18 @@ class TestDiffusionStep:
 
 class TestRho:
     def test_equal_areas(self):
-        assert compute_rho(2.0, 2.0) == 1.0
+        assert pair_rhos(2.0, 2.0) == (1.0, 1.0)
 
     def test_quarter_area(self):
-        assert compute_rho(1.0, 4.0) == pytest.approx(0.5)
+        assert pair_rhos(1.0, 4.0) == (1.0, pytest.approx(0.5))
 
     def test_zero_area_rejected(self):
         with pytest.raises(ValueError):
-            compute_rho(1.0, 0.0)
+            pair_rhos(1.0, 0.0)
 
-    def test_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamp"):
-            assert compute_rho(4.0, 1.0) == 1.0
+    def test_number_for_both_shapes(self):
+        assert pair_rhos(1.0, 4.0, rho=0.7) == (0.7, 0.7)
+        assert pair_rhos(3.0, 3.0, rho="0.5") == (0.5, 0.5)
 
     def test_pair_rhos(self):
         rho_src, rho_dst = pair_rhos(4.0, 1.0)
@@ -384,3 +384,12 @@ class TestSerialization:
         meta.write_text(meta.read_text().replace("kind=wavelet", "kind=heet"))
         with pytest.raises(DataError, match="'heet'"):
             load_dictionary(path)
+
+    def test_bad_sidecar_seed(self, tmp_path, dict162):
+        path = tmp_path / "d.dwd"
+        save_dictionary(dict162, path)
+        meta = path.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace("seed=7", "seed=abc"))
+        with pytest.raises(DataError, match="'abc'") as exc:
+            load_dictionary(path)
+        assert str(meta) in str(exc.value)
