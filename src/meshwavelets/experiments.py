@@ -124,12 +124,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
               "seed": _convert("seed", raw.get("seed", _DEFAULTS["seed"]), int, source)}
     defaults = {**_DEFAULTS, **_KIND_DEFAULTS.get(kind, {})}
     for key, typ in schema.items():
-        if key in raw:
-            config[key] = _convert(key, raw[key], typ, source)
-        elif key in defaults:
-            config[key] = defaults[key]
-        else:
+        if key not in raw and key not in defaults:
             raise DataError(f"{source}: missing required key {key!r}")
+        # defaults are converted too, so that a config never shares the
+        # default tables' lists
+        config[key] = _convert(key, raw.get(key, defaults.get(key)), typ, source)
         if key in _CHOICES and config[key] not in _CHOICES[key]:
             raise DataError(f"{source}: bad value for {key!r}: {config[key]!r}; "
                             f"expected one of {list(_CHOICES[key])}")
@@ -138,9 +137,13 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
 
 def _convert(key, value, typ, source):
     """``typ`` applied to a scalar value; for a list key, ``[typ]``, ``typ``
-    applied to each item of a comma-separated string or a sequence."""
+    applied to each item of a comma-separated string or a sequence. An int
+    key takes an integral float (2.0) but not a fractional one, which ``int``
+    would truncate."""
     try:
         if not isinstance(typ, list):
+            if typ is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(value)
             return typ(value)
         items = value.split(",") if isinstance(value, str) else value
         converted = [typ[0](text) for text in (str(item).strip() for item in items) if text]

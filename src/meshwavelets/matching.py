@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import dense
 from .errors import DataError, NumericalError
 from .wavelets import Dictionary
 
@@ -69,13 +70,14 @@ def reconstruct_delta_map(dictionary: Dictionary) -> PointMap:
     through its normal equations (a dense system of dictionary size), then
     maps vertex j to the argmax over rows of column j of Psi a. Ties break to
     the lowest row index. Gamma is diagonal and scale-major: the |S| columns of
-    scale k get the weight 1/k^2.
+    scale k get the weight 1/k^2. Only the lower triangle of the normal
+    matrix is formed (``dense.gram_lower``); the Cholesky factor reads no more.
     """
     psi = dictionary.columns
     n = psi.shape[0]
     k = np.repeat(np.arange(1, dictionary.n_scales + 1), len(dictionary.samples))
     w = 1.0 / k.astype(np.float64) ** 2
-    gram = psi.T @ psi + np.diag(w ** 2)
+    gram = dense.gram_lower(psi) + np.diag(w ** 2)
     try:
         lower = scipy.linalg.cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -88,17 +90,20 @@ def reconstruct_delta_map(dictionary: Dictionary) -> PointMap:
 def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
     """``targets[j] = argmax_i <b_i, b_j>`` over the rows of ``b``, ties to the lowest i.
 
-    Walks strips ``b[s:e] @ b[s:].T`` so that each entry of the symmetric Gram
-    matrix is computed once and at most ``block * n`` of it is held at a time.
-    Columns ``s:e`` of the strip's own rows are reduced along rows (contiguous
-    memory, via symmetry); later columns are reduced down the strip.
+    Walks strips ``dense.matmul(b[s:e], b[s:].T)`` so that each entry of the
+    symmetric Gram matrix is computed once and at most ``block * n`` of it is
+    held at a time. Columns ``s:e`` of the strip's own rows are reduced along
+    rows (contiguous memory, via symmetry); later columns are reduced down the
+    strip. A ``b`` that is not row-major (an eigenvector matrix) is copied once
+    to row-major, so that every strip's operands reach BLAS as views.
     """
+    b = np.ascontiguousarray(b)
     n = b.shape[0]
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
     for s in range(0, n, block):
         e = min(s + block, n)
-        strip = b[s:e] @ b[s:].T
+        strip = dense.matmul(b[s:e], b[s:].T)
         head = strip.argmax(axis=1)
         tail = strip[:, e - s:]
         tail_max = tail.max(axis=0, initial=-np.inf)
@@ -116,13 +121,19 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray, block: int = _NN_BLOCK
     """Exact nearest row of ``points`` for every row of ``queries``.
 
     Brute-force Euclidean search; ties break to the lowest index. Blocked so
-    the distance matrix never exceeds block * len(points) entries.
+    the distance matrix never exceeds block * len(points) entries. A row
+    block of a column-major ``queries`` is copied for BLAS (``dense.matmul``).
     """
     pts_sq = (points * points).sum(axis=1)
     out = np.empty(queries.shape[0], dtype=np.int64)
     for start in range(0, queries.shape[0], block):
         q = queries[start:start + block]
-        d2 = (q * q).sum(axis=1)[:, None] - 2.0 * (q @ points.T) + pts_sq[None, :]
+        # |q|^2 - 2 q.p + |p|^2 with the same roundings, formed in place: the
+        # product is a transposed view, which numpy never reuses as a temporary
+        d2 = dense.matmul(q, points.T)
+        d2 *= -2.0
+        d2 += (q * q).sum(axis=1)[:, None]
+        d2 += pts_sq[None, :]
         out[start:start + block] = np.argmin(d2, axis=1)
     return out
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import dense
 from .laplacian import LaplacianPair
 from .matching import PointMap, gram_argmax, nearest_rows
 from .solve import Spectrum
@@ -24,7 +25,7 @@ def spectral_heat_kernel(spectrum: Spectrum, t: float, sample: int) -> np.ndarra
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
-    return phi @ (np.exp(-t * lam) * phi[sample])
+    return dense.matvec(phi, np.exp(-t * lam) * phi[sample])
 
 
 def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:
@@ -36,7 +37,7 @@ def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int) -> np.ndarra
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
-    return phi @ (lam * np.exp(-t * lam) * phi[sample])
+    return dense.matvec(phi, lam * np.exp(-t * lam) * phi[sample])
 
 
 def ground_truth_wavelets(spectrum: Spectrum, lap: LaplacianPair,
@@ -123,7 +124,7 @@ def gt_functional_map(spec_m: Spectrum, spec_n: Spectrum, mass_n: np.ndarray,
         raise ValueError("point map sizes do not match the spectra")
     t = gt_map.targets
     lifted = spec_n.eigenvectors[t] * np.asarray(mass_n)[t, None]
-    return FunctionalMap(matrix=lifted.T @ spec_m.eigenvectors)
+    return FunctionalMap(matrix=dense.matmul(lifted.T, spec_m.eigenvectors))
 
 
 def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) -> PointMap:
@@ -135,7 +136,7 @@ def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) ->
     k_n, k_m = fmap.shape
     if k_m > spec_m.count or k_n > spec_n.count:
         raise ValueError("functional map larger than the available spectra")
-    source_rows = spec_m.eigenvectors[:, :k_m] @ fmap.matrix.T
+    source_rows = dense.matmul(spec_m.eigenvectors[:, :k_m], fmap.matrix.T)
     target_rows = spec_n.eigenvectors[:, :k_n]
     targets = nearest_rows(source_rows, target_rows)
     return PointMap(targets=targets, target_size=spec_n.n)

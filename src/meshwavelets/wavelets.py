@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dense
 from .errors import DataError, NumericalError
 from .laplacian import LaplacianPair
 from .sampling import SampleSet, explicit_samples
@@ -141,7 +142,7 @@ def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
             # wavelet columns have exactly zero A-weighted mean in exact
             # arithmetic (W has zero row sums); project out the roundoff
             # drift so deeply diffused scales keep the invariant
-            block -= lap.mass @ block / lap.total_area
+            block -= dense.vecmat(lap.mass, block) / lap.total_area
         scales.append(block)
     return np.hstack(scales)
 
@@ -149,7 +150,7 @@ def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
 def _normalize_columns(columns, mass, samples, apply_range):
     """In-place Algorithm-style normalization: A-weighted L1 norm, then range."""
     n_samp = len(samples)
-    l1 = mass @ np.abs(columns)
+    l1 = dense.vecmat(mass, np.abs(columns))
     _check_degenerate(l1, n_samp, samples, "A-weighted L1 norm")
     columns /= l1
     if apply_range:

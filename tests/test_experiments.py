@@ -92,6 +92,28 @@ class TestConfigParsing:
             run_experiment(path)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [("samples", 2.5), ("scales", 6.9),
+                                            ("seed", 1.5), ("samples", float("nan"))])
+    def test_fractional_number_for_int_key_rejected(self, key, value):
+        with pytest.raises(DataError, match=repr(key)):
+            resolve_config({"experiment": "selfmatch", "out_dir": "o", "mesh": "m",
+                            key: value})
+
+    def test_integral_float_for_int_key_accepted(self):
+        config = resolve_config({"experiment": "selfmatch", "out_dir": "o", "mesh": "m",
+                                 "samples": 2.0, "seed": 3.0})
+        assert (config["samples"], config["seed"]) == (2, 3)
+        assert type(config["samples"]) is int and type(config["seed"]) is int
+
+    @pytest.mark.parametrize("kind, key", [("sampling", "sample_counts"),
+                                           ("noise", "displace_counts")])
+    def test_resolved_default_lists_are_not_shared(self, kind, key):
+        first = resolve_config({"experiment": kind, "out_dir": "o", "mesh": "m"})
+        default = list(first[key])
+        first[key].append(99)
+        second = resolve_config({"experiment": kind, "out_dir": "o", "mesh": "m"})
+        assert second[key] == default
+
     @pytest.mark.parametrize("kind", sorted(_SCHEMAS))
     def test_every_kind_resolves_typed(self, kind):
         schema = _SCHEMAS[kind]
