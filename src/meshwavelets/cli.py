@@ -1,20 +1,18 @@
 """Command-line interface.
 
 Subcommands: ``dict build``, ``match self``, ``match pair``, ``eval``,
-``compare wavelets``, ``experiment run``. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+``experiment run`` (the method comparisons are the ``wavelets`` experiment).
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import DataError, NumericalError
 from .evaluation import curve, geodesic_errors
-from .experiments import (load_landmarks, load_unit_mesh, resolve_config,
-                          run_experiment, selfmatch_map, transfer_map,
-                          write_curve_csv)
+from .experiments import (load_landmarks, load_unit_mesh, run_experiment,
+                          selfmatch_map, transfer_map, write_curve_csv)
 from .laplacian import build_laplacian
 from .matching import load_pointmap, save_pointmap
 from .mesh import load_mesh
@@ -90,29 +88,6 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_compare_wavelets(args):
-    config = {
-        "experiment": "wavelets",
-        "out_dir": str(Path(args.out).parent if Path(args.out).suffix else args.out),
-        "mesh": args.mesh,
-        "samples": str(args.samples),
-        "scales": str(args.scales),
-        "tmax": str(args.tmax),
-        "truncation": str(args.truncation),
-        "seed": str(args.seed),
-    }
-    summary = run_experiment(resolve_config(config, source="compare wavelets"))
-    produced = Path(summary["out_dir"]) / "wavelet_errors.csv"
-    if Path(args.out).suffix:  # a file path was given: move the CSV there
-        produced.replace(args.out)
-        produced = Path(args.out)
-    for key in ("l2_ours", "l2_truncated", "l2_heat", "linf_ours",
-                "linf_truncated", "linf_heat", "seconds_ours", "seconds_truncated"):
-        print(f"{key}={summary[key]}")
-    print(f"wrote {produced}")
-    return 0
-
-
 def _cmd_experiment_run(args):
     summary = run_experiment(args.config)
     for key, value in summary.items():
@@ -168,19 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=int, default=100)
     p.add_argument("--max-threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_eval)
-
-    p_cmp = sub.add_parser("compare", help="method comparisons")
-    cmp_sub = p_cmp.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = cmp_sub.add_parser("wavelets",
-                           help="ours vs truncated-spectral vs heat, against ground truth")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--scales", type=int, default=25)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--truncation", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output CSV path or directory")
-    p.set_defaults(func=_cmd_compare_wavelets)
 
     p_exp = sub.add_parser("experiment", help="config-driven experiments")
     exp_sub = p_exp.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

@@ -124,6 +124,8 @@ def curve(errors: np.ndarray, n_thresholds: int = 100,
         raise ValueError("empty error vector")
     if n_thresholds < 2:
         raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
+    if not 0 < max_threshold < np.inf:
+        raise ValueError(f"max_threshold must be positive and finite, got {max_threshold}")
     thresholds = np.linspace(0.0, max_threshold, n_thresholds)
     fractions = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
     finite = errors[np.isfinite(errors)]

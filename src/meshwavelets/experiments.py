@@ -45,8 +45,6 @@ _SCHEMAS = {
                   "baseline": str, "n_thresholds": int, "max_threshold": float},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "strategy": str},
-    "timing": {"mesh": str, "samples": int, "scales": int, "tmax": float,
-               "eigenpairs": int},
     "sampling": {"mesh": str, "sample_counts": [int], "strategies": [str],
                  "scales": int, "tmax": float},
     "noise": {"mesh": str, "mesh_target": str, "samples": int,
@@ -71,7 +69,6 @@ _DEFAULTS = {
     "dictionary": "wavelet",
     "baseline": "lbo",
     "truncation": 300,
-    "eigenpairs": 300,
     "sample_counts": [2, 4, 6],
     "strategies": ["fps-euclidean", "fps-geodesic", "random"],
     "mesh_target": "",
@@ -88,7 +85,6 @@ _CHOICES = {"dictionary": KINDS, "baseline": ("lbo", "none")}
 _KIND_DEFAULTS = {
     "noise": {"samples": 10, "displace_counts": [1, 2, 3, 5, 10]},
     "wavelets": {"samples": 10},
-    "timing": {"samples": 10},
 }
 
 
@@ -167,7 +163,6 @@ def run_experiment(config) -> dict:
         "selfmatch": _run_selfmatch,
         "pairmatch": _run_pairmatch,
         "wavelets": _run_wavelets,
-        "timing": _run_timing,
         "sampling": _run_sampling,
         "noise": _run_noise,
         "tmax": _run_tmax,
@@ -191,10 +186,13 @@ def load_landmarks(path, mesh):
     """Landmark samples of ``mesh`` from a file of 0-based vertex indices, one per line."""
     if not Path(path).exists():
         raise DataError(f"landmark file not found: {path}")
-    indices = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    if indices.size and not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
-        raise DataError(f"{path}: landmark index out of range [0, {mesh.n_vertices})")
-    return explicit_samples(indices)
+    try:
+        indices = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        if indices.size and not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
+            raise DataError(f"{path}: landmark index out of range [0, {mesh.n_vertices})")
+        return explicit_samples(indices)
+    except ValueError as exc:
+        raise DataError(f"{path}: bad landmark file: {exc}") from exc
 
 
 def selfmatch_map(lap, samples, scales, tmax):
@@ -330,8 +328,17 @@ def _run_wavelets(config, out_dir):
     lap = build_laplacian(mesh)
     samples = sample(mesh, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
-    ours, truncated, t_ours, t_truncated = _timed_routes(lap, samples, config,
-                                                         config["truncation"])
+    # the two timed routes to the wavelets of the samples: the diffusion
+    # dictionary, and the truncated-spectral baseline (a restricted
+    # eigensolve plus the spectral Mexican hats at the same times)
+    t0 = time.perf_counter()
+    ours = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"])
+    t_ours = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(config["truncation"], lap.n))
+    truncated = ground_truth_wavelets(spectrum, lap, ours)
+    t_truncated = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     heat = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"],
@@ -360,36 +367,6 @@ def _run_wavelets(config, out_dir):
             "l2_heat": err_heat.l2_average, "linf_heat": err_heat.linf_average,
             "seconds_ours": round(t_ours, 4), "seconds_heat": round(t_heat, 4),
             "seconds_truncated": round(t_truncated, 4)}
-
-
-def _timed_routes(lap, samples, config, eigenpairs):
-    """Time the two routes to the wavelets of ``samples``: the diffusion
-    dictionary, and the truncated-spectral baseline (a restricted eigensolve
-    of ``eigenpairs`` pairs plus the spectral Mexican hats at the same times).
-
-    Returns (ours, truncated, seconds_ours, seconds_truncated).
-    """
-    t0 = time.perf_counter()
-    ours = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"])
-    t_ours = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(eigenpairs, lap.n))
-    truncated = ground_truth_wavelets(spectrum, lap, ours)
-    return ours, truncated, t_ours, time.perf_counter() - t0
-
-
-def _run_timing(config, out_dir):
-    mesh, _ = load_unit_mesh(config["mesh"])
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, config["samples"], seed=config["seed"])
-    _, _, t_ours, t_baseline = _timed_routes(lap, samples, config, config["eigenpairs"])
-    speedup = t_baseline / t_ours
-    _write_csv(out_dir / "timing.csv", "timing",
-               ["method", "seconds"],
-               [["ours", round(t_ours, 4)], ["truncated-spectral", round(t_baseline, 4)]])
-    return {"n_vertices": mesh.n_vertices, "seconds_ours": round(t_ours, 4),
-            "seconds_baseline": round(t_baseline, 4), "speedup": round(speedup, 2)}
 
 
 def _run_sampling(config, out_dir):

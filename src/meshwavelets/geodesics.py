@@ -23,29 +23,15 @@ def edge_graph(mesh: TriangleMesh) -> sparse.csr_matrix:
     ).tocsr()
 
 
-def geodesic_distances(mesh: TriangleMesh, source: int,
-                       graph: sparse.csr_matrix | None = None) -> np.ndarray:
-    """Shortest-path distance from ``source`` to every vertex.
-
-    Distances are Dijkstra over the edge graph; unreachable vertices get
-    ``inf``. Pass a prebuilt ``edge_graph(mesh)`` to amortize graph
-    construction over many calls. Pure and safe to call concurrently.
-    """
-    if not 0 <= source < mesh.n_vertices:
-        raise ValueError(f"source {source} out of range [0, {mesh.n_vertices})")
-    if graph is None:
-        graph = edge_graph(mesh)
-    return dijkstra(graph, directed=False, indices=source)
-
-
 def geodesic_distances_multi(mesh: TriangleMesh, sources,
                              graph: sparse.csr_matrix | None = None,
                              limit: float = np.inf) -> np.ndarray:
     """Row-per-source matrix of Dijkstra distances, shape (len(sources), n).
 
     The search from each source stops at ``limit``: distances up to it are
-    the same as without a limit, bit for bit, and vertices beyond it get
-    ``inf``.
+    the same as without a limit, bit for bit, and vertices beyond it (or
+    unreachable) get ``inf``. Pass a prebuilt ``edge_graph(mesh)`` to
+    amortize graph construction over many calls; safe to call concurrently.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):

@@ -54,13 +54,13 @@ def save_pointmap(pm: PointMap, path) -> None:
 def load_pointmap(path, target_size: int | None = None) -> PointMap:
     try:
         targets = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        if target_size is None:
+            target_size = int(targets.max()) + 1 if targets.size else 0
+        if targets.size and (targets.min() < 0 or targets.max() >= target_size):
+            raise DataError(f"{path}: target index out of range [0, {target_size})")
+        return PointMap(targets=targets, target_size=target_size)
     except ValueError as exc:
         raise DataError(f"{path}: bad point-map file: {exc}") from exc
-    if target_size is None:
-        target_size = int(targets.max()) + 1 if targets.size else 0
-    if targets.size and (targets.min() < 0 or targets.max() >= target_size):
-        raise DataError(f"{path}: target index out of range [0, {target_size})")
-    return PointMap(targets=targets, target_size=target_size)
 
 
 def reconstruct_delta_map(dictionary: Dictionary) -> PointMap:

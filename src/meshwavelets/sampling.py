@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geodesics import edge_graph, geodesic_distances
+from .geodesics import edge_graph, geodesic_distances_multi
 from .mesh import TriangleMesh
 
 STRATEGIES = ("fps-euclidean", "fps-geodesic", "random")
@@ -26,7 +26,7 @@ class SampleSet:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 1 or idx.size < 1:
-            raise ValueError("sample set needs at least one index")
+            raise ValueError("sample set needs a 1-D array of at least one index")
         if len(np.unique(idx)) != len(idx):
             raise ValueError("sample indices must be distinct")
         if idx.min() < 0:
@@ -64,7 +64,7 @@ def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
 
     if strategy == "fps-geodesic":
         graph = edge_graph(mesh)
-        distances = lambda s: geodesic_distances(mesh, s, graph=graph)
+        distances = lambda s: geodesic_distances_multi(mesh, [s], graph=graph)[0]
     else:
         distances = lambda s: np.linalg.norm(mesh.vertices - mesh.vertices[s], axis=1)
 
@@ -91,15 +91,15 @@ def perturb_samples(mesh: TriangleMesh, samples: SampleSet, noise_radius: float,
     """
     if not 0 <= count <= len(samples):
         raise ValueError(f"count must be in [0, {len(samples)}], got {count}")
-    if noise_radius < 0:
-        raise ValueError("noise_radius must be non-negative")
+    if not noise_radius >= 0:  # also rejects NaN
+        raise ValueError(f"noise_radius must be non-negative, got {noise_radius}")
     rng = np.random.default_rng(seed)
     which = rng.choice(len(samples), size=count, replace=False)
     new_indices = np.array(samples.indices)
     graph = edge_graph(mesh)
     for pos in np.sort(which):
         s = int(new_indices[pos])
-        d = geodesic_distances(mesh, s, graph=graph)
+        d = geodesic_distances_multi(mesh, [s], graph=graph)[0]
         bound = noise_radius * np.max(d[np.isfinite(d)])
         candidates = np.flatnonzero(d <= bound)
         others = np.delete(new_indices, pos)

@@ -72,10 +72,10 @@ def factorize(mass: np.ndarray, stiffness: sparse.spmatrix, t: float) -> SpdSyst
     """Factorize A + tW for repeated multi-right-hand-side solves.
 
     ``mass`` is the strictly positive diagonal of A, ``stiffness`` the
-    symmetric PSD matrix W, and ``t > 0`` the diffusion step.
+    symmetric PSD matrix W, and ``t`` the positive, finite diffusion step.
     """
-    if t <= 0:
-        raise ValueError(f"diffusion step t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"diffusion step t must be positive and finite, got {t}")
     mass = np.asarray(mass, dtype=np.float64)
     if (mass <= 0).any():
         raise ValueError("mass diagonal must be strictly positive")

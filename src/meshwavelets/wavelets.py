@@ -107,8 +107,8 @@ def diffusion_step(lap: LaplacianPair, t: float, block: np.ndarray,
     Conserves the A-weighted integral of every column. Pass a prefactorized
     ``system`` for the same (lap, t) to reuse the factorization.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if system is None:
         system = factorize(lap.mass, lap.stiffness, t)
     block = np.asarray(block, dtype=np.float64)
@@ -201,8 +201,8 @@ def build_dictionary(lap: LaplacianPair, samples: SampleSet, n_scales: int = 25,
 def _time_step(lap, n_scales, t_max, rho):
     if n_scales < 1:
         raise ValueError(f"n_scales must be >= 1, got {n_scales}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     return rho * t_max / (n_scales * np.sqrt(lap.total_area))

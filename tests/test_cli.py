@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,17 +144,6 @@ def test_match_pair_equals_pairmatch_experiment(tmp_path, mesh_off):
     assert out.read_bytes() == (tmp_path / "experiment" / "map.txt").read_bytes()
 
 
-def test_compare_wavelets(tmp_path, mesh_off, capsys):
-    out = tmp_path / "cmp.csv"
-    code = main(["compare", "wavelets", "--mesh", str(mesh_off), "--samples", "3",
-                 "--scales", "5", "--tmax", "0.2", "--truncation", "30",
-                 "--out", str(out)])
-    assert code == 0
-    assert out.exists()
-    captured = capsys.readouterr().out
-    assert "l2_ours=" in captured and "seconds_truncated=" in captured
-
-
 def test_experiment_run(tmp_path, mesh_off):
     config = tmp_path / "config.txt"
     config.write_text(f"experiment=selfmatch\nout_dir={tmp_path}/out\n"
@@ -180,6 +171,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    def test_removed_entry_points(self, tmp_path, capsys):
+        # the comparison and the timings are the wavelets experiment's
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "wavelets", "--mesh", "m.off", "--out", "e.csv"])
+        assert exc.value.code == 1
+        config = tmp_path / "config.txt"
+        config.write_text("experiment=timing\nout_dir=o\nmesh=m\n")
+        assert main(["experiment", "run", "--config", str(config)]) == 2
+        assert ("expected one of ['noise', 'pairmatch', 'sampling', 'selfmatch', "
+                "'tmax', 'wavelets']") in capsys.readouterr().err
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         code = main(["match", "self", "--mesh", str(tmp_path / "nope.off"),
@@ -228,6 +230,69 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(config)]) == 2
         assert "['wavelet', 'heat']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["match", "self", "--samples", "3", "--tmax", "nan"],
+        ["dict", "build", "--samples", "3", "--tmax", "inf"],
+        ["experiment", "run", "tmax=nan"],
+    ], ids=["match-self-nan", "dict-build-inf", "config-nan"])
+    def test_non_finite_tmax_is_2(self, tmp_path, mesh_off, capsys, command):
+        out = tmp_path / "out.txt"
+        if command[0] == "experiment":
+            config = tmp_path / "config.txt"
+            config.write_text(f"experiment=selfmatch\nout_dir={tmp_path}/o\n"
+                              f"mesh={mesh_off}\nsamples=3\nscales=4\n{command[2]}\n")
+            command = command[:2] + ["--config", str(config)]
+        else:
+            command = command + ["--mesh", str(mesh_off), "--out", str(out)]
+        assert main(command) == 2
+        assert "t_max must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_bad_max_threshold_is_2(self, tmp_path, mesh_off, capsys, value):
+        identity = tmp_path / "identity.txt"
+        identity.write_text("".join(f"{i}\n" for i in range(162)))
+        out = tmp_path / "curve.csv"
+        assert main(["eval", "--map", str(identity), "--gt", str(identity),
+                     "--mesh", str(mesh_off), "--max-threshold", value,
+                     "--out", str(out)]) == 2
+        assert "max_threshold must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        config = tmp_path / "config.txt"
+        config.write_text(f"experiment=selfmatch\nout_dir={tmp_path}/o\nmesh={mesh_off}\n"
+                          f"samples=3\nscales=4\nbaseline=none\nmax_threshold={value}\n")
+        assert main(["experiment", "run", "--config", str(config)]) == 2
+        assert "max_threshold must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role, text, message", [
+        ("landmarks", "0\nabc\n", "could not convert string 'abc'"),
+        ("landmarks", "3\n3\n", "sample indices must be distinct"),
+        ("landmarks", "", "at least one index"),
+        ("landmarks", "0 1\n2 3\n", "1-D array"),
+        ("map", "0 1\n2 3\n", "targets must be a 1-D index array"),
+    ], ids=["landmarks-unparseable", "landmarks-repeated", "landmarks-empty",
+            "landmarks-2d", "map-2d"])
+    def test_bad_index_file_is_named(self, tmp_path, mesh_off, capsys, role, text,
+                                     message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        good = tmp_path / "good.txt"
+        out = tmp_path / "out.txt"
+        if role == "landmarks":
+            # the second of two landmark files is bad: the message must say which
+            good.write_text("0\n5\n")
+            command = ["match", "pair", "--src", str(mesh_off), "--dst", str(mesh_off),
+                       "--landmarks-src", str(good), "--landmarks-dst", str(bad)]
+        else:
+            good.write_text("".join(f"{i}\n" for i in range(162)))
+            command = ["eval", "--map", str(good), "--gt", str(bad), "--mesh", str(mesh_off)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns about an empty file
+            assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err and message in err
+        assert not out.exists()
 
     def test_numerical_failure_is_3(self, tmp_path, mesh_off, capsys, monkeypatch):
         import meshwavelets.cli as cli

@@ -186,6 +186,12 @@ def test_curve_validation():
         curve(np.array([0.1]), n_thresholds=1)
 
 
+@pytest.mark.parametrize("max_threshold", [float("nan"), float("inf"), -1.0, 0.0])
+def test_curve_rejects_bad_max_threshold(max_threshold):
+    with pytest.raises(ValueError, match="max_threshold"):
+        curve(np.array([0.1]), max_threshold=max_threshold)
+
+
 def test_mean_is_arithmetic_mean():
     rng = np.random.default_rng(0)
     errors = rng.uniform(0, 1, 333)

@@ -282,20 +282,6 @@ class TestWaveletComparisonExperiment:
         assert summary["l2_ours"] < summary["l2_heat"]
 
 
-class TestTimingExperiment:
-    def test_summary_fields(self, tmp_path, mesh_file):
-        config = resolve_config({
-            "experiment": "timing", "out_dir": str(tmp_path / "o"),
-            "mesh": str(mesh_file), "samples": "4", "scales": "10",
-            "tmax": "0.5", "eigenpairs": "60",
-        })
-        summary = run_experiment(config)
-        assert summary["seconds_ours"] > 0
-        assert summary["seconds_baseline"] > 0
-        assert summary["speedup"] == pytest.approx(
-            summary["seconds_baseline"] / summary["seconds_ours"], rel=0.05)
-
-
 class TestSweepExperiments:
     def test_sampling_sweep(self, tmp_path, mesh_file):
         config = resolve_config({

@@ -3,19 +3,19 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from meshwavelets import TriangleMesh, edge_graph, geodesic_distances, geodesic_distances_multi
+from meshwavelets import TriangleMesh, edge_graph, geodesic_distances_multi
 from tests.conftest import chain_mesh
 
 
 def test_source_distance_zero(ico162):
-    d = geodesic_distances(ico162, 7)
+    d = geodesic_distances_multi(ico162, [7])[0]
     assert d[7] == 0.0
     assert (d >= 0).all() and np.isfinite(d).all()
 
 
 def test_chain_path_length():
     mesh = chain_mesh()
-    d = geodesic_distances(mesh, 0)
+    d = geodesic_distances_multi(mesh, [0])[0]
     assert d[1] == pytest.approx(1.0)
     assert d[2] == pytest.approx(3.0)
 
@@ -24,14 +24,14 @@ def test_disconnected_component_infinite():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
          [10, 10, 0], [11, 10, 0], [10, 11, 0]]
     mesh = TriangleMesh(vertices=v, faces=[[0, 1, 2], [3, 4, 5]])
-    d = geodesic_distances(mesh, 0)
+    d = geodesic_distances_multi(mesh, [0])[0]
     assert np.isfinite(d[:3]).all()
     assert np.isinf(d[3:]).all()
 
 
 def test_source_out_of_range(ico162):
     with pytest.raises(ValueError, match="out of range"):
-        geodesic_distances(ico162, ico162.n_vertices)
+        geodesic_distances_multi(ico162, [ico162.n_vertices])
 
 
 def test_triangle_inequality(ico162):
@@ -45,13 +45,6 @@ def test_triangle_inequality(ico162):
             for c in verts:
                 assert dists[pos[int(a)], int(c)] <= (
                     dists[pos[int(a)], int(b)] + dists[pos[int(b)], int(c)] + 1e-12)
-
-
-def test_multi_matches_single(ico162):
-    graph = edge_graph(ico162)
-    multi = geodesic_distances_multi(ico162, [3, 50], graph=graph)
-    np.testing.assert_array_equal(multi[0], geodesic_distances(ico162, 3, graph=graph))
-    np.testing.assert_array_equal(multi[1], geodesic_distances(ico162, 50, graph=graph))
 
 
 def test_limit_truncates_without_changing_near_distances(ico162):
@@ -68,9 +61,9 @@ def test_limit_truncates_without_changing_near_distances(ico162):
 
 def test_concurrent_calls_consistent(ico162):
     graph = edge_graph(ico162)
-    expected = [geodesic_distances(ico162, s, graph=graph) for s in range(16)]
+    expected = [geodesic_distances_multi(ico162, [s], graph=graph) for s in range(16)]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda s: geodesic_distances(ico162, s, graph=graph),
+        results = list(pool.map(lambda s: geodesic_distances_multi(ico162, [s], graph=graph),
                                 range(16)))
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got, want)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from meshwavelets import (TriangleMesh, edge_graph, geodesic_distances,
-                          perturb_samples, sample)
+from meshwavelets import TriangleMesh, geodesic_distances_multi, perturb_samples, sample
 from meshwavelets.sampling import STRATEGIES, explicit_samples
 
 
@@ -68,12 +67,12 @@ def test_fps_spreads_better_than_random(ico642):
 def test_fps_geodesic_accepts_oracle(ico162):
     # reference: greedy farthest-point loop over Dijkstra distances, from the
     # same seed-chosen first vertex, ties to the lowest index
-    graph = edge_graph(ico162)
+    dist = geodesic_distances_multi(ico162, np.arange(ico162.n_vertices))
     chosen = [int(np.random.default_rng(2).integers(ico162.n_vertices))]
-    dmin = geodesic_distances(ico162, chosen[0], graph=graph)
+    dmin = dist[chosen[0]]
     for _ in range(4):
         chosen.append(int(np.argmax(dmin)))
-        dmin = np.minimum(dmin, geodesic_distances(ico162, chosen[-1], graph=graph))
+        dmin = np.minimum(dmin, dist[chosen[-1]])
     s = sample(ico162, 5, strategy="fps-geodesic", seed=2)
     assert s.indices.tolist() == chosen
 
@@ -88,10 +87,9 @@ def test_perturb_respects_geodesic_bound(ico162):
     base = sample(ico162, 8, seed=0)
     radius = 0.2
     out = perturb_samples(ico162, base, noise_radius=radius, count=8, seed=3)
-    graph = edge_graph(ico162)
+    dists = geodesic_distances_multi(ico162, base.indices)
     moved = 0
-    for orig, new in zip(base.indices, out.indices):
-        d = geodesic_distances(ico162, int(orig), graph=graph)
+    for orig, new, d in zip(base.indices, out.indices, dists):
         assert d[new] <= radius * d[np.isfinite(d)].max() + 1e-12
         moved += int(orig != new)
     assert moved > 0
@@ -108,6 +106,12 @@ def test_perturb_count_out_of_range(ico162):
     base = sample(ico162, 8, seed=0)
     with pytest.raises(ValueError):
         perturb_samples(ico162, base, noise_radius=0.1, count=9, seed=0)
+
+
+def test_perturb_nan_radius_rejected(ico162):
+    base = sample(ico162, 8, seed=0)
+    with pytest.raises(ValueError, match="noise_radius"):
+        perturb_samples(ico162, base, noise_radius=float("nan"), count=2, seed=0)
 
 
 def test_perturb_deterministic(ico162):

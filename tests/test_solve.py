@@ -72,6 +72,13 @@ def test_singular_factorization_breakdown():
         factorize(mass, W, t=1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_step_rejected(lap162, t):
+    # NaN and inf pass a plain t <= 0 check and reach SuperLU as a breakdown
+    with pytest.raises(ValueError, match="diffusion step t"):
+        factorize(lap162.mass, lap162.stiffness, t=t)
+
+
 def test_invalid_arguments(lap162):
     with pytest.raises(ValueError):
         factorize(lap162.mass, lap162.stiffness, t=0.0)

@@ -160,6 +160,11 @@ class TestBuildDictionary:
         with pytest.raises(ValueError):
             build_dictionary(lap162, samples162, rho=1.5)
 
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_non_finite_t_max_rejected(self, lap162, samples162, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            build_dictionary(lap162, samples162, t_max=t_max)
+
     def test_unknown_kind_rejected(self, lap162, samples162, monkeypatch):
         import meshwavelets.wavelets as wavelets
 
