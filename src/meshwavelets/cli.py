@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import DataError, NumericalError
-from .evaluation import curve, geodesic_errors
+from .evaluation import check_curve_args, curve, geodesic_errors
 from .experiments import (load_landmarks, load_unit_mesh, run_experiment,
                           selfmatch_map, transfer_map, write_curve_csv)
 from .laplacian import build_laplacian
@@ -76,6 +76,7 @@ def _cmd_match_pair(args):
 
 
 def _cmd_eval(args):
+    check_curve_args(args.thresholds, args.max_threshold)
     mesh = load_mesh(args.mesh)
     pm = load_pointmap(args.map, target_size=mesh.n_vertices)
     gt = load_pointmap(args.gt, target_size=mesh.n_vertices)

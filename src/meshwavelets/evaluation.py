@@ -112,6 +112,14 @@ def _chunked_distances(mesh: TriangleMesh, graph, src: np.ndarray, dst: np.ndarr
     return out
 
 
+def check_curve_args(n_thresholds: int, max_threshold: float) -> None:
+    """``ValueError`` unless ``curve`` accepts these; configs and ``eval`` check them first."""
+    if n_thresholds < 2:
+        raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
+    if not 0 < max_threshold < np.inf:
+        raise ValueError(f"max_threshold must be positive and finite, got {max_threshold}")
+
+
 def curve(errors: np.ndarray, n_thresholds: int = 100,
           max_threshold: float = 0.5) -> EvalCurve:
     """Cumulative error curve over evenly spaced thresholds in [0, max].
@@ -122,10 +130,7 @@ def curve(errors: np.ndarray, n_thresholds: int = 100,
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty error vector")
-    if n_thresholds < 2:
-        raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
-    if not 0 < max_threshold < np.inf:
-        raise ValueError(f"max_threshold must be positive and finite, got {max_threshold}")
+    check_curve_args(n_thresholds, max_threshold)
     thresholds = np.linspace(0.0, max_threshold, n_thresholds)
     fractions = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
     finite = errors[np.isfinite(errors)]

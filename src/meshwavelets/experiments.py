@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .evaluation import curve, geodesic_errors
+from .evaluation import check_curve_args, curve, geodesic_errors
 from .laplacian import build_laplacian
-from .matching import (identity_map, load_pointmap, reconstruct_delta_map,
+from .matching import (identity_map, load_indices, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
 from .mesh import load_mesh, normalize_unit_area
 from .sampling import explicit_samples, perturb_samples, sample
@@ -128,6 +128,8 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
         if key in _CHOICES and config[key] not in _CHOICES[key]:
             raise DataError(f"{source}: bad value for {key!r}: {config[key]!r}; "
                             f"expected one of {list(_CHOICES[key])}")
+    if "max_threshold" in schema:  # the curve's arguments fail before any work
+        check_curve_args(config["n_thresholds"], config["max_threshold"])
     return config
 
 
@@ -187,8 +189,8 @@ def load_landmarks(path, mesh):
     if not Path(path).exists():
         raise DataError(f"landmark file not found: {path}")
     try:
-        indices = np.loadtxt(path, dtype=np.int64, ndmin=1)
-        if indices.size and not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
+        indices = load_indices(path)
+        if not 0 <= indices.min() <= indices.max() < mesh.n_vertices:
             raise DataError(f"{path}: landmark index out of range [0, {mesh.n_vertices})")
         return explicit_samples(indices)
     except ValueError as exc:

@@ -8,6 +8,7 @@ samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -51,12 +52,19 @@ def save_pointmap(pm: PointMap, path) -> None:
             fh.write(f"{t}\n")
 
 
+def load_indices(path) -> np.ndarray:
+    """A file's 0-based indices, one per line; none is a ``ValueError``, not a warning."""
+    lines = Path(path).read_text().splitlines()
+    if not any(line.split("#")[0].strip() for line in lines):
+        raise ValueError("needs at least one index")
+    return np.loadtxt(lines, dtype=np.int64, ndmin=1)
+
+
 def load_pointmap(path, target_size: int | None = None) -> PointMap:
     try:
-        targets = np.loadtxt(path, dtype=np.int64, ndmin=1)
-        if target_size is None:
-            target_size = int(targets.max()) + 1 if targets.size else 0
-        if targets.size and (targets.min() < 0 or targets.max() >= target_size):
+        targets = load_indices(path)
+        target_size = int(targets.max()) + 1 if target_size is None else target_size
+        if targets.min() < 0 or targets.max() >= target_size:
             raise DataError(f"{path}: target index out of range [0, {target_size})")
         return PointMap(targets=targets, target_size=target_size)
     except ValueError as exc:

@@ -2,9 +2,9 @@
 
 The matrix A + tW is factorized once and reused for every right-hand side of
 every diffusion step; this single factorization is the main performance lever
-of the dictionary construction. The eigensolver finds a truncated spectrum by
-sparse shift-invert Lanczos and keeps a dense solver only as the full-spectrum
-oracle.
+of the dictionary construction, and its nested-dissection order keeps the fill
+small. The eigensolver finds a truncated spectrum by sparse shift-invert
+Lanczos and keeps a dense solver only as the full-spectrum oracle.
 """
 from __future__ import annotations
 
@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from .errors import NumericalError
 
 SOLVE_RTOL = 1e-10
 DEFAULT_EIG_CAP = 5000
+_ND_LEAF = 16  # nested dissection stops at parts of at most this many vertices
 
 
 class SpdSystem:
@@ -28,7 +30,8 @@ class SpdSystem:
     ``solve`` accepts a single vector or an (n, m) column block and guarantees
     a relative residual of at most 1e-10 per column; only the columns that fail
     that check after the LU solve get one step of iterative refinement.
-    Concurrent calls from multiple threads are safe.
+    Concurrent calls from multiple threads are safe. ``P A P^T`` is factorized
+    in nested-dissection order ``P`` with diagonal pivots, safe as A is SPD.
     """
 
     def __init__(self, matrix: sparse.csc_matrix):
@@ -39,10 +42,18 @@ class SpdSystem:
         self.matrix = matrix
         self.n = matrix.shape[0]
         self._lock = threading.Lock()
+        self._perm = _nested_dissection(matrix)
+        self._inverse = np.argsort(self._perm)
         try:
-            self._lu = splu(matrix)
+            self._lu = splu(matrix[self._perm][:, self._perm], permc_spec="NATURAL",
+                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU reports the failing pivot
             raise NumericalError(f"factorization breakdown (matrix not SPD?): {exc}") from exc
+
+    @property
+    def fill(self) -> float:
+        """LU fill of the factorization: (nnz(L) + nnz(U)) / nnz(A)."""
+        return (self._lu.L.nnz + self._lu.U.nnz) / self.matrix.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -51,13 +62,13 @@ class SpdSystem:
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
         with self._lock:  # SuperLU solves share internal buffers
-            x = self._lu.solve(b)
+            x = np.take(self._lu.solve(b[self._perm]).T, self._inverse, axis=1).T  # Fortran order
         bound = SOLVE_RTOL * np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
         r = b - self.matrix @ x
         bad = np.flatnonzero(~(np.linalg.norm(r, axis=0) <= bound))  # NaN fails too
         if bad.size:  # one step of iterative refinement, failing columns only
             with self._lock:
-                x[:, bad] += self._lu.solve(r[:, bad])
+                x[:, bad] += self._lu.solve(r[self._perm][:, bad])[self._inverse]
             res = np.linalg.norm(b[:, bad] - self.matrix @ x[:, bad], axis=0)
             still = np.flatnonzero(~(res <= bound[bad]))
             if still.size:
@@ -66,6 +77,59 @@ class SpdSystem:
                     f"direct solve residual {res[j]:.3e} exceeds {SOLVE_RTOL:.0e}*||b|| "
                     f"(column {bad[j]})")
         return x[:, 0] if single else x
+
+
+def _nested_dissection(matrix: sparse.spmatrix) -> np.ndarray:
+    """Order ``perm`` such that ``matrix[perm][:, perm]`` numbers each separator
+    after the halves it splits. Each depth splits every connected part of the
+    nonzeros' graph at its median breadth-first level from the last vertex
+    reached from its first one; a half of at most ``_ND_LEAF`` vertices is a leaf."""
+    n = matrix.shape[0]
+    pattern = (matrix.T + matrix).tocsr()  # a symmetric pattern: halves share no edge
+    src, dst = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices.astype(np.intp)
+    lo, comp = np.zeros(n, np.intp), np.zeros(n, np.intp)  # lo[v]: first slot of v's part
+    perm, group, pos = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n + 1, np.intp)
+    indptr = np.zeros(n + 2, dtype=np.int32)  # row n: a virtual root joined to each part
+    act = np.arange(n)  # the vertices not yet numbered
+    while act.size:
+        keep = lo[src] == lo[dst]  # edges inside one part
+        src, dst = src[keep], dst[keep]
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:n + 1])
+        while True:  # group by part, and by component once a search misses a vertex
+            act = act[np.argsort(lo[act] * (n + 1) + comp[act], kind="stable")]
+            first = np.flatnonzero(np.diff(lo[act] * (n + 1) + comp[act], prepend=-1))
+            size = np.diff(first, append=act.size)
+            # the components of a part take consecutive slices of its range
+            start = lo[act[first]] + first - np.searchsorted(lo[act], lo[act[first]])
+            indptr[n + 1] = indptr[n] + first.size
+            indices = np.append(dst, act[first]).astype(np.int32)
+            g = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
+            order = breadth_first_order(g, n, return_predecessors=False)[1:]
+            if order.size == act.size:
+                break
+            comp = connected_components(g, connection="strong")[1]  # root stays apart
+        group[act] = grp = np.repeat(np.arange(first.size), size)
+        last = np.zeros(first.size, dtype=np.intp)
+        np.maximum.at(last, group[order], np.arange(order.size))
+        g.indices[indptr[n]:] = order[last]  # restart from the farthest vertex
+        order, pred = breadth_first_order(g, n)
+        pos[order] = np.arange(order.size)
+        parent, ends = pos[pred[order[1:]]], [0]  # parent positions never decrease
+        while ends[-1] < parent.size:  # level k + 1 ends where the children of level k do
+            ends.append(np.searchsorted(parent, ends[-1] + 1))
+        by = np.argsort(group[order[1:]], kind="stable")  # components in level order
+        level, by = np.repeat(np.arange(len(ends) - 1), np.diff(ends))[by], order[1:][by]
+        # by lists a component as [below | median level | above]; the median
+        # level is the separator and takes the end of the component's range
+        side = np.sign(level - level[first + size // 2][grp])
+        below, above = np.add.reduceat(side < 0, first), np.add.reduceat(side > 0, first)
+        slot = (start[grp] + np.arange(act.size) - first[grp] + np.where(side == 0, above[grp], 0)
+                + np.where(side > 0, (below + above - size)[grp], 0))
+        done = (side == 0) | (np.where(side < 0, below[grp], above[grp]) <= _ND_LEAF)
+        perm[slot[done]] = by[done]
+        lo[by] = np.where(done, -1 - by, start[grp] + np.where(side > 0, below[grp], 0))
+        act = np.flatnonzero(lo >= 0)  # lo[v] = -1 - v once v is numbered
+    return perm
 
 
 def factorize(mass: np.ndarray, stiffness: sparse.spmatrix, t: float) -> SpdSystem:

@@ -153,6 +153,10 @@ def test_experiment_run(tmp_path, mesh_off):
     assert (tmp_path / "out" / "curve.csv").exists()
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a pipeline stage ran")
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,11 +291,65 @@ class TestExitCodes:
         else:
             good.write_text("".join(f"{i}\n" for i in range(162)))
             command = ["eval", "--map", str(good), "--gt", str(bad), "--mesh", str(mesh_off)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns about an empty file
-            assert main(command + ["--out", str(out)]) == 2
+        assert main(command + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["landmarks", "map"])
+    @pytest.mark.parametrize("text", ["", "\n  \n# no index here\n"], ids=["empty", "blank"])
+    def test_index_file_without_indices_is_one_clean_line(self, tmp_path, mesh_off, capsys,
+                                                          role, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        good = tmp_path / "good.txt"
+        if role == "landmarks":
+            good.write_text("0\n5\n")
+            command = ["match", "pair", "--src", str(mesh_off), "--dst", str(mesh_off),
+                       "--landmarks-src", str(good), "--landmarks-dst", str(empty)]
+            what = "landmark"
+        else:
+            good.write_text("".join(f"{i}\n" for i in range(162)))
+            command = ["eval", "--map", str(empty), "--gt", str(good), "--mesh", str(mesh_off)]
+            what = "point-map"
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning would raise
+            assert main(command + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {empty}: bad {what} file: needs at least one index\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, setting", [
+        ("selfmatch", "max_threshold=nan"),
+        ("pairmatch", "n_thresholds=1"),
+    ])
+    def test_bad_curve_arguments_fail_before_any_work(self, tmp_path, mesh_off, capsys,
+                                                      monkeypatch, kind, setting):
+        import meshwavelets.experiments as experiments
+        monkeypatch.setattr(experiments, "load_unit_mesh", _no_work)
+        meshes = (f"mesh={mesh_off}" if kind == "selfmatch"
+                  else f"mesh_source={mesh_off}\nmesh_target={mesh_off}")
+        out_dir = tmp_path / "out"
+        config = tmp_path / "config.txt"
+        config.write_text(f"experiment={kind}\nout_dir={out_dir}\n{meshes}\n{setting}\n")
+        assert main(["experiment", "run", "--config", str(config)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (out_dir / "map.txt").exists() and not (out_dir / "curve.csv").exists()
+        assert not out_dir.exists()
+
+    def test_eval_checks_curve_arguments_before_loading(self, tmp_path, mesh_off, capsys,
+                                                        monkeypatch):
+        import meshwavelets.cli as cli
+        monkeypatch.setattr(cli, "load_mesh", _no_work)
+        monkeypatch.setattr(cli, "load_pointmap", _no_work)
+        identity = tmp_path / "identity.txt"
+        identity.write_text("".join(f"{i}\n" for i in range(162)))
+        out = tmp_path / "curve.csv"
+        assert main(["eval", "--map", str(identity), "--gt", str(identity),
+                     "--mesh", str(mesh_off), "--max-threshold", "nan",
+                     "--out", str(out)]) == 2
+        assert "max_threshold must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_failure_is_3(self, tmp_path, mesh_off, capsys, monkeypatch):

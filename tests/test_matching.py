@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -217,6 +220,22 @@ class TestPointMapIO:
         from meshwavelets import DataError
         with pytest.raises(DataError):
             load_pointmap(path)
+
+    @pytest.mark.parametrize("kind", ["point-map", "landmark"])
+    def test_file_without_indices_is_data_error_without_warning(self, tmp_path, capsys,
+                                                                ico162, kind):
+        from meshwavelets import DataError
+        from meshwavelets.experiments import load_landmarks
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"{path}: bad {kind} file")):
+                if kind == "landmark":
+                    load_landmarks(path, ico162)
+                else:
+                    load_pointmap(path)
+        assert capsys.readouterr().err == ""
 
     def test_invariants(self):
         with pytest.raises(ValueError):

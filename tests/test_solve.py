@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
 from meshwavelets import NumericalError, build_laplacian, factorize, generalized_eigs
 from meshwavelets.mesh import normalize_unit_area
+from meshwavelets.solve import SpdSystem, _nested_dissection
 from meshwavelets.synthetic import icosphere
 
 
@@ -305,3 +306,58 @@ def test_sphere_spectrum_clusters():
         expected = 4.0 * np.pi * ell * (ell + 1)
         np.testing.assert_allclose(group, expected, rtol=0.05)
         start += 2 * ell + 1
+
+
+def _diffusion_matrix(subdivisions, t=0.04):
+    """A + tW of a unit-area icosphere; 0.04 is the default dictionary's step."""
+    lap = build_laplacian(normalize_unit_area(icosphere(subdivisions))[0])
+    return (sparse.diags(lap.mass) + t * lap.stiffness).tocsc()
+
+
+def _one_way_link():
+    # two disjoint spheres joined by one entry that passes the symmetry check,
+    # so the graph of the nonzeros is connected one way only
+    matrix = sparse.block_diag([_diffusion_matrix(2), _diffusion_matrix(3)], format="lil")
+    matrix[0, 500] = 1e-20
+    return matrix.tocsc()
+
+
+_ORDERING_INPUTS = {
+    "sphere162": lambda: _diffusion_matrix(2),
+    "sphere2562": lambda: _diffusion_matrix(4),
+    "two-spheres": lambda: sparse.block_diag([_diffusion_matrix(2), _diffusion_matrix(3)],
+                                             format="csc"),
+    "no-edges": lambda: sparse.diags(np.linspace(1.0, 2.0, 50), format="csc"),
+    "path": lambda: sparse.diags([-np.ones(99), 2.5 * np.ones(100), -np.ones(99)],
+                                 [-1, 0, 1], format="csc"),
+    "one-way-link": _one_way_link,
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDERING_INPUTS))
+def test_nested_dissection_is_a_permutation(name):
+    matrix = _ORDERING_INPUTS[name]()
+    perm = _nested_dissection(matrix)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(matrix.shape[0]))
+    b = np.random.default_rng(10).standard_normal((matrix.shape[0], 3))
+    x = SpdSystem(matrix).solve(b)  # checks its own residual
+    assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_fill_counts_both_factors():
+    # a diagonal matrix has no fill: L holds the unit diagonal, U the matrix
+    assert SpdSystem(sparse.diags(np.linspace(1.0, 2.0, 50), format="csc")).fill == 2.0
+
+
+def test_nested_dissection_fill_is_below_colamd():
+    matrix = _diffusion_matrix(5)  # 10242 vertices
+    colamd = splu(matrix)
+    assert SpdSystem(matrix).fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz) / matrix.nnz
+
+
+def test_ordered_solve_matches_colamd_solve():
+    matrix = _diffusion_matrix(4)
+    b = np.random.default_rng(11).standard_normal((matrix.shape[0], 8))
+    expected = splu(matrix).solve(b)
+    x = SpdSystem(matrix).solve(b)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
