@@ -11,7 +11,7 @@ import sys
 
 from .errors import DataError, NumericalError
 from .evaluation import check_curve_args, curve, geodesic_errors
-from .experiments import (load_landmarks, load_unit_mesh, run_experiment,
+from .experiments import (_DEFAULTS, load_landmarks, load_unit_mesh, run_experiment,
                           selfmatch_map, transfer_map, write_curve_csv)
 from .laplacian import build_laplacian
 from .matching import load_pointmap, save_pointmap
@@ -42,9 +42,8 @@ def _resolve_samples(mesh, value, seed):
 def _cmd_dict_build(args):
     mesh, area = load_unit_mesh(args.mesh)
     samples = _resolve_samples(mesh, args.samples, args.seed)
-    rho, _ = pair_rhos(area, area, args.rho)
     dictionary = build_dictionary(build_laplacian(mesh), samples, n_scales=args.scales,
-                                  t_max=args.tmax, rho=rho)
+                                  t_max=args.tmax)
     save_dictionary(dictionary, args.out)
     print(f"wrote {args.out}: {dictionary.n_vertices} vertices x "
           f"{dictionary.n_columns} columns (t_step={dictionary.t_step:.6g}, "
@@ -68,7 +67,7 @@ def _cmd_match_pair(args):
     pm = transfer_map(build_laplacian(mesh_src), build_laplacian(mesh_dst),
                       load_landmarks(args.landmarks_src, mesh_src),
                       load_landmarks(args.landmarks_dst, mesh_dst),
-                      args.scales, args.tmax, rhos=(rho_src, rho_dst))
+                      args.scales, args.tmax, (rho_src, rho_dst))
     save_pointmap(pm, args.out)
     print(f"wrote {args.out} ({pm.source_size} -> {pm.target_size} vertices, "
           f"rho=({rho_src:.4g}, {rho_dst:.4g}))")
@@ -78,8 +77,8 @@ def _cmd_match_pair(args):
 def _cmd_eval(args):
     check_curve_args(args.thresholds, args.max_threshold)
     mesh = load_mesh(args.mesh)
-    pm = load_pointmap(args.map, target_size=mesh.n_vertices)
-    gt = load_pointmap(args.gt, target_size=mesh.n_vertices)
+    pm = load_pointmap(args.map, mesh.n_vertices)
+    gt = load_pointmap(args.gt, mesh.n_vertices)
     errors = geodesic_errors(pm, gt, mesh)
     ec = curve(errors, n_thresholds=args.thresholds, max_threshold=args.max_threshold)
     write_curve_csv(args.out, ec)
@@ -97,41 +96,42 @@ def _cmd_experiment_run(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; every default is read from ``experiments._DEFAULTS``."""
     parser = _Parser(prog="meshwavelets",
                      description="Diffusion wavelet dictionaries on triangle meshes")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the diffusion options of every command that builds a dictionary
+    diffusion = argparse.ArgumentParser(add_help=False)
+    diffusion.add_argument("--scales", type=int, default=_DEFAULTS["scales"])
+    diffusion.add_argument("--tmax", type=float, default=_DEFAULTS["tmax"])
 
     p_dict = sub.add_parser("dict", help="dictionary construction")
     dict_sub = p_dict.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = dict_sub.add_parser("build", help="build and serialize a wavelet dictionary")
+    p = dict_sub.add_parser("build", help="build and serialize a wavelet dictionary",
+                            parents=[diffusion])
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", required=True,
                    help="sample count (FPS) or landmark index file")
-    p.add_argument("--scales", type=int, default=25)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--rho", default="auto", help="adjustment ratio in (0,1] or 'auto' (=1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dict_build)
 
     p_match = sub.add_parser("match", help="point-to-point matching")
     match_sub = p_match.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    p = match_sub.add_parser("self", help="delta-reconstruction self-matching")
+    p = match_sub.add_parser("self", help="delta-reconstruction self-matching",
+                             parents=[diffusion])
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--scales", type=int, default=25)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match_self)
-    p = match_sub.add_parser("pair", help="cross-shape transfer from matched landmarks")
+    p = match_sub.add_parser("pair", help="cross-shape transfer from matched landmarks",
+                             parents=[diffusion])
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--landmarks-src", required=True)
     p.add_argument("--landmarks-dst", required=True)
-    p.add_argument("--scales", type=int, default=25)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--rho", default="auto",
+    p.add_argument("--rho", default=_DEFAULTS["rho"],
                    help="'auto' computes the ratio from the original areas")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match_pair)
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--mesh", required=True, help="target mesh")
     p.add_argument("--out", required=True)
-    p.add_argument("--thresholds", type=int, default=100)
-    p.add_argument("--max-threshold", type=float, default=0.5)
+    p.add_argument("--thresholds", type=int, default=_DEFAULTS["n_thresholds"])
+    p.add_argument("--max-threshold", type=float, default=_DEFAULTS["max_threshold"])
     p.set_defaults(func=_cmd_eval)
 
     p_exp = sub.add_parser("experiment", help="config-driven experiments")

@@ -203,10 +203,10 @@ def selfmatch_map(lap, samples, scales, tmax):
     return reconstruct_delta_map(build_dictionary(lap, samples, n_scales=scales, t_max=tmax))
 
 
-def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos=(1.0, 1.0),
-                 kind="wavelet"):
+def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos, kind="wavelet"):
     """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
-    shape over matched samples, then row-wise nearest-neighbor transfer."""
+    shape over matched samples, then row-wise nearest-neighbor transfer.
+    ``rhos`` is the (source, target) pair from ``pair_rhos``."""
     if len(s_src) != len(s_dst):
         raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
     d_src = build_dictionary(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0],
@@ -269,17 +269,24 @@ def _run_selfmatch(config, out_dir):
     return summary
 
 
+def _identity_correspondence(mesh_src, mesh_dst, message):
+    """The ground truth of a pair given no landmarks or map: meshes with equal
+    vertex counts are taken to be in vertex-to-vertex correspondence (e.g.
+    synthetic pairs), so the identity; any other pair is a ``DataError(message)``."""
+    if mesh_dst.n_vertices != mesh_src.n_vertices:
+        raise DataError(message)
+    return identity_map(mesh_src.n_vertices)
+
+
 def _resolve_pair_samples(config, mesh_src, mesh_dst):
     lm_src, lm_dst = config["landmarks_source"], config["landmarks_target"]
     if lm_src or lm_dst:
         if not (lm_src and lm_dst):
             raise DataError("landmarks_source and landmarks_target must be given together")
         return load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
-    # FPS on the source; identical indices on the target (meshes in
-    # vertex-to-vertex correspondence, e.g. synthetic pairs)
-    if mesh_dst.n_vertices != mesh_src.n_vertices:
-        raise DataError("landmark files are required when the meshes are not "
-                        "in vertex-to-vertex correspondence")
+    # FPS on the source; identical indices on the target
+    _identity_correspondence(mesh_src, mesh_dst, "landmark files are required when the "
+                             "meshes are not in vertex-to-vertex correspondence")
     src = sample(mesh_src, config["samples"], seed=config["seed"])
     return src, src
 
@@ -293,15 +300,14 @@ def _run_pairmatch(config, out_dir):
     samples_src, samples_dst = _resolve_pair_samples(config, mesh_src, mesh_dst)
     rho_src, rho_dst = pair_rhos(area_src, area_dst, config["rho"])
     pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, config["scales"],
-                      config["tmax"], rhos=(rho_src, rho_dst), kind=config["dictionary"])
+                      config["tmax"], (rho_src, rho_dst), kind=config["dictionary"])
     if config["gt_map"]:
-        gt = load_pointmap(config["gt_map"], target_size=mesh_dst.n_vertices)
+        gt = load_pointmap(config["gt_map"], mesh_dst.n_vertices)
         if gt.source_size != mesh_src.n_vertices:
             raise DataError("gt_map length does not match the source mesh")
     else:
-        if mesh_dst.n_vertices != mesh_src.n_vertices:
-            raise DataError("gt_map is required when the meshes differ in size")
-        gt = identity_map(mesh_src.n_vertices)
+        gt = _identity_correspondence(mesh_src, mesh_dst,
+                                      "gt_map is required when the meshes differ in size")
     errors = geodesic_errors(pm, gt, mesh_dst)
     ec = curve(errors, n_thresholds=config["n_thresholds"],
                max_threshold=config["max_threshold"])
@@ -375,11 +381,12 @@ def _run_sampling(config, out_dir):
     mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
     rows = []
+    gt = identity_map(mesh.n_vertices)
     for strategy in config["strategies"]:
         for n_samp in config["sample_counts"]:
             samples = sample(mesh, n_samp, strategy=strategy, seed=config["seed"])
             pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
-            errors = geodesic_errors(pm, identity_map(mesh.n_vertices), mesh)
+            errors = geodesic_errors(pm, gt, mesh)
             ec = curve(errors)
             rows.append([strategy, n_samp, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "sampling.csv", "sampling",
@@ -387,33 +394,33 @@ def _run_sampling(config, out_dir):
     return {"rows": len(rows)}
 
 
-def _corresponding_target(config, mesh_src, lap_src):
-    """The optional ``mesh_target`` and its Laplacian, else the source's own.
+def _corresponding_target(config, mesh_src, area_src, lap_src):
+    """The optional ``mesh_target`` (else the source itself) with its
+    Laplacian, the pair's rhos from ``pair_rhos`` and the identity ground truth.
 
     The sweeps score their maps against the identity, so a target must be in
     vertex correspondence with the source.
     """
     if not config["mesh_target"]:
-        return mesh_src, lap_src
-    mesh_dst, _ = load_unit_mesh(config["mesh_target"])
-    if mesh_dst.n_vertices != mesh_src.n_vertices:
-        raise DataError(f"{config['experiment']} experiment needs meshes in "
-                        "vertex correspondence")
-    return mesh_dst, build_laplacian(mesh_dst)
+        return mesh_src, lap_src, pair_rhos(area_src, area_src), identity_map(mesh_src.n_vertices)
+    mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
+    gt = _identity_correspondence(mesh_src, mesh_dst, f"{config['experiment']} experiment "
+                                  "needs meshes in vertex correspondence")
+    return mesh_dst, build_laplacian(mesh_dst), pair_rhos(area_src, area_dst), gt
 
 
 def _run_noise(config, out_dir):
-    mesh_src, _ = load_unit_mesh(config["mesh"])
+    mesh_src, area_src = load_unit_mesh(config["mesh"])
     lap_src = build_laplacian(mesh_src)
-    mesh_dst, lap_dst = _corresponding_target(config, mesh_src, lap_src)
+    mesh_dst, lap_dst, rhos, gt = _corresponding_target(config, mesh_src, area_src, lap_src)
     base = sample(mesh_src, config["samples"], seed=config["seed"])
     rows = []
     for n_scales in config["scales_list"]:
         for n_disp in config["displace_counts"]:
             for radius in config["noise_radii"]:
                 noisy = perturb_samples(mesh_src, base, radius, n_disp, seed=config["seed"])
-                pm = transfer_map(lap_src, lap_dst, noisy, base, n_scales, config["tmax"])
-                ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
+                pm = transfer_map(lap_src, lap_dst, noisy, base, n_scales, config["tmax"], rhos)
+                ec = curve(geodesic_errors(pm, gt, mesh_dst))
                 rows.append([n_scales, n_disp, radius, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "noise.csv", "noise",
                ["n_scales", "n_displaced", "noise_radius", "mean_error", "auc_025"],
@@ -424,9 +431,9 @@ def _run_noise(config, out_dir):
 
 
 def _run_tmax(config, out_dir):
-    mesh_src, _ = load_unit_mesh(config["mesh"])
+    mesh_src, area_src = load_unit_mesh(config["mesh"])
     lap_src = build_laplacian(mesh_src)
-    mesh_dst, lap_dst = _corresponding_target(config, mesh_src, lap_src)
+    mesh_dst, lap_dst, rhos, gt = _corresponding_target(config, mesh_src, area_src, lap_src)
     samples = sample(mesh_src, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
     rows = []
@@ -434,8 +441,8 @@ def _run_tmax(config, out_dir):
         if mesh_dst is mesh_src:
             pm = selfmatch_map(lap_src, samples, config["scales"], tmax)
         else:
-            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"], tmax)
-        ec = curve(geodesic_errors(pm, identity_map(mesh_dst.n_vertices), mesh_dst))
+            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"], tmax, rhos)
+        ec = curve(geodesic_errors(pm, gt, mesh_dst))
         rows.append([tmax, ec.mean_error, ec.auc_025])
     _write_csv(out_dir / "tmax.csv", "tmax",
                ["tmax", "mean_error", "auc_025"], rows)

@@ -60,10 +60,10 @@ def load_indices(path) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.int64, ndmin=1)
 
 
-def load_pointmap(path, target_size: int | None = None) -> PointMap:
+def load_pointmap(path, target_size: int) -> PointMap:
+    """A map file (``save_pointmap``'s format) onto a mesh of ``target_size`` vertices."""
     try:
         targets = load_indices(path)
-        target_size = int(targets.max()) + 1 if target_size is None else target_size
         if targets.min() < 0 or targets.max() >= target_size:
             raise DataError(f"{path}: target index out of range [0, {target_size})")
         return PointMap(targets=targets, target_size=target_size)

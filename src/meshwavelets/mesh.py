@@ -1,8 +1,8 @@
 """Triangle mesh container, OFF/OBJ loading and area normalization."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -91,41 +91,18 @@ def normalize_unit_area(mesh: TriangleMesh) -> tuple[TriangleMesh, float]:
     return TriangleMesh(mesh.vertices / np.sqrt(area), mesh.faces), area
 
 
-def _read_text(source) -> tuple[list[str], str | None]:
-    """Pull text lines out of a path, text stream or byte stream."""
-    if isinstance(source, (str, os.PathLike)):
-        suffix = os.path.splitext(os.fspath(source))[1].lower().lstrip(".")
-        with open(source, "rb") as fh:
-            data = fh.read()
-        return data.decode("utf-8", errors="replace").splitlines(), suffix or None
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    return data.splitlines(), None
+def load_mesh(path) -> TriangleMesh:
+    """Load a triangle mesh from an ASCII OFF or OBJ file.
 
-
-def load_mesh(source, fmt: str | None = None) -> TriangleMesh:
-    """Load a triangle mesh from an ASCII OFF or OBJ source.
-
-    Parameters
-    ----------
-    source : path or file-like
-        Path to a mesh file, or a readable stream (text or bytes).
-    fmt : {"off", "obj"}, optional
-        File format. Inferred from the path suffix when omitted; required
-        for streams.
-
-    Vertex and face order are preserved from the file. Only triangles are
-    accepted; polygons with more than three vertices raise ``DataError``.
+    The format is read from the path's suffix (``.off`` or ``.obj``, in any
+    case). Vertex and face order are preserved from the file. Only triangles
+    are accepted; polygons with more than three vertices raise ``DataError``.
     """
-    lines, inferred = _read_text(source)
-    fmt = (fmt or inferred or "").lower()
-    if fmt == "off":
-        verts, faces = _parse_off(lines)
-    elif fmt == "obj":
-        verts, faces = _parse_obj(lines)
-    else:
-        raise DataError(f"unknown mesh format {fmt!r} (expected 'off' or 'obj')")
+    suffix = Path(path).suffix.lower()
+    parse = {".off": _parse_off, ".obj": _parse_obj}.get(suffix)
+    if parse is None:
+        raise DataError(f"{path}: unknown mesh format {suffix!r} (expected '.off' or '.obj')")
+    verts, faces = parse(Path(path).read_bytes().decode("utf-8", errors="replace").splitlines())
     return TriangleMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
                         np.array(faces, dtype=np.int64).reshape(-1, 3))
 

@@ -24,21 +24,17 @@ def icosahedron() -> TriangleMesh:
 
 
 def _subdivide(v: np.ndarray, f: np.ndarray):
-    verts = list(map(tuple, v))
-    midpoint = {}
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            verts.append(tuple((np.asarray(verts[a]) + np.asarray(verts[b])) / 2.0))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    faces = []
-    for a, b, c in f:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), np.array(faces, dtype=np.int64)
+    """Split every face in four at its edge midpoints. A midpoint gets the next
+    vertex index at its edge's first occurrence in the faces' (ab, bc, ca) order."""
+    n = len(v)
+    lo, hi = np.sort(f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).T
+    keys, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ab, bc, ca = (n + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b, c = f.T
+    faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    ends = keys[order]  # the new vertices' edges, lo * n + hi
+    return np.vstack([v, (v[ends // n] + v[ends % n]) / 2.0]), faces
 
 
 def icosphere(subdivisions: int = 3) -> TriangleMesh:

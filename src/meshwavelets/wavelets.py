@@ -244,9 +244,9 @@ def save_dictionary(d: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    """Read a DWDICT01 file back; the sidecar, when present, restores the kind
-    and sampling provenance (otherwise the kind is ``wavelet`` and samples are
-    marked explicit). Every corrupt header is reported as a ``DataError``."""
+    """Read a DWDICT01 file back with its ``.meta`` sidecar, which holds the
+    kind and the sampling provenance. A missing sidecar or key and every
+    corrupt header are reported as a ``DataError``."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -265,19 +265,21 @@ def load_dictionary(path) -> Dictionary:
         data = np.frombuffer(fh.read(8 * n_vertices * n_columns), dtype="<f8")
     columns = data.reshape((n_vertices, n_columns), order="F")
 
-    kind, strategy, seed = "wavelet", "explicit", 0
     meta_path = path.with_suffix(".meta")
-    if meta_path.exists():
-        meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if "=" in line)
-        kind = meta.get("kind", kind)
-        strategy = meta.get("strategy", strategy)
-        if kind not in KINDS:
-            raise DataError(f"{meta_path}: unknown dictionary kind {kind!r}; "
-                            f"expected one of {list(KINDS)}")
-        try:
-            seed = int(meta.get("seed", seed))
-        except ValueError:
-            raise DataError(f"{meta_path}: bad seed {meta['seed']!r}") from None
+    if not meta_path.exists():
+        raise DataError(f"{meta_path}: dictionary sidecar not found")
+    meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if "=" in line)
+    missing = [key for key in ("kind", "strategy", "seed") if key not in meta]
+    if missing:
+        raise DataError(f"{meta_path}: missing sidecar keys {missing}")
+    kind, strategy = meta["kind"], meta["strategy"]
+    if kind not in KINDS:
+        raise DataError(f"{meta_path}: unknown dictionary kind {kind!r}; "
+                        f"expected one of {list(KINDS)}")
+    try:
+        seed = int(meta["seed"])
+    except ValueError:
+        raise DataError(f"{meta_path}: bad seed {meta['seed']!r}") from None
     try:
         if strategy == "explicit":
             samples = explicit_samples(idx)

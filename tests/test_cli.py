@@ -5,7 +5,8 @@ import pytest
 
 from meshwavelets import (NumericalError, load_dictionary, load_pointmap,
                           run_experiment, write_off)
-from meshwavelets.cli import main
+from meshwavelets import experiments
+from meshwavelets.cli import build_parser, main
 from meshwavelets.experiments import resolve_config
 from meshwavelets.synthetic import (jittered_icosphere, rigid_transform,
                                     rotation_matrix, stretched_icosphere)
@@ -42,13 +43,30 @@ def test_dict_build_and_load(tmp_path, mesh_off):
     assert d.samples.strategy == "fps-euclidean"
 
 
-@pytest.mark.parametrize("rho, expected", [("auto", 1.0), ("0.5", 0.5)])
-def test_dict_build_rho(tmp_path, mesh_off, rho, expected):
+def test_dict_build_uses_rho_1(tmp_path, mesh_off):
     out = tmp_path / "dict.dwd"
     code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
-                 "--scales", "4", "--rho", rho, "--out", str(out)])
+                 "--scales", "4", "--out", str(out)])
     assert code == 0
-    assert load_dictionary(out).rho == expected
+    assert load_dictionary(out).rho == 1.0
+
+
+def test_cli_defaults_are_the_experiment_defaults(monkeypatch):
+    # one table: a changed experiment default is the CLI's default too
+    for key, value in {"scales": 7, "tmax": 0.25, "seed": 3, "rho": "0.5",
+                       "n_thresholds": 20, "max_threshold": 0.3}.items():
+        monkeypatch.setitem(experiments._DEFAULTS, key, value)
+    parse = build_parser().parse_args
+    built = parse(["dict", "build", "--mesh", "m.off", "--samples", "3", "--out", "o"])
+    matched = parse(["match", "self", "--mesh", "m.off", "--samples", "3", "--out", "o"])
+    paired = parse(["match", "pair", "--src", "a.off", "--dst", "b.off", "--out", "o",
+                    "--landmarks-src", "a.txt", "--landmarks-dst", "b.txt"])
+    for args in (built, matched, paired):
+        assert (args.scales, args.tmax) == (7, 0.25)
+    assert built.seed == matched.seed == 3
+    assert paired.rho == "0.5"
+    args = parse(["eval", "--map", "m", "--gt", "g", "--mesh", "m.off", "--out", "o"])
+    assert (args.thresholds, args.max_threshold) == (20, 0.3)
 
 
 def test_dict_build_with_landmark_file(tmp_path, mesh_off):
@@ -68,7 +86,7 @@ def test_match_self_and_eval(tmp_path, mesh_off):
     code = main(["match", "self", "--mesh", str(mesh_off), "--samples", "4",
                  "--scales", "8", "--tmax", "0.5", "--out", str(map_path)])
     assert code == 0
-    pm = load_pointmap(map_path)
+    pm = load_pointmap(map_path, 162)
     assert pm.source_size == 162
 
     gt = tmp_path / "gt.txt"
@@ -115,7 +133,7 @@ def test_eval_equals_selfmatch_experiment_curve(tmp_path, mesh_off):
         "mesh": str(mesh_off), "samples": "3", "scales": "6", "tmax": "0.5",
         "baseline": "none"}))
     map_path = tmp_path / "experiment" / "map.txt"
-    assert (load_pointmap(map_path).targets != np.arange(162)).any()
+    assert (load_pointmap(map_path, 162).targets != np.arange(162)).any()
     gt = tmp_path / "gt.txt"
     gt.write_text("".join(f"{i}\n" for i in range(162)))
     csv = tmp_path / "curve.csv"
@@ -170,6 +188,14 @@ class TestExitCodes:
                   "--landmarks-src", "a.txt", "--landmarks-dst", "b.txt",
                   "--seed", "0", "--out", str(tmp_path / "m.txt")])
         assert exc.value.code == 1
+
+    def test_dict_build_takes_no_rho(self, tmp_path, mesh_off, capsys):
+        # one shape has nothing to compare its area with: rho is 1
+        with pytest.raises(SystemExit) as exc:
+            main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
+                  "--rho", "0.5", "--out", str(tmp_path / "d.dwd")])
+        assert exc.value.code == 1
+        assert "--rho" in capsys.readouterr().err
 
     def test_unknown_command_is_1(self):
         with pytest.raises(SystemExit) as exc:

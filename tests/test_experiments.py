@@ -336,6 +336,26 @@ class TestSweepExperiments:
                                             "vertex correspondence$"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("tmax", {"tmax_values": "1", "scales": "6"}),
+        ("noise", {"tmax": "1", "scales_list": "6", "displace_counts": "0",
+                   "noise_radii": "0.05"}),
+    ])
+    def test_sweep_row_equals_pairmatch(self, tmp_path, pair_files, kind, keys):
+        # the stretched target is larger, so pair_rhos shrinks its times; a
+        # sweep row at pairmatch's setting is that run
+        src, dst = pair_files
+        pair = run_experiment(resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "p"),
+            "mesh_source": str(src), "mesh_target": str(dst), "samples": "5",
+            "scales": "6", "tmax": "1", "baseline": "none"}))
+        assert pair["rho_target"] < 1.0
+        run_experiment(resolve_config({
+            "experiment": kind, "out_dir": str(tmp_path / "s"), "mesh": str(src),
+            "mesh_target": str(dst), "samples": "5", **keys}))
+        row = (tmp_path / "s" / f"{kind}.csv").read_text().splitlines()[2].split(",")
+        assert (float(row[-2]), float(row[-1])) == (pair["mean_error"], pair["auc_025"])
+
     def test_tmax_sweep_selfmatch(self, tmp_path, mesh_file):
         config = resolve_config({
             "experiment": "tmax", "out_dir": str(tmp_path / "o"),
@@ -355,4 +375,4 @@ def test_transfer_map_rejects_unknown_kind():
     lap = build_laplacian(mesh)
     samples = sample(mesh, 3, seed=0)
     with pytest.raises(ValueError, match="bogus"):
-        transfer_map(lap, lap, samples, samples, 4, 0.5, kind="bogus")
+        transfer_map(lap, lap, samples, samples, 4, 0.5, (1.0, 1.0), kind="bogus")

@@ -219,7 +219,7 @@ class TestPointMapIO:
         path.write_text("0\nnot-an-int\n")
         from meshwavelets import DataError
         with pytest.raises(DataError):
-            load_pointmap(path)
+            load_pointmap(path, target_size=3)
 
     @pytest.mark.parametrize("kind", ["point-map", "landmark"])
     def test_file_without_indices_is_data_error_without_warning(self, tmp_path, capsys,
@@ -234,7 +234,7 @@ class TestPointMapIO:
                 if kind == "landmark":
                     load_landmarks(path, ico162)
                 else:
-                    load_pointmap(path)
+                    load_pointmap(path, ico162.n_vertices)
         assert capsys.readouterr().err == ""
 
     def test_invariants(self):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,38 +14,45 @@ MINIMAL_OFF = """OFF
 """
 
 
-def test_minimal_off():
-    mesh = load_mesh(io.StringIO(MINIMAL_OFF), fmt="off")
+def load_text(tmp_path, text, name):
+    """``load_mesh`` of ``text`` written to a file ``name``, whose suffix gives the format."""
+    path = tmp_path / name
+    path.write_text(text)
+    return load_mesh(path)
+
+
+def test_minimal_off(tmp_path):
+    mesh = load_text(tmp_path, MINIMAL_OFF, "m.off")
     assert mesh.n_vertices == 3
     assert mesh.n_faces == 1
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
 
-def test_off_missing_edge_count_names_line_2():
+def test_off_missing_edge_count_names_line_2(tmp_path):
     with pytest.raises(DataError, match="line 2"):
-        load_mesh(io.StringIO("OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"), fmt="off")
+        load_text(tmp_path, "OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "m.off")
 
 
-def test_off_bad_header():
+def test_off_bad_header(tmp_path):
     with pytest.raises(DataError, match="header"):
-        load_mesh(io.StringIO("COFF\n3 1 0\n"), fmt="off")
+        load_text(tmp_path, "COFF\n3 1 0\n", "m.off")
 
 
-def test_off_non_triangle_face():
+def test_off_non_triangle_face(tmp_path):
     text = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
     with pytest.raises(DataError, match="non-triangle"):
-        load_mesh(io.StringIO(text), fmt="off")
+        load_text(tmp_path, text, "m.off")
 
 
-def test_off_out_of_range_index():
+def test_off_out_of_range_index(tmp_path):
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n"
     with pytest.raises(DataError, match="out of range"):
-        load_mesh(io.StringIO(text), fmt="off")
+        load_text(tmp_path, text, "m.off")
 
 
-def test_off_comments_and_blank_lines():
+def test_off_comments_and_blank_lines(tmp_path):
     text = "OFF\n# a comment\n\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n3 0 1 2\n"
-    assert load_mesh(io.StringIO(text), fmt="off").n_faces == 1
+    assert load_text(tmp_path, text, "m.off").n_faces == 1
 
 
 def test_icosahedron_obj_roundtrip(tmp_path):
@@ -68,32 +73,32 @@ def test_off_roundtrip_preserves_order(tmp_path, ico162):
     np.testing.assert_array_equal(mesh.faces, ico162.faces)
 
 
-def test_obj_face_reference_styles():
+def test_obj_face_reference_styles(tmp_path):
     text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvt 0 0\nf 1/1/1 2//1 3\n"
-    mesh = load_mesh(io.StringIO(text), fmt="obj")
+    mesh = load_text(tmp_path, text, "m.obj")
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
 
-def test_obj_negative_indices():
+def test_obj_negative_indices(tmp_path):
     text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
-    mesh = load_mesh(io.StringIO(text), fmt="obj")
+    mesh = load_text(tmp_path, text, "m.obj")
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
 
-def test_obj_quad_rejected():
+def test_obj_quad_rejected(tmp_path):
     text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
     with pytest.raises(DataError, match="non-triangle"):
-        load_mesh(io.StringIO(text), fmt="obj")
+        load_text(tmp_path, text, "m.obj")
 
 
-def test_byte_stream_loading():
-    mesh = load_mesh(io.BytesIO(MINIMAL_OFF.encode()), fmt="off")
-    assert mesh.n_vertices == 3
-
-
-def test_unknown_format():
+def test_unknown_format(tmp_path):
     with pytest.raises(DataError, match="format"):
-        load_mesh(io.StringIO("x"), fmt="ply")
+        load_text(tmp_path, "x", "m.ply")
+
+
+@pytest.mark.parametrize("name", ["m.OFF", "m.Off", "m.off"])
+def test_format_from_suffix_in_any_case(tmp_path, name):
+    assert load_text(tmp_path, MINIMAL_OFF, name).n_faces == 1
 
 
 def test_repeated_vertex_in_face_rejected():

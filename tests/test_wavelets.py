@@ -372,15 +372,37 @@ class TestSerialization:
         (2, [0, 9], "out of range"),
     ], ids=["repeated-samples", "no-samples", "column-count", "sample-beyond-mesh"])
     def test_corrupt_header_is_a_data_error(self, tmp_path, n_columns, samples, message):
-        # a 4-vertex, 1-scale file with no sidecar
+        # a 4-vertex, 1-scale file with a valid sidecar
         path = tmp_path / "corrupt.dwd"
         header = MAGIC + struct.pack("<4Q", 4, n_columns, 1, len(samples)) \
             + struct.pack("<3d", 1.0, 1.0, 1.0)
         payload = np.array(samples, dtype="<u8").tobytes() + bytes(8 * 4 * n_columns)
         path.write_bytes(header + payload)
+        path.with_suffix(".meta").write_text("kind=wavelet\nstrategy=explicit\nseed=0\n")
         with pytest.raises(DataError, match=message) as exc:
             load_dictionary(path)
         assert str(path) in str(exc.value)
+
+    def test_missing_sidecar(self, tmp_path, lap162, samples162):
+        # a heat dictionary without its sidecar must not load as a wavelet one
+        d = build_dictionary(lap162, samples162, n_scales=3, t_max=0.5, kind="heat")
+        path = tmp_path / "h.dwd"
+        save_dictionary(d, path)
+        path.with_suffix(".meta").unlink()
+        with pytest.raises(DataError, match="sidecar") as exc:
+            load_dictionary(path)
+        assert str(path.with_suffix(".meta")) in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["kind", "strategy", "seed"])
+    def test_missing_sidecar_key(self, tmp_path, dict162, key):
+        path = tmp_path / "d.dwd"
+        save_dictionary(dict162, path)
+        meta = path.with_suffix(".meta")
+        meta.write_text("".join(line + "\n" for line in meta.read_text().splitlines()
+                                if not line.startswith(f"{key}=")))
+        with pytest.raises(DataError, match=f"'{key}'") as exc:
+            load_dictionary(path)
+        assert str(meta) in str(exc.value)
 
     def test_unknown_sidecar_kind(self, tmp_path, dict162):
         path = tmp_path / "d.dwd"
