@@ -15,7 +15,6 @@ from .experiments import (_DEFAULTS, load_landmarks, load_unit_mesh, run_experim
                           selfmatch_map, transfer_map, write_curve_csv)
 from .laplacian import build_laplacian
 from .matching import load_pointmap, save_pointmap
-from .mesh import load_mesh
 from .sampling import sample
 from .wavelets import build_dictionary, pair_rhos, save_dictionary
 
@@ -76,7 +75,7 @@ def _cmd_match_pair(args):
 
 def _cmd_eval(args):
     check_curve_args(args.thresholds, args.max_threshold)
-    mesh = load_mesh(args.mesh)
+    mesh, _ = load_unit_mesh(args.mesh)
     pm = load_pointmap(args.map, mesh.n_vertices)
     gt = load_pointmap(args.gt, mesh.n_vertices)
     errors = geodesic_errors(pm, gt, mesh)
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError, FileNotFoundError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -1,14 +1,16 @@
 """Experiment drivers: seeded end-to-end runs writing CSV curves and summaries.
 
 Configs are plain key=value files with a strict key set per experiment kind;
-unknown keys are rejected. A list key is a comma-separated value whose items
-all have the element type its schema declares. Every CSV starts with a
-versioned schema tag line so golden-file comparisons stay stable. The
+unknown keys are rejected. A list key takes a comma-separated list of values
+of its declared type, and a matching run covers every combination of the
+listed values. Every CSV starts with a versioned schema tag line. The
 loaders, the self-match and transfer stages and the curve writer below are
 also what the CLI's ``match`` and ``eval`` commands call.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from pathlib import Path
 
@@ -36,22 +38,16 @@ def _rho(value):
 
 
 _SCHEMAS = {
-    "selfmatch": {"mesh": str, "samples": int, "scales": int, "tmax": float,
-                  "strategy": str, "baseline": str, "n_thresholds": int,
+    "selfmatch": {"mesh": str, "samples": [int], "scales": [int], "tmax": [float],
+                  "strategy": [str], "baseline": str, "n_thresholds": int,
                   "max_threshold": float},
     "pairmatch": {"mesh_source": str, "mesh_target": str, "landmarks_source": str,
-                  "landmarks_target": str, "gt_map": str, "samples": int,
-                  "scales": int, "tmax": float, "rho": _rho, "dictionary": str,
+                  "landmarks_target": str, "gt_map": str, "samples": [int],
+                  "strategy": [str], "scales": [int], "tmax": [float], "displaced": [int],
+                  "noise_radius": [float], "rho": _rho, "dictionary": str,
                   "baseline": str, "n_thresholds": int, "max_threshold": float},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "strategy": str},
-    "sampling": {"mesh": str, "sample_counts": [int], "strategies": [str],
-                 "scales": int, "tmax": float},
-    "noise": {"mesh": str, "mesh_target": str, "samples": int,
-              "displace_counts": [int], "noise_radii": [float], "scales_list": [int],
-              "tmax": float},
-    "tmax": {"mesh": str, "mesh_target": str, "tmax_values": [float],
-             "samples": int, "scales": int, "strategy": str},
 }
 
 _DEFAULTS = {
@@ -65,27 +61,20 @@ _DEFAULTS = {
     "landmarks_source": "",
     "landmarks_target": "",
     "gt_map": "",
+    "mesh_target": "",
+    "displaced": 0,
+    "noise_radius": 0.0,
     "rho": "auto",
     "dictionary": "wavelet",
     "baseline": "lbo",
     "truncation": 300,
-    "sample_counts": [2, 4, 6],
-    "strategies": ["fps-euclidean", "fps-geodesic", "random"],
-    "mesh_target": "",
-    "displace_counts": [1, 2, 3, 5],
-    "noise_radii": [0.01, 0.0325, 0.055, 0.0775, 0.1],
-    "scales_list": [1, 2, 3, 5, 25, 50],
-    "tmax_values": [0.25, 0.5, 1.0, 2.0, 4.0],
 }
 
 # string keys with a closed set of values
 _CHOICES = {"dictionary": KINDS, "baseline": ("lbo", "none")}
 
 # kind-specific defaults that differ from the shared table
-_KIND_DEFAULTS = {
-    "noise": {"samples": 10, "displace_counts": [1, 2, 3, 5, 10]},
-    "wavelets": {"samples": 10},
-}
+_KIND_DEFAULTS = {"wavelets": {"samples": 10}}
 
 
 def parse_config(path) -> dict:
@@ -134,22 +123,24 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
 
 
 def _convert(key, value, typ, source):
-    """``typ`` applied to a scalar value; for a list key, ``[typ]``, ``typ``
-    applied to each item of a comma-separated string or a sequence. An int
-    key takes an integral float (2.0) but not a fractional one, which ``int``
-    would truncate."""
+    """``typ`` applied to a scalar value; for a list key, ``[typ]``, the same
+    applied to each item of a comma-separated string or a sequence, and a
+    scalar is a one-item list. An int takes an integral float (2.0) but not a
+    fractional one, which ``int`` would truncate."""
+    if isinstance(typ, list):
+        items = (value.split(",") if isinstance(value, str)
+                 else value if isinstance(value, (list, tuple)) else [value])
+        items = [item.strip() if isinstance(item, str) else item for item in items]
+        converted = [_convert(key, item, typ[0], source) for item in items if item != ""]
+        if not converted:
+            raise DataError(f"{source}: empty list for {key!r}")
+        return converted
     try:
-        if not isinstance(typ, list):
-            if typ is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(value)
-            return typ(value)
-        items = value.split(",") if isinstance(value, str) else value
-        converted = [typ[0](text) for text in (str(item).strip() for item in items) if text]
+        if typ is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return typ(value)
     except (TypeError, ValueError):
         raise DataError(f"{source}: bad value for {key!r}: {value!r}") from None
-    if not converted:
-        raise DataError(f"{source}: empty list for {key!r}")
-    return converted
 
 
 def run_experiment(config) -> dict:
@@ -165,9 +156,6 @@ def run_experiment(config) -> dict:
         "selfmatch": _run_selfmatch,
         "pairmatch": _run_pairmatch,
         "wavelets": _run_wavelets,
-        "sampling": _run_sampling,
-        "noise": _run_noise,
-        "tmax": _run_tmax,
     }[config["experiment"]]
     start = time.perf_counter()
     summary = runner(config, out_dir)
@@ -233,6 +221,7 @@ def _fmt(x):
 def _write_summary(path, config, summary):
     with open(path, "w") as fh:
         for key, value in config.items():
+            value = ",".join(map(str, value)) if isinstance(value, list) else value
             fh.write(f"config.{key}={value}\n")
         for key, value in summary.items():
             fh.write(f"{key}={value}\n")
@@ -244,29 +233,61 @@ def write_curve_csv(path, evalcurve):
                zip(evalcurve.thresholds.tolist(), evalcurve.fractions.tolist()))
 
 
+def _sweep(config, out_dir, run):
+    """Call ``run(setting) -> (map, curve, summary)`` on every combination of
+    the config's list values; a setting maps each list key of the kind to one
+    value. One combination writes ``curve.csv`` and ``map.txt`` and returns the
+    run's summary; several write a ``sweep/1`` CSV with one row per setting
+    (its values in schema order, then the run's scores)."""
+    keys = [key for key, typ in _SCHEMAS[config["experiment"]].items() if isinstance(typ, list)]
+    settings = [dict(zip(keys, values))
+                for values in itertools.product(*(config[key] for key in keys))]
+    if len(settings) == 1:
+        pm, ec, summary = run(settings[0])
+        write_curve_csv(out_dir / "curve.csv", ec)
+        save_pointmap(pm, out_dir / "map.txt")
+        return summary
+    scores = ["mean_error", "auc_025"]
+    if config["baseline"] == "lbo":
+        scores += ["baseline_mean_error", "baseline_auc_025"]
+    rows = []
+    for setting in settings:
+        summary = run(setting)[2]
+        rows.append([*setting.values(), *(summary[key] for key in scores)])
+    _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
+    return {"rows": len(rows)}
+
+
+def _scores(ec, prefix=""):
+    return {f"{prefix}mean_error": ec.mean_error, f"{prefix}auc_025": ec.auc_025}
+
+
 def _run_selfmatch(config, out_dir):
     mesh, _ = load_unit_mesh(config["mesh"])
     lap = build_laplacian(mesh)
-    samples = sample(mesh, config["samples"], strategy=config["strategy"],
-                     seed=config["seed"])
-    pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
     gt = identity_map(mesh.n_vertices)
-    errors = geodesic_errors(pm, gt, mesh)
-    ec = curve(errors, n_thresholds=config["n_thresholds"],
-               max_threshold=config["max_threshold"])
-    write_curve_csv(out_dir / "curve.csv", ec)
-    save_pointmap(pm, out_dir / "map.txt")
-    summary = {"mean_error": ec.mean_error, "auc_025": ec.auc_025,
-               "samples": ",".join(map(str, samples.indices))}
-    # eigenbasis baseline at the same budget: |S| + 1 basis functions
-    if config["baseline"] == "lbo":
-        spectrum = generalized_eigs(lap.mass, lap.stiffness, k=len(samples) + 1)
-        base_errors = geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, mesh)
-        base = curve(base_errors, n_thresholds=config["n_thresholds"],
-                     max_threshold=config["max_threshold"])
-        summary["baseline_mean_error"] = base.mean_error
-        summary["baseline_auc_025"] = base.auc_025
-    return summary
+    score = functools.partial(curve, n_thresholds=config["n_thresholds"],
+                              max_threshold=config["max_threshold"])
+    # a sweep draws once per (count, strategy) and runs one baseline per count
+    draw = functools.cache(lambda n, strategy: sample(mesh, n, strategy=strategy,
+                                                      seed=config["seed"]))
+
+    @functools.cache
+    def baseline(k):  # the eigenbasis at the same budget: |S| + 1 basis functions
+        spectrum = generalized_eigs(lap.mass, lap.stiffness, k=k)
+        return _scores(score(geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, mesh)),
+                       "baseline_")
+
+    def run(setting):
+        samples = draw(setting["samples"], setting["strategy"])
+        pm = selfmatch_map(lap, samples, setting["scales"], setting["tmax"])
+        ec = score(geodesic_errors(pm, gt, mesh))
+        summary = {**_scores(ec), "samples": ",".join(map(str, samples.indices))}
+        if config["baseline"] == "lbo":
+            summary.update(baseline(len(samples) + 1))
+        return pm, ec, summary
+
+    return _sweep(config, out_dir, run)
 
 
 def _identity_correspondence(mesh_src, mesh_dst, message):
@@ -278,17 +299,17 @@ def _identity_correspondence(mesh_src, mesh_dst, message):
     return identity_map(mesh_src.n_vertices)
 
 
-def _resolve_pair_samples(config, mesh_src, mesh_dst):
+def _pair_landmarks(config, mesh_src, mesh_dst):
+    """The config's landmark pair, or None when the meshes take the same FPS
+    indices, which needs them in vertex correspondence."""
     lm_src, lm_dst = config["landmarks_source"], config["landmarks_target"]
     if lm_src or lm_dst:
         if not (lm_src and lm_dst):
             raise DataError("landmarks_source and landmarks_target must be given together")
         return load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
-    # FPS on the source; identical indices on the target
     _identity_correspondence(mesh_src, mesh_dst, "landmark files are required when the "
                              "meshes are not in vertex-to-vertex correspondence")
-    src = sample(mesh_src, config["samples"], seed=config["seed"])
-    return src, src
+    return None
 
 
 def _run_pairmatch(config, out_dir):
@@ -297,10 +318,8 @@ def _run_pairmatch(config, out_dir):
     mesh_src, area_src = load_unit_mesh(config["mesh_source"])
     mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
     lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
-    samples_src, samples_dst = _resolve_pair_samples(config, mesh_src, mesh_dst)
+    landmarks = _pair_landmarks(config, mesh_src, mesh_dst)
     rho_src, rho_dst = pair_rhos(area_src, area_dst, config["rho"])
-    pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, config["scales"],
-                      config["tmax"], (rho_src, rho_dst), kind=config["dictionary"])
     if config["gt_map"]:
         gt = load_pointmap(config["gt_map"], mesh_dst.n_vertices)
         if gt.source_size != mesh_src.n_vertices:
@@ -308,27 +327,40 @@ def _run_pairmatch(config, out_dir):
     else:
         gt = _identity_correspondence(mesh_src, mesh_dst,
                                       "gt_map is required when the meshes differ in size")
-    errors = geodesic_errors(pm, gt, mesh_dst)
-    ec = curve(errors, n_thresholds=config["n_thresholds"],
-               max_threshold=config["max_threshold"])
-    write_curve_csv(out_dir / "curve.csv", ec)
-    save_pointmap(pm, out_dir / "map.txt")
-    summary = {"mean_error": ec.mean_error, "auc_025": ec.auc_025,
-               "rho_source": rho_src, "rho_target": rho_dst}
-    # eigenbasis baseline: ground-truth functional map over |S| + 1 basis
-    # functions, converted to a point map by nearest neighbors
-    if config["baseline"] == "lbo":
-        k = len(samples_src) + 1
+    score = functools.partial(curve, n_thresholds=config["n_thresholds"],
+                              max_threshold=config["max_threshold"])
+
+    @functools.cache
+    def draw(n, strategy):  # FPS on the source; identical indices on the target
+        if landmarks:
+            return landmarks
+        src = sample(mesh_src, n, strategy=strategy, seed=config["seed"])
+        return src, src
+
+    @functools.cache
+    def baseline(k):
+        # ground-truth functional map over |S| + 1 basis functions, converted
+        # to a point map by nearest neighbors
         spec_src = generalized_eigs(lap_src.mass, lap_src.stiffness, k)
         spec_dst = generalized_eigs(lap_dst.mass, lap_dst.stiffness, k)
-        fmap = gt_functional_map(spec_src, spec_dst, lap_dst.mass, gt)
-        pm_base = fmap_to_pointmap(fmap, spec_src, spec_dst)
-        base = curve(geodesic_errors(pm_base, gt, mesh_dst),
-                     n_thresholds=config["n_thresholds"],
-                     max_threshold=config["max_threshold"])
-        summary["baseline_mean_error"] = base.mean_error
-        summary["baseline_auc_025"] = base.auc_025
-    return summary
+        pm_base = fmap_to_pointmap(gt_functional_map(spec_src, spec_dst, lap_dst.mass, gt),
+                                   spec_src, spec_dst)
+        return _scores(score(geodesic_errors(pm_base, gt, mesh_dst)), "baseline_")
+
+    def run(setting):
+        samples_src, samples_dst = draw(setting["samples"], setting["strategy"])
+        # source samples displaced within a geodesic disc; the target's stay
+        samples_src = perturb_samples(mesh_src, samples_src, setting["noise_radius"],
+                                      setting["displaced"], seed=config["seed"])
+        pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, setting["scales"],
+                          setting["tmax"], (rho_src, rho_dst), kind=config["dictionary"])
+        ec = score(geodesic_errors(pm, gt, mesh_dst))
+        summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
+        if config["baseline"] == "lbo":
+            summary.update(baseline(len(samples_src) + 1))
+        return pm, ec, summary
+
+    return _sweep(config, out_dir, run)
 
 
 def _run_wavelets(config, out_dir):
@@ -375,76 +407,3 @@ def _run_wavelets(config, out_dir):
             "l2_heat": err_heat.l2_average, "linf_heat": err_heat.linf_average,
             "seconds_ours": round(t_ours, 4), "seconds_heat": round(t_heat, 4),
             "seconds_truncated": round(t_truncated, 4)}
-
-
-def _run_sampling(config, out_dir):
-    mesh, _ = load_unit_mesh(config["mesh"])
-    lap = build_laplacian(mesh)
-    rows = []
-    gt = identity_map(mesh.n_vertices)
-    for strategy in config["strategies"]:
-        for n_samp in config["sample_counts"]:
-            samples = sample(mesh, n_samp, strategy=strategy, seed=config["seed"])
-            pm = selfmatch_map(lap, samples, config["scales"], config["tmax"])
-            errors = geodesic_errors(pm, gt, mesh)
-            ec = curve(errors)
-            rows.append([strategy, n_samp, ec.mean_error, ec.auc_025])
-    _write_csv(out_dir / "sampling.csv", "sampling",
-               ["strategy", "n_samples", "mean_error", "auc_025"], rows)
-    return {"rows": len(rows)}
-
-
-def _corresponding_target(config, mesh_src, area_src, lap_src):
-    """The optional ``mesh_target`` (else the source itself) with its
-    Laplacian, the pair's rhos from ``pair_rhos`` and the identity ground truth.
-
-    The sweeps score their maps against the identity, so a target must be in
-    vertex correspondence with the source.
-    """
-    if not config["mesh_target"]:
-        return mesh_src, lap_src, pair_rhos(area_src, area_src), identity_map(mesh_src.n_vertices)
-    mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
-    gt = _identity_correspondence(mesh_src, mesh_dst, f"{config['experiment']} experiment "
-                                  "needs meshes in vertex correspondence")
-    return mesh_dst, build_laplacian(mesh_dst), pair_rhos(area_src, area_dst), gt
-
-
-def _run_noise(config, out_dir):
-    mesh_src, area_src = load_unit_mesh(config["mesh"])
-    lap_src = build_laplacian(mesh_src)
-    mesh_dst, lap_dst, rhos, gt = _corresponding_target(config, mesh_src, area_src, lap_src)
-    base = sample(mesh_src, config["samples"], seed=config["seed"])
-    rows = []
-    for n_scales in config["scales_list"]:
-        for n_disp in config["displace_counts"]:
-            for radius in config["noise_radii"]:
-                noisy = perturb_samples(mesh_src, base, radius, n_disp, seed=config["seed"])
-                pm = transfer_map(lap_src, lap_dst, noisy, base, n_scales, config["tmax"], rhos)
-                ec = curve(geodesic_errors(pm, gt, mesh_dst))
-                rows.append([n_scales, n_disp, radius, ec.mean_error, ec.auc_025])
-    _write_csv(out_dir / "noise.csv", "noise",
-               ["n_scales", "n_displaced", "noise_radius", "mean_error", "auc_025"],
-               rows)
-    # radii are relative to the largest geodesic distance from each displaced
-    # sample (per-sample maxima, not an all-pairs diameter)
-    return {"rows": len(rows), "radius_reference": "per-sample geodesic maximum"}
-
-
-def _run_tmax(config, out_dir):
-    mesh_src, area_src = load_unit_mesh(config["mesh"])
-    lap_src = build_laplacian(mesh_src)
-    mesh_dst, lap_dst, rhos, gt = _corresponding_target(config, mesh_src, area_src, lap_src)
-    samples = sample(mesh_src, config["samples"], strategy=config["strategy"],
-                     seed=config["seed"])
-    rows = []
-    for tmax in config["tmax_values"]:
-        if mesh_dst is mesh_src:
-            pm = selfmatch_map(lap_src, samples, config["scales"], tmax)
-        else:
-            pm = transfer_map(lap_src, lap_dst, samples, samples, config["scales"], tmax, rhos)
-        ec = curve(geodesic_errors(pm, gt, mesh_dst))
-        rows.append([tmax, ec.mean_error, ec.auc_025])
-    _write_csv(out_dir / "tmax.csv", "tmax",
-               ["tmax", "mean_error", "auc_025"], rows)
-    best_tmax, best_error, _ = min(rows, key=lambda row: row[1])
-    return {"best_tmax": best_tmax, "best_mean_error": best_error}

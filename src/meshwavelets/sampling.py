@@ -93,6 +93,8 @@ def perturb_samples(mesh: TriangleMesh, samples: SampleSet, noise_radius: float,
         raise ValueError(f"count must be in [0, {len(samples)}], got {count}")
     if not noise_radius >= 0:  # also rejects NaN
         raise ValueError(f"noise_radius must be non-negative, got {noise_radius}")
+    if count == 0:  # the unperturbed path builds no edge graph
+        return samples
     rng = np.random.default_rng(seed)
     which = rng.choice(len(samples), size=count, replace=False)
     new_indices = np.array(samples.indices)

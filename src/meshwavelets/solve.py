@@ -63,19 +63,19 @@ class SpdSystem:
         b = rhs[:, None] if single else rhs
         with self._lock:  # SuperLU solves share internal buffers
             x = np.take(self._lu.solve(b[self._perm]).T, self._inverse, axis=1).T  # Fortran order
-        bound = SOLVE_RTOL * np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
+        norm_b = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
         r = b - self.matrix @ x
-        bad = np.flatnonzero(~(np.linalg.norm(r, axis=0) <= bound))  # NaN fails too
+        bad = np.flatnonzero(~(np.linalg.norm(r, axis=0) <= SOLVE_RTOL * norm_b))  # NaN fails too
         if bad.size:  # one step of iterative refinement, failing columns only
             with self._lock:
                 x[:, bad] += self._lu.solve(r[self._perm][:, bad])[self._inverse]
             res = np.linalg.norm(b[:, bad] - self.matrix @ x[:, bad], axis=0)
-            still = np.flatnonzero(~(res <= bound[bad]))
+            still = np.flatnonzero(~(res <= SOLVE_RTOL * norm_b[bad]))
             if still.size:
                 j = still[0]
                 raise NumericalError(
-                    f"direct solve residual {res[j]:.3e} exceeds {SOLVE_RTOL:.0e}*||b|| "
-                    f"(column {bad[j]})")
+                    f"direct solve relative residual {res[j] / norm_b[bad[j]]:.3e} exceeds "
+                    f"{SOLVE_RTOL:.0e} (column {bad[j]})")
         return x[:, 0] if single else x
 
 

@@ -142,6 +142,23 @@ def test_eval_equals_selfmatch_experiment_curve(tmp_path, mesh_off):
     assert csv.read_bytes() == (tmp_path / "experiment" / "curve.csv").read_bytes()
 
 
+def test_eval_equals_pairmatch_experiment_error(tmp_path, capsys):
+    # eval scores on the unit-area mesh the experiment scores on
+    src, dst = tmp_path / "src.off", tmp_path / "dst.off"
+    write_off(jittered_icosphere(3, seed=0), src)
+    write_off(stretched_icosphere(3, seed=0), dst)
+    gt = tmp_path / "gt.txt"
+    gt.write_text("".join(f"{i}\n" for i in range(642)))
+    summary = run_experiment(resolve_config({
+        "experiment": "pairmatch", "out_dir": str(tmp_path / "experiment"),
+        "mesh_source": str(src), "mesh_target": str(dst), "gt_map": str(gt),
+        "samples": "6", "scales": "10", "tmax": "0.1", "baseline": "none"}))
+    capsys.readouterr()
+    assert main(["eval", "--map", str(tmp_path / "experiment" / "map.txt"), "--gt", str(gt),
+                 "--mesh", str(dst), "--out", str(tmp_path / "curve.csv")]) == 0
+    assert f"mean_error={summary['mean_error']!r}\n" in capsys.readouterr().out
+
+
 def test_match_pair_equals_pairmatch_experiment(tmp_path, mesh_off):
     # a stretched target has a different area, so rho=auto is not (1, 1)
     dst = tmp_path / "stretched.off"
@@ -207,11 +224,26 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["compare", "wavelets", "--mesh", "m.off", "--out", "e.csv"])
         assert exc.value.code == 1
+        # the sweeps are list values on the selfmatch and pairmatch keys
         config = tmp_path / "config.txt"
-        config.write_text("experiment=timing\nout_dir=o\nmesh=m\n")
-        assert main(["experiment", "run", "--config", str(config)]) == 2
-        assert ("expected one of ['noise', 'pairmatch', 'sampling', 'selfmatch', "
-                "'tmax', 'wavelets']") in capsys.readouterr().err
+        for kind in ("timing", "sampling", "noise", "tmax"):
+            config.write_text(f"experiment={kind}\nout_dir=o\nmesh=m\n")
+            assert main(["experiment", "run", "--config", str(config)]) == 2
+            assert (f"unknown experiment kind '{kind}'; expected one of "
+                    "['pairmatch', 'selfmatch', 'wavelets']") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["config", "out", "mesh"])
+    def test_unreadable_path_is_2(self, tmp_path, mesh_off, capsys, role):
+        folder = tmp_path / "folder.off"
+        folder.mkdir()
+        if role == "config":
+            command = ["experiment", "run", "--config", str(folder)]
+        else:
+            mesh, out = (mesh_off, folder) if role == "out" else (folder, tmp_path / "m.txt")
+            command = ["match", "self", "--mesh", str(mesh), "--samples", "3", "--scales", "4",
+                       "--out", str(out)]
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{folder}'\n"
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         code = main(["match", "self", "--mesh", str(tmp_path / "nope.off"),
@@ -367,7 +399,7 @@ class TestExitCodes:
     def test_eval_checks_curve_arguments_before_loading(self, tmp_path, mesh_off, capsys,
                                                         monkeypatch):
         import meshwavelets.cli as cli
-        monkeypatch.setattr(cli, "load_mesh", _no_work)
+        monkeypatch.setattr(cli, "load_unit_mesh", _no_work)
         monkeypatch.setattr(cli, "load_pointmap", _no_work)
         identity = tmp_path / "identity.txt"
         identity.write_text("".join(f"{i}\n" for i in range(162)))

@@ -72,17 +72,17 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, line, key", [
-        ("sampling", "sample_counts=2,2.5", "sample_counts"),
-        ("noise", "displace_counts=1.5", "displace_counts"),
-        ("noise", "scales_list=2.5", "scales_list"),
-        ("noise", "noise_radii=abc", "noise_radii"),
+        ("selfmatch", "samples=2,2.5", "samples"),
+        ("pairmatch", "displaced=1.5", "displaced"),
+        ("pairmatch", "scales=2.5", "scales"),
+        ("pairmatch", "noise_radius=abc", "noise_radius"),
         ("pairmatch", "rho=abc", "rho"),
-        ("sampling", "sample_counts=", "sample_counts"),
-        ("sampling", "strategies= , ", "strategies"),
-        ("noise", "displace_counts=", "displace_counts"),
-        ("noise", "noise_radii=", "noise_radii"),
-        ("noise", "scales_list=", "scales_list"),
-        ("tmax", "tmax_values=", "tmax_values"),
+        ("selfmatch", "samples=", "samples"),
+        ("selfmatch", "strategy= , ", "strategy"),
+        ("pairmatch", "displaced=", "displaced"),
+        ("pairmatch", "noise_radius=", "noise_radius"),
+        ("pairmatch", "scales=", "scales"),
+        ("selfmatch", "tmax=", "tmax"),
     ])
     def test_bad_typed_value_rejected(self, tmp_path, kind, line, key):
         meshes = "mesh_source=a\n" if kind == "pairmatch" else "mesh=m\n"
@@ -93,7 +93,8 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("samples", 2.5), ("scales", 6.9),
-                                            ("seed", 1.5), ("samples", float("nan"))])
+                                            ("seed", 1.5), ("samples", float("nan")),
+                                            ("samples", [4, 2.5])])
     def test_fractional_number_for_int_key_rejected(self, key, value):
         with pytest.raises(DataError, match=repr(key)):
             resolve_config({"experiment": "selfmatch", "out_dir": "o", "mesh": "m",
@@ -101,18 +102,20 @@ class TestConfigParsing:
 
     def test_integral_float_for_int_key_accepted(self):
         config = resolve_config({"experiment": "selfmatch", "out_dir": "o", "mesh": "m",
-                                 "samples": 2.0, "seed": 3.0})
-        assert (config["samples"], config["seed"]) == (2, 3)
-        assert type(config["samples"]) is int and type(config["seed"]) is int
+                                 "samples": 2.0, "scales": [3.0, 4], "seed": 3.0})
+        assert (config["samples"], config["scales"], config["seed"]) == ([2], [3, 4], 3)
+        assert type(config["seed"]) is int
+        assert all(type(item) is int for item in config["samples"] + config["scales"])
 
-    @pytest.mark.parametrize("kind, key", [("sampling", "sample_counts"),
-                                           ("noise", "displace_counts")])
+    @pytest.mark.parametrize("kind, key", [("selfmatch", "samples"),
+                                           ("pairmatch", "displaced")])
     def test_resolved_default_lists_are_not_shared(self, kind, key):
-        first = resolve_config({"experiment": kind, "out_dir": "o", "mesh": "m"})
+        meshes = {"mesh": "m"} if kind == "selfmatch" else {"mesh_source": "m"}
+        first = resolve_config({"experiment": kind, "out_dir": "o", **meshes})
         default = list(first[key])
         first[key].append(99)
-        second = resolve_config({"experiment": kind, "out_dir": "o", "mesh": "m"})
-        assert second[key] == default
+        second = resolve_config({"experiment": kind, "out_dir": "o", **meshes})
+        assert second[key] == default == [_DEFAULTS[key]]
 
     @pytest.mark.parametrize("kind", sorted(_SCHEMAS))
     def test_every_kind_resolves_typed(self, kind):
@@ -136,13 +139,13 @@ class TestConfigParsing:
 
     def test_defaults_and_lists(self, tmp_path):
         path = write_config(tmp_path, (
-            "experiment=noise\nout_dir=o\nmesh=m\n"
-            "noise_radii=0.01, 0.05\ndisplace_counts=1,2\nscales_list=3\n"))
+            "experiment=pairmatch\nout_dir=o\nmesh_source=m\n"
+            "noise_radius=0.01, 0.05\ndisplaced=1,2\nscales=3\n"))
         config = parse_config(path)
-        assert config["noise_radii"] == [0.01, 0.05]
-        assert config["displace_counts"] == [1, 2]
-        assert config["scales_list"] == [3]
-        assert config["tmax"] == 1.0
+        assert config["noise_radius"] == [0.01, 0.05]
+        assert config["displaced"] == [1, 2]
+        assert config["scales"] == [3]
+        assert config["tmax"] == [1.0]
         assert config["seed"] == 0
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -159,8 +162,9 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
     def test_resolve_config_is_idempotent(self, tmp_path):
-        config = resolve_config({"experiment": "noise", "out_dir": str(tmp_path),
-                                 "mesh": "m", "noise_radii": "0.01,0.05", "tmax": "2"})
+        config = resolve_config({"experiment": "pairmatch", "out_dir": str(tmp_path),
+                                 "mesh_source": "m", "noise_radius": "0.01,0.05",
+                                 "tmax": "2"})
         assert resolve_config(config) == config
 
     def test_missing_mesh_file_reported(self, tmp_path):
@@ -179,7 +183,9 @@ class TestSelfmatchExperiment:
         out = tmp_path / "out"
         assert (out / "curve.csv").exists()
         assert (out / "map.txt").exists()
-        assert (out / "summary.txt").exists()
+        # a one-item list echoes as the scalar it was given
+        assert {"config.samples=4", "config.tmax=0.5"} <= set(
+            (out / "summary.txt").read_text().splitlines())
         assert 0 <= summary["auc_025"] <= 1
         assert summary["mean_error"] >= 0
         assert summary["baseline_mean_error"] >= 0  # eigenbasis comparison
@@ -282,90 +288,129 @@ class TestWaveletComparisonExperiment:
         assert summary["l2_ours"] < summary["l2_heat"]
 
 
+def sweep_rows(out_dir):
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "# schema=sweep/1"
+    return [line.split(",") for line in lines[1:]]
+
+
 class TestSweepExperiments:
+    """The robustness sweeps are list values on the matching kinds' keys."""
+
     def test_sampling_sweep(self, tmp_path, mesh_file):
-        config = resolve_config({
-            "experiment": "sampling", "out_dir": str(tmp_path / "o"),
-            "mesh": str(mesh_file), "sample_counts": "2,4",
-            "strategies": "fps-euclidean,random", "scales": "8", "tmax": "0.5",
-        })
-        summary = run_experiment(config)
-        lines = (tmp_path / "o" / "sampling.csv").read_text().splitlines()
+        # rows of the former `sampling` kind (sample_counts=2,4,
+        # strategies=fps-euclidean,random) on the same mesh and settings
+        summary = run_experiment(resolve_config({
+            "experiment": "selfmatch", "out_dir": str(tmp_path / "o"),
+            "mesh": str(mesh_file), "samples": "2,4",
+            "strategy": "fps-euclidean,random", "scales": "8", "tmax": "0.5",
+            "baseline": "none",
+        }))
         assert summary["rows"] == 4
-        assert len(lines) == 2 + 4
+        assert not (tmp_path / "o" / "map.txt").exists()
+        assert sweep_rows(tmp_path / "o") == [
+            ["samples", "scales", "tmax", "strategy", "mean_error", "auc_025"],
+            ["2", "8", "0.5", "fps-euclidean", "0.15193186667418773", "0.7839506172839507"],
+            ["2", "8", "0.5", "random", "0.1756593654566576", "0.8024691358024691"],
+            ["4", "8", "0.5", "fps-euclidean", "0.011977386631358621", "1.0"],
+            ["4", "8", "0.5", "random", "0.01827074420775443", "1.0"],
+        ]
+        assert "rows=4" in (tmp_path / "o" / "summary.txt").read_text().splitlines()
 
     def test_noise_sweep(self, tmp_path, pair_files):
+        # rows of the former `noise` kind (displace_counts=1,2,
+        # noise_radii=0.05,0.2, scales_list=4) on the same pair and settings
         src, dst = pair_files
-        config = resolve_config({
-            "experiment": "noise", "out_dir": str(tmp_path / "o"),
-            "mesh": str(src), "mesh_target": str(dst), "samples": "5",
-            "displace_counts": "2", "noise_radii": "0.05", "scales_list": "2,4",
-            "tmax": "0.2",
-        })
-        summary = run_experiment(config)
-        assert summary["rows"] == 2
-        lines = (tmp_path / "o" / "noise.csv").read_text().splitlines()
-        assert lines[1].split(",")[0] == "n_scales"
+        summary = run_experiment(resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+            "mesh_source": str(src), "mesh_target": str(dst), "samples": "5",
+            "displaced": "1,2", "noise_radius": "0.05,0.2", "scales": "4",
+            "tmax": "0.2", "baseline": "none",
+        }))
+        assert summary == {"rows": 4, "elapsed_seconds": summary["elapsed_seconds"],
+                           "out_dir": str(tmp_path / "o")}
+        assert [row[4:] for row in sweep_rows(tmp_path / "o")] == [
+            ["displaced", "noise_radius", "mean_error", "auc_025"],
+            ["1", "0.05", "0.07325429229803737", "1.0"],
+            ["1", "0.2", "0.09182420069463051", "1.0"],
+            ["2", "0.05", "0.07325429229803737", "1.0"],
+            ["2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+        ]
 
     def test_tmax_sweep_pair(self, tmp_path, pair_files):
         src, dst = pair_files
         config = resolve_config({
-            "experiment": "tmax", "out_dir": str(tmp_path / "o"),
-            "mesh": str(src), "mesh_target": str(dst), "tmax_values": "0.1,1",
-            "samples": "5", "scales": "6",
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+            "mesh_source": str(src), "mesh_target": str(dst), "tmax": "0.1,1",
+            "samples": "5", "scales": "6", "baseline": "none",
         })
-        summary = run_experiment(config)
-        assert summary["best_tmax"] in (0.1, 1.0)
-        pair_csv = (tmp_path / "o" / "tmax.csv").read_text()
-        assert [line.split(",")[0] for line in pair_csv.splitlines()[2:]] == ["0.1", "1.0"]
-        # the target is used: the same sweep without it is a self-matching one
-        run_experiment({**config, "mesh_target": "", "out_dir": str(tmp_path / "s")})
-        assert (tmp_path / "s" / "tmax.csv").read_text() != pair_csv
+        assert run_experiment(config)["rows"] == 2
+        rows = sweep_rows(tmp_path / "o")
+        assert [row[3] for row in rows] == ["tmax", "0.1", "1.0"]
+        # the target is used: the same sweep on the source alone differs
+        run_experiment({**config, "mesh_target": str(src), "out_dir": str(tmp_path / "s")})
+        assert sweep_rows(tmp_path / "s") != rows
 
     @pytest.mark.parametrize("kind, lists", [
-        ("noise", {"displace_counts": "1", "noise_radii": "0.05", "scales_list": "2"}),
-        ("tmax", {"tmax_values": "0.5"}),
+        ("noise", {"displaced": "1", "noise_radius": "0.05", "scales": "2,3"}),
+        ("tmax", {"tmax": "0.5,1"}),
     ])
     def test_target_out_of_correspondence(self, tmp_path, mesh_file, kind, lists):
         other = tmp_path / "ico42.off"
         write_off(jittered_icosphere(1, seed=4), other)
-        config = resolve_config({"experiment": kind, "out_dir": str(tmp_path / "o"),
-                                 "mesh": str(mesh_file), "mesh_target": str(other),
+        config = resolve_config({"experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+                                 "mesh_source": str(mesh_file), "mesh_target": str(other),
                                  "samples": "4", **lists})
-        with pytest.raises(DataError, match=f"^{kind} experiment needs meshes in "
-                                            "vertex correspondence$"):
+        with pytest.raises(DataError, match="^landmark files are required when the meshes "
+                                            "are not in vertex-to-vertex correspondence$"):
             run_experiment(config)
 
     @pytest.mark.parametrize("kind, keys", [
-        ("tmax", {"tmax_values": "1", "scales": "6"}),
-        ("noise", {"tmax": "1", "scales_list": "6", "displace_counts": "0",
-                   "noise_radii": "0.05"}),
+        ("tmax", {"tmax": "0.5,1", "scales": "6"}),
+        ("noise", {"tmax": "1", "scales": "6,3", "displaced": "0,2", "noise_radius": "0.05"}),
     ])
     def test_sweep_row_equals_pairmatch(self, tmp_path, pair_files, kind, keys):
-        # the stretched target is larger, so pair_rhos shrinks its times; a
-        # sweep row at pairmatch's setting is that run
+        # the stretched target is larger, so pair_rhos shrinks its times; the
+        # sweep row at pairmatch's setting is that run, baseline included
         src, dst = pair_files
         pair = run_experiment(resolve_config({
             "experiment": "pairmatch", "out_dir": str(tmp_path / "p"),
             "mesh_source": str(src), "mesh_target": str(dst), "samples": "5",
-            "scales": "6", "tmax": "1", "baseline": "none"}))
+            "scales": "6", "tmax": "1"}))
         assert pair["rho_target"] < 1.0
         run_experiment(resolve_config({
-            "experiment": kind, "out_dir": str(tmp_path / "s"), "mesh": str(src),
-            "mesh_target": str(dst), "samples": "5", **keys}))
-        row = (tmp_path / "s" / f"{kind}.csv").read_text().splitlines()[2].split(",")
-        assert (float(row[-2]), float(row[-1])) == (pair["mean_error"], pair["auc_025"])
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "s"),
+            "mesh_source": str(src), "mesh_target": str(dst), "samples": "5", **keys}))
+        header, *rows = sweep_rows(tmp_path / "s")
+        scores = ["mean_error", "auc_025", "baseline_mean_error", "baseline_auc_025"]
+        assert header[-4:] == scores
+        at = {"samples": "5", "scales": "6", "tmax": "1.0", "displaced": "0"}
+        [row] = [row for row in rows if at.items() <= dict(zip(header, row)).items()]
+        assert [float(value) for value in row[-4:]] == [pair[key] for key in scores]
+
+    def test_sweep_row_equals_selfmatch(self, tmp_path, mesh_file):
+        one = run_experiment(resolve_config({
+            "experiment": "selfmatch", "out_dir": str(tmp_path / "one"),
+            "mesh": str(mesh_file), "samples": "4", "scales": "6", "tmax": "0.5"}))
+        run_experiment(resolve_config({
+            "experiment": "selfmatch", "out_dir": str(tmp_path / "s"), "mesh": str(mesh_file),
+            "samples": "3,4", "scales": "6", "tmax": "0.25,0.5"}))
+        header, *rows = sweep_rows(tmp_path / "s")
+        scores = ["mean_error", "auc_025", "baseline_mean_error", "baseline_auc_025"]
+        assert header == ["samples", "scales", "tmax", "strategy", *scores]
+        [row] = [row for row in rows if row[:4] == ["4", "6", "0.5", "fps-euclidean"]]
+        assert [float(value) for value in row[4:]] == [one[key] for key in scores]
 
     def test_tmax_sweep_selfmatch(self, tmp_path, mesh_file):
         config = resolve_config({
-            "experiment": "tmax", "out_dir": str(tmp_path / "o"),
-            "mesh": str(mesh_file), "tmax_values": "0.25,0.5",
-            "samples": "4", "scales": "6",
+            "experiment": "selfmatch", "out_dir": str(tmp_path / "o"),
+            "mesh": str(mesh_file), "tmax": "0.25,0.5",
+            "samples": "4", "scales": "6", "baseline": "none",
         })
-        summary = run_experiment(config)
-        assert summary["best_tmax"] in (0.25, 0.5)
-        lines = (tmp_path / "o" / "tmax.csv").read_text().splitlines()
-        assert len(lines) == 2 + 2
+        assert run_experiment(config)["rows"] == 2
+        rows = sweep_rows(tmp_path / "o")
+        assert [row[2] for row in rows] == ["tmax", "0.25", "0.5"]
+        assert "config.tmax=0.25,0.5" in (tmp_path / "o" / "summary.txt").read_text()
 
 
 def test_transfer_map_rejects_unknown_kind():

@@ -1,3 +1,4 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -157,9 +158,17 @@ def test_column_failing_after_refinement_is_named(lap642):
             x[:, 1] = 0.0
 
     system = _counted_system(lap642, damage)
-    with pytest.raises(NumericalError, match=r"\(column 5\)"):
+    with pytest.raises(NumericalError, match=r"\(column 5\)") as exc:
         system.solve(b)
     assert system._lu.widths == [8, 2]
+    # column 5 keeps its damaged first solve; the message prints its
+    # relative residual, the number the 1e-10 bound applies to
+    clean = factorize(lap642.mass, lap642.stiffness, t=1e-3).solve(b[:, 5])
+    x = clean + 1e-6 * np.linalg.norm(clean)
+    rel = np.linalg.norm(b[:, 5] - system.matrix @ x) / np.linalg.norm(b[:, 5])
+    printed = float(re.search(r"relative residual (\S+) exceeds 1e-10 ", str(exc.value))[1])
+    assert printed > 1e-10
+    assert printed == pytest.approx(rel, rel=5e-4)  # the message keeps 4 digits
 
 
 def test_nan_column_is_refined_then_rejected(lap642):
