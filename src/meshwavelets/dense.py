@@ -41,11 +41,21 @@ def matvec(a, x):
     return blas.dgemv(1.0, f, x, trans=trans)
 
 
-def matmul(a, b):
-    """``a @ b`` for matrices, as a C-ordered view of BLAS's column-major ``b.T @ a.T``."""
+def matmul(a, b, out=None):
+    """``a @ b`` for matrices, as a C-ordered view of BLAS's column-major ``b.T @ a.T``.
+
+    Given ``out``, a 1-D float64 array of at least ``a.shape[0] * b.shape[1]``
+    entries, the product is written into its leading entries and returned as
+    a view of them, bit for bit the same: a loop of products then reuses one
+    buffer instead of allocating and zero-filling a new array each time.
+    """
     fb, trans_b = _fortran(b.T)
     fa, trans_a = _fortran(a.T)
-    return blas.dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
+    if out is None:
+        return blas.dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
+    c = out[:a.shape[0] * b.shape[1]].reshape((b.shape[1], a.shape[0]), order="F")
+    return blas.dgemm(1.0, fb, fa, beta=0.0, c=c, overwrite_c=1,
+                      trans_a=trans_b, trans_b=trans_a).T
 
 
 def gram_lower(a):

@@ -195,13 +195,17 @@ def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos, kind="wavel
     """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
     shape over matched samples, then row-wise nearest-neighbor transfer.
     ``rhos`` is the (source, target) pair from ``pair_rhos``."""
-    if len(s_src) != len(s_dst):
-        raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
+    _check_matched(s_src, s_dst)
     d_src = build_dictionary(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0],
                              kind=kind)
     d_dst = build_dictionary(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1],
                              kind=kind)
     return transfer_pointmap(d_src, d_dst)
+
+
+def _check_matched(s_src, s_dst):
+    if len(s_src) != len(s_dst):
+        raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
 
 
 def _write_csv(path, schema, header, rows):
@@ -238,7 +242,9 @@ def _sweep(config, out_dir, run):
     the config's list values; a setting maps each list key of the kind to one
     value. One combination writes ``curve.csv`` and ``map.txt`` and returns the
     run's summary; several write a ``sweep/1`` CSV with one row per setting
-    (its values in schema order, then the run's scores)."""
+    (its values in schema order, then the run's scores). A setting that raises
+    ends the sweep: the rows finished before it are written, then its error
+    propagates."""
     keys = [key for key, typ in _SCHEMAS[config["experiment"]].items() if isinstance(typ, list)]
     settings = [dict(zip(keys, values))
                 for values in itertools.product(*(config[key] for key in keys))]
@@ -251,10 +257,13 @@ def _sweep(config, out_dir, run):
     if config["baseline"] == "lbo":
         scores += ["baseline_mean_error", "baseline_auc_025"]
     rows = []
-    for setting in settings:
-        summary = run(setting)[2]
-        rows.append([*setting.values(), *(summary[key] for key in scores)])
-    _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
+    try:
+        for setting in settings:
+            summary = run(setting)[2]
+            rows.append([*setting.values(), *(summary[key] for key in scores)])
+    finally:
+        if rows:
+            _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
     return {"rows": len(rows)}
 
 
@@ -306,7 +315,9 @@ def _pair_landmarks(config, mesh_src, mesh_dst):
     if lm_src or lm_dst:
         if not (lm_src and lm_dst):
             raise DataError("landmarks_source and landmarks_target must be given together")
-        return load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
+        landmarks = load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
+        _check_matched(*landmarks)
+        return landmarks
     _identity_correspondence(mesh_src, mesh_dst, "landmark files are required when the "
                              "meshes are not in vertex-to-vertex correspondence")
     return None
@@ -338,6 +349,22 @@ def _run_pairmatch(config, out_dir):
         return src, src
 
     @functools.cache
+    def source_samples(n, strategy, count, radius):
+        # source samples moved within a geodesic disc; the target's stay
+        return perturb_samples(mesh_src, draw(n, strategy)[0], radius, count,
+                               seed=config["seed"])
+
+    def dictionary(lap, samples, rho, scales, tmax):
+        return build_dictionary(lap, samples, n_scales=scales, t_max=tmax, rho=rho,
+                                kind=config["dictionary"])
+
+    # one entry is enough: displaced and noise_radius, on which the target
+    # does not depend, are the innermost sweep keys
+    @functools.lru_cache(maxsize=1)
+    def target(n, strategy, scales, tmax):
+        return dictionary(lap_dst, draw(n, strategy)[1], rho_dst, scales, tmax)
+
+    @functools.cache
     def baseline(k):
         # ground-truth functional map over |S| + 1 basis functions, converted
         # to a point map by nearest neighbors
@@ -348,12 +375,12 @@ def _run_pairmatch(config, out_dir):
         return _scores(score(geodesic_errors(pm_base, gt, mesh_dst)), "baseline_")
 
     def run(setting):
-        samples_src, samples_dst = draw(setting["samples"], setting["strategy"])
-        # source samples displaced within a geodesic disc; the target's stay
-        samples_src = perturb_samples(mesh_src, samples_src, setting["noise_radius"],
-                                      setting["displaced"], seed=config["seed"])
-        pm = transfer_map(lap_src, lap_dst, samples_src, samples_dst, setting["scales"],
-                          setting["tmax"], (rho_src, rho_dst), kind=config["dictionary"])
+        n, strategy, scales, tmax = (setting[key] for key in ("samples", "strategy",
+                                                              "scales", "tmax"))
+        samples_src = source_samples(n, strategy, setting["displaced"],
+                                     setting["noise_radius"])
+        pm = transfer_pointmap(dictionary(lap_src, samples_src, rho_src, scales, tmax),
+                               target(n, strategy, scales, tmax))
         ec = score(geodesic_errors(pm, gt, mesh_dst))
         summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
         if config["baseline"] == "lbo":

@@ -11,14 +11,15 @@ from .mesh import TriangleMesh
 def edge_graph(mesh: TriangleMesh) -> sparse.csr_matrix:
     """Symmetric sparse adjacency of mesh edges weighted by Euclidean length."""
     f = mesh.faces
-    e = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    e.sort(axis=1)
-    e = np.unique(e, axis=0)
-    w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     n = mesh.n_vertices
+    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+    # each edge once, as the key lo * n + hi: sorted keys are the edges in
+    # (lo, hi) order
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    lo, hi = np.divmod(keys, n)
+    w = np.linalg.norm(mesh.vertices[lo] - mesh.vertices[hi], axis=1)
     return sparse.coo_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
     ).tocsr()
 

@@ -18,6 +18,8 @@ from .errors import DataError, NumericalError
 from .wavelets import Dictionary
 
 _NN_BLOCK = 512
+# rows of a Gram strip compared with the column maxima at a time
+_TIE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ def identity_map(n: int) -> PointMap:
 def save_pointmap(pm: PointMap, path) -> None:
     """One 0-based target index per line; line i is the image of vertex i."""
     with open(path, "w") as fh:
-        for t in pm.targets:
-            fh.write(f"{t}\n")
+        fh.write("".join(map("{}\n".format, pm.targets.tolist())))
 
 
 def load_indices(path) -> np.ndarray:
@@ -100,23 +101,35 @@ def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
 
     Walks strips ``dense.matmul(b[s:e], b[s:].T)`` so that each entry of the
     symmetric Gram matrix is computed once and at most ``block * n`` of it is
-    held at a time. Columns ``s:e`` of the strip's own rows are reduced along
-    rows (contiguous memory, via symmetry); later columns are reduced down the
-    strip. A ``b`` that is not row-major (an eigenvector matrix) is copied once
-    to row-major, so that every strip's operands reach BLAS as views.
+    held at a time, in one buffer that every strip reuses. Columns ``s:e`` of
+    the strip's own rows are reduced along rows (contiguous memory, via
+    symmetry); later columns are reduced down the strip. A ``b`` that is not
+    row-major (an eigenvector matrix) is copied once to row-major, so that
+    every strip's operands reach BLAS as views.
     """
     b = np.ascontiguousarray(b)
     n = b.shape[0]
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
+    buffer = np.empty(min(block, n) * n)
+    # row r of a strip weighs block - r, so the heaviest row that reaches a
+    # column's maximum is the first one
+    weights = np.arange(block, 0, -1, dtype=np.min_scalar_type(block))[:, None]
     for s in range(0, n, block):
         e = min(s + block, n)
-        strip = dense.matmul(b[s:e], b[s:].T)
+        strip = dense.matmul(b[s:e], b[s:].T, out=buffer)
         head = strip.argmax(axis=1)
         tail = strip[:, e - s:]
         tail_max = tail.max(axis=0, initial=-np.inf)
+        # down the tail a few rows at a time: argmax(axis=0) would copy a
+        # transposed strip
+        heaviest = np.zeros(n - e, dtype=weights.dtype)
+        for r in range(0, e - s, _TIE_ROWS):
+            t = min(r + _TIE_ROWS, e - s)
+            hits = tail[r:t] == tail_max
+            np.maximum(heaviest, (hits * weights[r:t]).max(axis=0), out=heaviest)
         values = np.concatenate([strip[np.arange(e - s), head], tail_max])
-        rows = np.concatenate([head, (tail == tail_max).argmax(axis=0)]) + s
+        rows = np.concatenate([head, block - heaviest.astype(np.int64)]) + s
         # every column sees its candidate rows in increasing order, so a
         # strict comparison lets ties keep the lowest row
         take = values > best[s:]
@@ -129,16 +142,18 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray, block: int = _NN_BLOCK
     """Exact nearest row of ``points`` for every row of ``queries``.
 
     Brute-force Euclidean search; ties break to the lowest index. Blocked so
-    the distance matrix never exceeds block * len(points) entries. A row
-    block of a column-major ``queries`` is copied for BLAS (``dense.matmul``).
+    the distance matrix never exceeds block * len(points) entries, in one
+    buffer that every block reuses. A row block of a column-major ``queries``
+    is copied for BLAS (``dense.matmul``).
     """
     pts_sq = (points * points).sum(axis=1)
     out = np.empty(queries.shape[0], dtype=np.int64)
+    buffer = np.empty(min(block, queries.shape[0]) * points.shape[0])
     for start in range(0, queries.shape[0], block):
         q = queries[start:start + block]
         # |q|^2 - 2 q.p + |p|^2 with the same roundings, formed in place: the
         # product is a transposed view, which numpy never reuses as a temporary
-        d2 = dense.matmul(q, points.T)
+        d2 = dense.matmul(q, points.T, out=buffer)
         d2 *= -2.0
         d2 += (q * q).sum(axis=1)[:, None]
         d2 += pts_sq[None, :]

@@ -102,31 +102,93 @@ def load_mesh(path) -> TriangleMesh:
     parse = {".off": _parse_off, ".obj": _parse_obj}.get(suffix)
     if parse is None:
         raise DataError(f"{path}: unknown mesh format {suffix!r} (expected '.off' or '.obj')")
-    verts, faces = parse(Path(path).read_bytes().decode("utf-8", errors="replace").splitlines())
-    return TriangleMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
-                        np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return TriangleMesh(*parse(Path(path).read_bytes().decode("utf-8", errors="replace")
+                               .splitlines()))
 
 
-def _content_lines(lines):
-    """Yield (1-based line number, stripped text), skipping blanks and comments."""
-    for num, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            yield num, text
+# Ends each line in the token stream. A lone surrogate never occurs in text
+# decoded from UTF-8 (bad bytes become U+FFFD), so no field equals it.
+_END = "\ud800"
+_STR = np.dtypes.StringDType()
+
+
+def _records(lines):
+    """The fields of the content lines (not blank, not a ``#`` comment) in one array.
+
+    Returns (numbers, tokens, starts, counts): content line ``numbers[r]``
+    (1-based) splits, as ``str.split()`` would, into the ``counts[r]``
+    strings ``tokens[starts[r]:starts[r] + counts[r]]``.
+    """
+    tokens = np.array(f" {_END} ".join([*lines, ""]).split(), dtype=object)
+    ends = np.flatnonzero(tokens == _END)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    counts = ends - starts
+    content = counts > 0
+    # a string starts with "#" exactly when it sorts in ["#", "$")
+    firsts = tokens[starts[content]]
+    content[content] = (firsts < "#") | (firsts >= "$")
+    return np.flatnonzero(content) + 1, tokens, starts[content], counts[content]
+
+
+def _first(bad):
+    """The index of the first true entry of ``bad``, else its length."""
+    hits = np.flatnonzero(bad)
+    return hits[0] if hits.size else len(bad)
+
+
+def _table(tokens, starts, fits, first, k, convert):
+    """Fields ``first .. first + k - 1`` of the leading well-formed records.
+
+    ``fits`` marks the records that have those fields; ``convert`` maps an
+    array of field strings to numbers, raising ``ValueError`` or
+    ``OverflowError`` on a bad one. Returns (values, m): ``values`` is the
+    (m, k) table of records ``0 .. m - 1``, where m is the first record that
+    does not fit or has a field that does not convert (``len(starts)`` if none).
+    """
+    m = _first(~fits)
+    cells = tokens[(starts[:m, None] + np.arange(first, first + k)).ravel()]
+    try:
+        values = convert(cells)
+    except (ValueError, OverflowError):
+        # bisect for the first cell that does not convert: cells[:lo]
+        # convert, cells[lo:hi] hold a bad one
+        lo, hi = 0, len(cells)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                convert(cells[lo:mid])
+                lo = mid
+            except (ValueError, OverflowError):
+                hi = mid
+        m = lo // k
+        values = convert(cells[:m * k])
+    return values.reshape(m, k), m
+
+
+def _floats(cells):
+    return np.array(cells.tolist(), dtype=np.float64)
+
+
+def _ints(cells):
+    return np.array(cells.tolist(), dtype=np.int64)
+
+
+def _obj_refs(cells):
+    """The vertex part of OBJ face references (``7`` of ``7/2/5``) as integers."""
+    text = np.array(cells.tolist(), dtype=_STR)
+    return np.strings.partition(text, np.array("/", dtype=_STR))[0].astype(np.int64)
 
 
 def _parse_off(lines):
-    it = _content_lines(lines)
-    try:
-        num, text = next(it)
-    except StopIteration:
-        raise DataError("OFF parse error at line 1: empty file") from None
+    numbers, tokens, starts, counts = _records(lines)
+    if not len(numbers):
+        raise DataError("OFF parse error at line 1: empty file")
+    text = lines[numbers[0] - 1].strip()
     if text != "OFF":
-        raise DataError(f"OFF parse error at line {num}: expected 'OFF' header, got {text!r}")
-    try:
-        num, text = next(it)
-    except StopIteration:
-        raise DataError("OFF parse error: missing counts line") from None
+        raise DataError(f"OFF parse error at line {numbers[0]}: expected 'OFF' header, got {text!r}")
+    if len(numbers) < 2:
+        raise DataError("OFF parse error: missing counts line")
+    num, text = numbers[1], lines[numbers[1] - 1].strip()
     fields = text.split()
     if len(fields) != 3:
         raise DataError(f"OFF parse error at line {num}: counts line needs "
@@ -136,77 +198,90 @@ def _parse_off(lines):
     except ValueError:
         raise DataError(f"OFF parse error at line {num}: non-integer count in {text!r}") from None
 
-    verts = []
-    for _ in range(n_verts):
-        try:
-            num, text = next(it)
-        except StopIteration:
-            raise DataError(f"OFF parse error: expected {n_verts} vertices, file ended early") from None
-        fields = text.split()
-        if len(fields) < 3:
-            raise DataError(f"OFF parse error at line {num}: vertex needs 3 coordinates")
-        try:
-            verts.append([float(x) for x in fields[:3]])
-        except ValueError:
-            raise DataError(f"OFF parse error at line {num}: bad coordinate in {text!r}") from None
+    rows = slice(2, 2 + max(n_verts, 0))
+    verts, m = _table(tokens, starts[rows], counts[rows] >= 3, 0, 3, _floats)
+    if m < len(numbers[rows]):
+        num = numbers[rows][m]
+        raise DataError(f"OFF parse error at line {num}: {_off_vertex_error(lines[num - 1].strip())}")
+    if len(verts) < n_verts:
+        raise DataError(f"OFF parse error: expected {n_verts} vertices, file ended early")
 
-    faces = []
-    for _ in range(n_faces):
-        try:
-            num, text = next(it)
-        except StopIteration:
-            raise DataError(f"OFF parse error: expected {n_faces} faces, file ended early") from None
-        fields = text.split()
-        try:
-            count = int(fields[0])
-        except ValueError:
-            raise DataError(f"OFF parse error at line {num}: bad face record {text!r}") from None
-        if count != 3:
-            raise DataError(f"OFF parse error at line {num}: non-triangle face with {count} vertices")
-        if len(fields) < 4:
-            raise DataError(f"OFF parse error at line {num}: face record too short")
-        try:
-            idx = [int(x) for x in fields[1:4]]
-        except ValueError:
-            raise DataError(f"OFF parse error at line {num}: bad face index in {text!r}") from None
-        for i in idx:
-            if not 0 <= i < n_verts:
-                raise DataError(f"OFF parse error at line {num}: vertex index {i} out of range")
-        faces.append(idx)
-    return verts, faces
+    rows = slice(rows.stop, rows.stop + max(n_faces, 0))
+    faces, m = _table(tokens, starts[rows], counts[rows] >= 4, 0, 4, _ints)
+    m = _first((faces[:, 0] != 3) | ((faces[:, 1:] < 0) | (faces[:, 1:] >= n_verts)).any(axis=1))
+    if m < len(numbers[rows]):
+        num = numbers[rows][m]
+        raise DataError(f"OFF parse error at line {num}: "
+                        f"{_off_face_error(lines[num - 1].strip(), n_verts)}")
+    if len(faces) < n_faces:
+        raise DataError(f"OFF parse error: expected {n_faces} faces, file ended early")
+    return verts, faces[:, 1:]
+
+
+def _off_vertex_error(text):
+    """Why an OFF vertex record is bad, worded as the parser reports it."""
+    return ("vertex needs 3 coordinates" if len(text.split()) < 3
+            else f"bad coordinate in {text!r}")
+
+
+def _off_face_error(text, n_verts):
+    """Why an OFF face record is bad, worded as the parser reports it."""
+    fields = text.split()
+    try:
+        count = int(fields[0])
+    except ValueError:
+        return f"bad face record {text!r}"
+    if count != 3:
+        return f"non-triangle face with {count} vertices"
+    if len(fields) < 4:
+        return "face record too short"
+    try:
+        idx = [int(x) for x in fields[1:4]]
+    except ValueError:
+        return f"bad face index in {text!r}"
+    return f"vertex index {next(i for i in idx if not 0 <= i < n_verts)} out of range"
 
 
 def _parse_obj(lines):
-    verts, faces = [], []
-    for num, text in _content_lines(lines):
-        fields = text.split()
-        tag = fields[0]
-        if tag == "v":
-            if len(fields) < 4:
-                raise DataError(f"OBJ parse error at line {num}: vertex needs 3 coordinates")
-            try:
-                verts.append([float(x) for x in fields[1:4]])
-            except ValueError:
-                raise DataError(f"OBJ parse error at line {num}: bad coordinate in {text!r}") from None
-        elif tag == "f":
-            refs = fields[1:]
-            if len(refs) != 3:
-                raise DataError(f"OBJ parse error at line {num}: non-triangle face with {len(refs)} vertices")
-            idx = []
-            for ref in refs:
-                try:
-                    i = int(ref.split("/")[0])
-                except ValueError:
-                    raise DataError(f"OBJ parse error at line {num}: bad face reference {ref!r}") from None
-                # OBJ indices are 1-based; negative indices count back from the
-                # most recently defined vertex.
-                i = i - 1 if i > 0 else len(verts) + i
-                if not 0 <= i < len(verts):
-                    raise DataError(f"OBJ parse error at line {num}: vertex index {ref} out of range")
-                idx.append(i)
-            faces.append(idx)
-        # normals, texcoords, groups, materials are ignored
+    numbers, tokens, starts, counts = _records(lines)
+    tags = tokens[starts]
+    # normals, texcoords, groups, materials are ignored
+    is_v, is_f = tags == "v", tags == "f"
+    verts, m_v = _table(tokens, starts[is_v], counts[is_v] >= 4, 1, 3, _floats)
+    refs, m_f = _table(tokens, starts[is_f], counts[is_f] == 4, 1, 3, _obj_refs)
+    # OBJ indices are 1-based; negative indices count back from the most
+    # recently defined vertex
+    defined = np.cumsum(is_v)[is_f][:m_f, None]
+    faces = np.where(refs > 0, refs - 1, defined + refs)
+    m_f = _first(((faces < 0) | (faces >= defined)).any(axis=1))
+    # the first bad record of either kind, as a record index
+    bad = [rows[m] for rows, m in ((np.flatnonzero(is_v), m_v), (np.flatnonzero(is_f), m_f))
+           if m < len(rows)]
+    if bad:
+        r = min(bad)
+        num = numbers[r]
+        raise DataError(f"OBJ parse error at line {num}: "
+                        f"{_obj_error(lines[num - 1].strip(), int(is_v[:r].sum()))}")
     return verts, faces
+
+
+def _obj_error(text, n_verts):
+    """Why an OBJ ``v`` or ``f`` record is bad, worded as the parser reports
+    it; ``n_verts`` vertices are defined before it."""
+    fields = text.split()
+    if fields[0] == "v":
+        return ("vertex needs 3 coordinates" if len(fields) < 4
+                else f"bad coordinate in {text!r}")
+    refs = fields[1:]
+    if len(refs) != 3:
+        return f"non-triangle face with {len(refs)} vertices"
+    for ref in refs:
+        try:
+            i = int(ref.split("/")[0])
+        except ValueError:
+            return f"bad face reference {ref!r}"
+        if not 0 <= (i - 1 if i > 0 else n_verts + i) < n_verts:
+            return f"vertex index {ref} out of range"
 
 
 def write_off(mesh: TriangleMesh, path) -> None:

@@ -54,6 +54,11 @@ class TestAgainstNumpy:
             got, want = dense.matmul(left, right), left @ right
             assert got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * m)
+            # into the leading entries of a longer buffer, bit for bit
+            buffer = np.full(got.size + 3, np.nan)
+            into = dense.matmul(left, right, out=buffer)
+            assert np.shares_memory(into, buffer) and into.flags.c_contiguous
+            assert np.array_equal(into, got)
 
 
 @pytest.mark.parametrize("order", "CF")

@@ -1,9 +1,12 @@
+import collections
 import re
 
 import numpy as np
 import pytest
 
-from meshwavelets import DataError, parse_config, run_experiment, write_off
+from meshwavelets import (DataError, NumericalError, experiments, parse_config, run_experiment,
+                          write_off)
+from meshwavelets.cli import main
 from meshwavelets.experiments import _DEFAULTS, _SCHEMAS, resolve_config
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
 
@@ -336,6 +339,69 @@ class TestSweepExperiments:
             ["2", "0.05", "0.07325429229803737", "1.0"],
             ["2", "0.2", "0.0955076665144445", "0.9876543209876543"],
         ]
+
+    def test_pairmatch_sweep_builds_each_dictionary_once(self, tmp_path, pair_files,
+                                                        monkeypatch):
+        # the target dictionary depends on (samples, strategy, scales, tmax)
+        # and the displaced samples on (samples, strategy, displaced,
+        # noise_radius); one call per row would make 16 and 8
+        calls = collections.Counter()
+
+        def counted(name):
+            func = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        counted("build_dictionary")
+        counted("perturb_samples")
+        src, dst = pair_files
+        run_experiment(resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+            "mesh_source": str(src), "mesh_target": str(dst), "samples": "5",
+            "scales": "3,4", "displaced": "1,2", "noise_radius": "0.05,0.2", "tmax": "0.2",
+            "baseline": "none",
+        }))
+        assert calls == {"build_dictionary": 10, "perturb_samples": 4}
+        # rows computed at the previous commit, which built both per row
+        assert [row[2:] for row in sweep_rows(tmp_path / "o")] == [
+            ["scales", "tmax", "displaced", "noise_radius", "mean_error", "auc_025"],
+            ["3", "0.2", "1", "0.05", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "1", "0.2", "0.09543556785616827", "1.0"],
+            ["3", "0.2", "2", "0.05", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "2", "0.2", "0.09442868238321904", "0.9753086419753086"],
+            ["4", "0.2", "1", "0.05", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "1", "0.2", "0.09182420069463051", "1.0"],
+            ["4", "0.2", "2", "0.05", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+        ]
+
+    def test_failing_setting_keeps_finished_rows(self, tmp_path):
+        # on this pair the dictionary at tmax=4 has degenerate columns
+        src, dst = tmp_path / "src.off", tmp_path / "dst.off"
+        write_off(jittered_icosphere(3, seed=4), src)
+        write_off(stretched_icosphere(3, seed=4), dst)
+        pair = {"experiment": "pairmatch", "mesh_source": str(src), "mesh_target": str(dst),
+                "samples": "6", "seed": "4", "baseline": "none"}
+        config = write_config(tmp_path, "".join(
+            f"{key}={value}\n" for key, value in
+            {**pair, "out_dir": tmp_path / "o", "tmax": "0.25,4"}.items()))
+        assert main(["experiment", "run", "--config", str(config)]) == 3
+        with pytest.raises(NumericalError, match="degenerate column"):
+            run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / "e"),
+                                           "tmax": "0.25,4"}))
+        one = run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / "one"),
+                                             "tmax": "0.25"}))
+        for out in ("o", "e"):
+            assert sweep_rows(tmp_path / out) == [
+                ["samples", "strategy", "scales", "tmax", "displaced", "noise_radius",
+                 "mean_error", "auc_025"],
+                ["6", "fps-euclidean", "25", "0.25", "0", "0.0", repr(one["mean_error"]),
+                 repr(one["auc_025"])],
+            ]
+            assert not (tmp_path / out / "summary.txt").exists()
 
     def test_tmax_sweep_pair(self, tmp_path, pair_files):
         src, dst = pair_files

@@ -2,8 +2,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from meshwavelets import TriangleMesh, edge_graph, geodesic_distances_multi
+from meshwavelets.synthetic import icosphere, jittered_icosphere, triangulated_grid
 from tests.conftest import chain_mesh
 
 
@@ -67,3 +69,29 @@ def test_concurrent_calls_consistent(ico162):
                                 range(16)))
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got, want)
+
+
+def _unique_rows_edge_graph(mesh):
+    """Reference: duplicate edges removed by ``np.unique`` over (lo, hi) rows."""
+    f = mesh.faces
+    e = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    e.sort(axis=1)
+    e = np.unique(e, axis=0)
+    w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+    n = mesh.n_vertices
+    return sparse.coo_matrix(
+        (np.concatenate([w, w]),
+         (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+        shape=(n, n),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("mesh", [icosphere(3), jittered_icosphere(3, seed=7),
+                                  triangulated_grid(9, 5)],
+                         ids=["icosphere", "jittered", "boundary-patch"])
+def test_edge_graph_equals_unique_rows_construction(mesh):
+    got, want = edge_graph(mesh), _unique_rows_edge_graph(mesh)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from meshwavelets import (build_dictionary, build_laplacian, curve,
                           geodesic_distances_multi, geodesic_errors, identity_map,
@@ -75,14 +77,52 @@ class TestReconstruct:
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 4))
+@given(data=st.data(), n=st.integers(1, 300), m=st.integers(1, 4))
 def test_gram_argmax_matches_dense_oracle(data, n, m):
-    # small integers make many Gram entries exactly equal: the lowest row must win
-    values = data.draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
-    b = np.array(values, dtype=np.float64).reshape(n, m)
-    block = data.draw(st.sampled_from([1, 7, n, 512]))
+    # small integers make many Gram entries exactly equal: the lowest row must
+    # win, also when equal rows fall in different 64-row sub-blocks of a strip
+    b = data.draw(arrays(np.int8, (n, m), elements=st.integers(-2, 2))).astype(np.float64)
+    block = data.draw(st.sampled_from([1, 7, 64, 65, 130, n, 512]))
     np.testing.assert_array_equal(gram_argmax(b, block=block),
                                   np.argmax(b @ b.T, axis=0))
+
+
+@pytest.mark.parametrize("first", [0, 63, 64, 65, 127, 128, 129])
+def test_gram_argmax_tie_rows_across_sub_blocks(first):
+    # rows first.. of the 130-row first strip all reach the maximum of every
+    # later column; the first of them must be taken
+    b = np.zeros((400, 1))
+    b[first:] = 1.0
+    targets = gram_argmax(b, block=130)
+    assert (targets[130:] == first).all()
+    np.testing.assert_array_equal(targets, np.argmax(b @ b.T, axis=0))
+
+
+def test_nearest_rows_holds_one_block_at_a_time():
+    rng = np.random.default_rng(1)
+    queries, points = rng.standard_normal((2562, 250)), rng.standard_normal((2562, 250))
+    tracemalloc.start()
+    try:
+        nearest_rows(queries, points, block=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 512 x 2562 distance block, reused, plus a few block-row temporaries
+    assert peak <= 512 * 2562 * 8 * 1.25
+
+
+def test_gram_argmax_holds_one_strip_at_a_time():
+    n, block = 10242, 512
+    b = np.random.default_rng(0).standard_normal((n, 250))
+    tracemalloc.start()
+    try:
+        gram_argmax(b, block=block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block x n strip of float64 plus O(n): every strip reuses one
+    # buffer, and the tie-break works 64 rows at a time
+    assert peak <= block * n * 8 + 400 * n
 
 
 def _two_sided_reconstruction(dictionary, block=512):
