@@ -44,15 +44,15 @@ def matvec(a, x):
 def matmul(a, b, out=None):
     """``a @ b`` for matrices, as a C-ordered view of BLAS's column-major ``b.T @ a.T``.
 
-    Given ``out``, a 1-D float64 array of at least ``a.shape[0] * b.shape[1]``
-    entries, the product is written into its leading entries and returned as
-    a view of them, bit for bit the same: a loop of products then reuses one
-    buffer instead of allocating and zero-filling a new array each time.
+    The product is written into the leading entries of ``out``, a 1-D float64
+    array of at least ``a.shape[0] * b.shape[1]`` entries (a new one if not
+    given), and returned as a view of them: a loop of products then reuses one
+    buffer instead of allocating a new array each time.
     """
     fb, trans_b = _fortran(b.T)
     fa, trans_a = _fortran(a.T)
     if out is None:
-        return blas.dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
+        out = np.empty(a.shape[0] * b.shape[1])
     c = out[:a.shape[0] * b.shape[1]].reshape((b.shape[1], a.shape[0]), order="F")
     return blas.dgemm(1.0, fb, fa, beta=0.0, c=c, overwrite_c=1,
                       trans_a=trans_b, trans_b=trans_a).T

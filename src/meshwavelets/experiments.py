@@ -9,6 +9,7 @@ also what the CLI's ``match`` and ``eval`` commands call.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import time
@@ -257,13 +258,18 @@ def _sweep(config, out_dir, run):
     if config["baseline"] == "lbo":
         scores += ["baseline_mean_error", "baseline_auc_025"]
     rows = []
+    write = functools.partial(_write_csv, out_dir / "sweep.csv", "sweep", keys + scores, rows)
     try:
         for setting in settings:
             summary = run(setting)[2]
             rows.append([*setting.values(), *(summary[key] for key in scores)])
-    finally:
-        if rows:
-            _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
+    except BaseException:
+        # the setting's error is the one reported, even if the write fails
+        with contextlib.suppress(Exception):
+            if rows:
+                write()
+        raise
+    write()
     return {"rows": len(rows)}
 
 
@@ -354,15 +360,12 @@ def _run_pairmatch(config, out_dir):
         return perturb_samples(mesh_src, draw(n, strategy)[0], radius, count,
                                seed=config["seed"])
 
-    def dictionary(lap, samples, rho, scales, tmax):
-        return build_dictionary(lap, samples, n_scales=scales, t_max=tmax, rho=rho,
-                                kind=config["dictionary"])
-
     # one entry is enough: displaced and noise_radius, on which the target
     # does not depend, are the innermost sweep keys
     @functools.lru_cache(maxsize=1)
     def target(n, strategy, scales, tmax):
-        return dictionary(lap_dst, draw(n, strategy)[1], rho_dst, scales, tmax)
+        return build_dictionary(lap_dst, draw(n, strategy)[1], n_scales=scales, t_max=tmax,
+                                rho=rho_dst, kind=config["dictionary"])
 
     @functools.cache
     def baseline(k):
@@ -379,8 +382,9 @@ def _run_pairmatch(config, out_dir):
                                                               "scales", "tmax"))
         samples_src = source_samples(n, strategy, setting["displaced"],
                                      setting["noise_radius"])
-        pm = transfer_pointmap(dictionary(lap_src, samples_src, rho_src, scales, tmax),
-                               target(n, strategy, scales, tmax))
+        source = build_dictionary(lap_src, samples_src, n_scales=scales, t_max=tmax,
+                                  rho=rho_src, kind=config["dictionary"])
+        pm = transfer_pointmap(source, target(n, strategy, scales, tmax))
         ec = score(geodesic_errors(pm, gt, mesh_dst))
         summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
         if config["baseline"] == "lbo":

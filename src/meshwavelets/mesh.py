@@ -109,7 +109,6 @@ def load_mesh(path) -> TriangleMesh:
 # Ends each line in the token stream. A lone surrogate never occurs in text
 # decoded from UTF-8 (bad bytes become U+FFFD), so no field equals it.
 _END = "\ud800"
-_STR = np.dtypes.StringDType()
 
 
 def _records(lines):
@@ -150,17 +149,13 @@ def _table(tokens, starts, fits, first, k, convert):
     try:
         values = convert(cells)
     except (ValueError, OverflowError):
-        # bisect for the first cell that does not convert: cells[:lo]
-        # convert, cells[lo:hi] hold a bad one
-        lo, hi = 0, len(cells)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
+        # the first cell that does not convert ends the table
+        for i in range(len(cells)):
             try:
-                convert(cells[lo:mid])
-                lo = mid
+                convert(cells[i:i + 1])
             except (ValueError, OverflowError):
-                hi = mid
-        m = lo // k
+                break
+        m = i // k
         values = convert(cells[:m * k])
     return values.reshape(m, k), m
 
@@ -175,8 +170,7 @@ def _ints(cells):
 
 def _obj_refs(cells):
     """The vertex part of OBJ face references (``7`` of ``7/2/5``) as integers."""
-    text = np.array(cells.tolist(), dtype=_STR)
-    return np.strings.partition(text, np.array("/", dtype=_STR))[0].astype(np.int64)
+    return np.array([c.partition("/")[0] for c in cells.tolist()], dtype=np.int64)
 
 
 def _parse_off(lines):

@@ -268,6 +268,19 @@ class TestPairmatchExperiment:
         with pytest.raises(DataError, match="landmarks_source and landmarks_target"):
             run_experiment(config)
 
+    def test_landmark_counts_must_match(self, tmp_path, pair_files):
+        src, dst = pair_files
+        (tmp_path / "a.txt").write_text("3\n77\n130\n")
+        (tmp_path / "b.txt").write_text("3\n77\n")
+        config = resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o4"),
+            "mesh_source": str(src), "mesh_target": str(dst),
+            "landmarks_source": str(tmp_path / "a.txt"),
+            "landmarks_target": str(tmp_path / "b.txt"), "scales": "4", "tmax": "0.1",
+        })
+        with pytest.raises(DataError, match="landmark counts differ: 3 vs 2"):
+            run_experiment(config)
+
 
 class TestWaveletComparisonExperiment:
     def test_csv_and_ordering(self, tmp_path, mesh_file):
@@ -378,7 +391,7 @@ class TestSweepExperiments:
             ["4", "0.2", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
         ]
 
-    def test_failing_setting_keeps_finished_rows(self, tmp_path):
+    def test_failing_setting_keeps_finished_rows(self, tmp_path, monkeypatch):
         # on this pair the dictionary at tmax=4 has degenerate columns
         src, dst = tmp_path / "src.off", tmp_path / "dst.off"
         write_off(jittered_icosphere(3, seed=4), src)
@@ -402,6 +415,15 @@ class TestSweepExperiments:
                  repr(one["auc_025"])],
             ]
             assert not (tmp_path / out / "summary.txt").exists()
+        # a sweep.csv that cannot be written does not hide the setting's error
+
+        def unwritable(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(experiments, "_write_csv", unwritable)
+        with pytest.raises(NumericalError, match="degenerate column") as raised:
+            run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / "w"),
+                                           "tmax": "0.25,4"}))
+        assert not isinstance(raised.value.__context__, OSError)
 
     def test_tmax_sweep_pair(self, tmp_path, pair_files):
         src, dst = pair_files
