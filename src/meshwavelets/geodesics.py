@@ -39,4 +39,5 @@ def geodesic_distances_multi(mesh: TriangleMesh, sources,
         raise ValueError("source index out of range")
     if graph is None:
         graph = edge_graph(mesh)
-    return np.atleast_2d(dijkstra(graph, directed=False, indices=sources, limit=limit))
+    # directed: the graph is symmetric, and scipy would transpose it per call
+    return np.atleast_2d(dijkstra(graph, directed=True, indices=sources, limit=limit))

@@ -17,7 +17,8 @@ from . import dense
 from .errors import DataError, NumericalError
 from .wavelets import Dictionary
 
-_NN_BLOCK = 512
+# rows of a Gram strip or distance block: 128 * n floats, 10 MiB at 10242 vertices
+_NN_BLOCK = 128
 # rows of a Gram strip compared with the column maxima at a time
 _TIE_ROWS = 64
 

@@ -279,18 +279,15 @@ def _obj_error(text, n_verts):
 
 
 def write_off(mesh: TriangleMesh, path) -> None:
+    """OFF text with every coordinate's round-trip ``repr``, one string per section."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+        fh.write("%r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
+    """OBJ text with 1-based face references, written like ``write_off``."""
     with open(path, "w") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write("v %r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("f %d %d %d\n" * mesh.n_faces % tuple((mesh.faces + 1).ravel().tolist()))

@@ -87,7 +87,8 @@ def perturb_samples(mesh: TriangleMesh, samples: SampleSet, noise_radius: float,
     ``noise_radius * max(geodesic distances from that sample)``. The samples
     to displace are seed-chosen without replacement; the rest are unchanged.
     Candidates already used by another sample are excluded so the returned
-    indices stay distinct. Deterministic given ``seed``.
+    indices stay distinct. Deterministic given ``seed``. A disc shorter than the
+    shortest edge at a sample holds only the sample, which then stays.
     """
     if not 0 <= count <= len(samples):
         raise ValueError(f"count must be in [0, {len(samples)}], got {count}")

@@ -27,9 +27,10 @@ _ND_LEAF = 16  # nested dissection stops at parts of at most this many vertices
 class SpdSystem:
     """Factorized sparse SPD system (A + tW), immutable after construction.
 
-    ``solve`` accepts a single vector or an (n, m) column block and guarantees
-    a relative residual of at most 1e-10 per column; only the columns that fail
-    that check after the LU solve get one step of iterative refinement.
+    ``solve`` accepts a single vector or an (n, m) column block, writes into
+    ``out`` (new if not given) and guarantees a relative residual of at most
+    1e-10 per column in the factor's order; only the columns that fail that
+    check after the LU solve get one step of iterative refinement.
     Concurrent calls from multiple threads are safe. ``P A P^T`` is factorized
     in nested-dissection order ``P`` with diagonal pivots, safe as A is SPD.
     """
@@ -44,8 +45,9 @@ class SpdSystem:
         self._lock = threading.Lock()
         self._perm = _nested_dissection(matrix)
         self._inverse = np.argsort(self._perm)
+        self._permuted = matrix[self._perm][:, self._perm]
         try:
-            self._lu = splu(matrix[self._perm][:, self._perm], permc_spec="NATURAL",
+            self._lu = splu(self._permuted, permc_spec="NATURAL",
                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU reports the failing pivot
             raise NumericalError(f"factorization breakdown (matrix not SPD?): {exc}") from exc
@@ -55,28 +57,33 @@ class SpdSystem:
         """LU fill of the factorization: (nnz(L) + nnz(U)) / nnz(A)."""
         return (self._lu.L.nnz + self._lu.U.nnz) / self.matrix.nnz
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, system has {self.n}")
-        single = rhs.ndim == 1
-        b = rhs[:, None] if single else rhs
+        if out is None:
+            out = np.empty(rhs.shape, order="F")
+        b, x = (rhs[:, None], out[:, None]) if rhs.ndim == 1 else (rhs, out)
+        # both gathers run along the contiguous rows of transposed column blocks
+        bp = np.take(b.T, self._perm, axis=1).T
         with self._lock:  # SuperLU solves share internal buffers
-            x = np.take(self._lu.solve(b[self._perm]).T, self._inverse, axis=1).T  # Fortran order
-        norm_b = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-        r = b - self.matrix @ x
+            xp = self._lu.solve(bp)
+        norm_b = np.maximum(np.linalg.norm(bp, axis=0), np.finfo(float).tiny)
+        r = bp - self._permuted @ xp
         bad = np.flatnonzero(~(np.linalg.norm(r, axis=0) <= SOLVE_RTOL * norm_b))  # NaN fails too
         if bad.size:  # one step of iterative refinement, failing columns only
             with self._lock:
-                x[:, bad] += self._lu.solve(r[self._perm][:, bad])[self._inverse]
-            res = np.linalg.norm(b[:, bad] - self.matrix @ x[:, bad], axis=0)
+                xp[:, bad] += self._lu.solve(r[:, bad])
+            res = np.linalg.norm(bp[:, bad] - self._permuted @ xp[:, bad], axis=0)
             still = np.flatnonzero(~(res <= SOLVE_RTOL * norm_b[bad]))
             if still.size:
                 j = still[0]
                 raise NumericalError(
                     f"direct solve relative residual {res[j] / norm_b[bad[j]]:.3e} exceeds "
                     f"{SOLVE_RTOL:.0e} (column {bad[j]})")
-        return x[:, 0] if single else x
+        # "clip" writes straight into out; "raise" would gather into a copy of it
+        np.take(xp.T, self._inverse, axis=1, out=x.T, mode="clip")
+        return out
 
 
 def _nested_dissection(matrix: sparse.spmatrix) -> np.ndarray:

@@ -101,11 +101,12 @@ def mother_wavelets(lap: LaplacianPair, samples: SampleSet) -> np.ndarray:
 
 
 def diffusion_step(lap: LaplacianPair, t: float, block: np.ndarray,
-                   system: SpdSystem | None = None) -> np.ndarray:
+                   system: SpdSystem | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """One backward-Euler heat step: (A + tW)^-1 A applied to a column block.
 
     Conserves the A-weighted integral of every column. Pass a prefactorized
-    ``system`` for the same (lap, t) to reuse the factorization.
+    ``system`` for the same (lap, t) to reuse the factorization, and ``out``
+    to receive the result.
     """
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -113,7 +114,7 @@ def diffusion_step(lap: LaplacianPair, t: float, block: np.ndarray,
         system = factorize(lap.mass, lap.stiffness, t)
     block = np.asarray(block, dtype=np.float64)
     rhs = lap.mass[:, None] * block if block.ndim == 2 else lap.mass * block
-    return system.solve(rhs)
+    return system.solve(rhs, out=out)
 
 
 def pair_rhos(area_source: float, area_target: float, rho="auto") -> tuple[float, float]:
@@ -134,23 +135,25 @@ def pair_rhos(area_source: float, area_target: float, rho="auto") -> tuple[float
 
 def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
     system = factorize(lap.mass, lap.stiffness, t)
-    scales = []
+    k = first_block.shape[1]
+    columns = np.empty((lap.n, n_scales * k), order="F")
     block = first_block
-    for _ in range(n_scales):
-        block = diffusion_step(lap, t, block, system=system)
+    for start in range(0, n_scales * k, k):
+        block = diffusion_step(lap, t, block, system, out=columns[:, start:start + k])
         if zero_mean:
             # wavelet columns have exactly zero A-weighted mean in exact
             # arithmetic (W has zero row sums); project out the roundoff
             # drift so deeply diffused scales keep the invariant
             block -= dense.vecmat(lap.mass, block) / lap.total_area
-        scales.append(block)
-    return np.hstack(scales)
+    return columns
 
 
 def _normalize_columns(columns, mass, samples, apply_range):
-    """In-place Algorithm-style normalization: A-weighted L1 norm, then range."""
+    """In-place Algorithm-style normalization: A-weighted L1 norm (one scale
+    block of absolute values at a time), then range."""
     n_samp = len(samples)
-    l1 = dense.vecmat(mass, np.abs(columns))
+    l1 = np.concatenate([dense.vecmat(mass, np.abs(columns[:, j:j + n_samp]))
+                         for j in range(0, columns.shape[1], n_samp)])
     _check_degenerate(l1, n_samp, samples, "A-weighted L1 norm")
     columns /= l1
     if apply_range:

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import dijkstra
 
 from meshwavelets import TriangleMesh, edge_graph, geodesic_distances_multi
 from meshwavelets.synthetic import icosphere, jittered_icosphere, triangulated_grid
@@ -95,3 +96,17 @@ def test_edge_graph_equals_unique_rows_construction(mesh):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("mesh", [jittered_icosphere(3, seed=7), triangulated_grid(9, 5)],
+                         ids=["jittered", "boundary-patch"])
+@pytest.mark.parametrize("limit", [np.inf, 0.4])
+def test_directed_search_equals_undirected(mesh, limit):
+    # edge_graph is symmetric, so the directed search that
+    # geodesic_distances_multi runs gives the undirected distances bit for bit
+    graph = edge_graph(mesh)
+    sources = np.arange(0, mesh.n_vertices, 5)
+    got = geodesic_distances_multi(mesh, sources, graph=graph, limit=limit)
+    want = dijkstra(graph, directed=False, indices=sources, limit=limit)
+    assert np.isinf(got).any() == (limit < np.inf)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

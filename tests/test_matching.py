@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meshwavelets import (build_dictionary, build_laplacian, curve,
+from meshwavelets import (Dictionary, build_dictionary, build_laplacian, curve,
                           geodesic_distances_multi, geodesic_errors, identity_map,
                           load_pointmap, nearest_rows, normalize_unit_area,
                           reconstruct_delta_map, sample, save_pointmap,
                           transfer_pointmap)
 from meshwavelets.matching import PointMap, gram_argmax
+from meshwavelets.sampling import explicit_samples
 from meshwavelets.synthetic import (icosphere, jittered_icosphere, rigid_transform,
                                     rotation_matrix, stretched_icosphere)
 
@@ -123,6 +124,22 @@ def test_gram_argmax_holds_one_strip_at_a_time():
     # one block x n strip of float64 plus O(n): every strip reuses one
     # buffer, and the tie-break works 64 rows at a time
     assert peak <= block * n * 8 + 400 * n
+
+
+def test_reconstruction_holds_b_and_one_strip():
+    # B = Psi L^-T (n x m) plus one 128-row Gram strip of the default block
+    # and O(n) vectors; a 512-row strip alone would add 30 MiB here
+    n, n_samples, n_scales = 10242, 10, 25
+    cols = np.asfortranarray(np.random.default_rng(2).standard_normal((n, n_samples * n_scales)))
+    d = Dictionary(columns=cols, samples=explicit_samples(np.arange(n_samples)),
+                   n_scales=n_scales, t_max=1.0, t_step=0.04, rho=1.0, kind="wavelet")
+    tracemalloc.start()
+    try:
+        reconstruct_delta_map(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cols.nbytes + 128 * n * 8 + 400 * n
 
 
 def _two_sided_reconstruction(dictionary, block=512):

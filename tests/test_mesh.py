@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from meshwavelets import (DataError, TriangleMesh, face_areas, load_mesh,
                           normalize_unit_area, total_area, write_obj, write_off)
 from meshwavelets.mesh import _parse_obj, _parse_off
-from meshwavelets.synthetic import icosahedron, jittered_icosphere
+from meshwavelets.synthetic import (icosahedron, jittered_icosphere, stretched_icosphere,
+                                    triangulated_grid)
 
 MINIMAL_OFF = """OFF
 3 1 3
@@ -403,3 +404,42 @@ def test_load_mesh_matches_reference_on_written_mesh(tmp_path, writer, name):
     np.testing.assert_array_equal(mesh.vertices.view(np.uint64),
                                   np.array(verts).view(np.uint64))
     np.testing.assert_array_equal(mesh.faces, faces)
+
+
+def _write_off_per_line(mesh, path):
+    """Reference: the per-line OFF writer that ``write_off`` replaced."""
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
+        for x, y, z in mesh.vertices:
+            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        for a, b, c in mesh.faces:
+            fh.write(f"3 {a} {b} {c}\n")
+
+
+def _write_obj_per_line(mesh, path):
+    """Reference: the per-line OBJ writer that ``write_obj`` replaced."""
+    with open(path, "w") as fh:
+        for x, y, z in mesh.vertices:
+            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
+        for a, b, c in mesh.faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+
+_WRITTEN_MESHES = {"icosahedron": icosahedron(), "jittered": jittered_icosphere(3, seed=5),
+                   "stretched": stretched_icosphere(2, seed=1),
+                   "boundary-patch": triangulated_grid(7, 4, width=0.3)}
+
+
+@pytest.mark.parametrize("name", list(_WRITTEN_MESHES))
+@pytest.mark.parametrize("writer, reference, suffix",
+                         [(write_off, _write_off_per_line, ".off"),
+                          (write_obj, _write_obj_per_line, ".obj")], ids=["off", "obj"])
+def test_writers_match_per_line_reference(tmp_path, name, writer, reference, suffix):
+    mesh = _WRITTEN_MESHES[name]
+    writer(mesh, tmp_path / f"got{suffix}")
+    reference(mesh, tmp_path / f"want{suffix}")
+    assert (tmp_path / f"got{suffix}").read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+    back = load_mesh(tmp_path / f"got{suffix}")
+    np.testing.assert_array_equal(back.vertices.view(np.uint64), mesh.vertices.view(np.uint64))
+    np.testing.assert_array_equal(back.faces, mesh.faces)

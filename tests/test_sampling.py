@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshwavelets import TriangleMesh, geodesic_distances_multi, perturb_samples, sample
+from meshwavelets import (TriangleMesh, edge_graph, geodesic_distances_multi, perturb_samples,
+                          sample)
 from meshwavelets.sampling import STRATEGIES, explicit_samples
 
 
@@ -94,6 +95,21 @@ def test_perturb_respects_geodesic_bound(ico162):
         moved += int(orig != new)
     assert moved > 0
     assert len(np.unique(out.indices)) == len(out.indices)
+
+
+@pytest.mark.parametrize("radius, moves", [(0.01, False), (0.0325, False), (0.055, True)])
+def test_perturb_radius_below_one_edge_moves_nothing(ico642, radius, moves):
+    # on the unit-area icosphere(3) the shortest edge at a vertex is about
+    # 0.042 of the largest geodesic distance from it: a smaller radius leaves
+    # the sample itself as the only candidate
+    base = sample(ico642, 10, seed=0)
+    graph = edge_graph(ico642)
+    d = geodesic_distances_multi(ico642, base.indices, graph=graph)
+    shortest = np.array([graph[s].data.min() for s in base.indices])
+    assert ((radius * d.max(axis=1) >= shortest).all() if moves
+            else (radius * d.max(axis=1) < shortest).all())
+    out = perturb_samples(ico642, base, noise_radius=radius, count=10, seed=1)
+    assert (out.indices != base.indices).any() == moves
 
 
 def test_perturb_partial_count(ico162):

@@ -56,6 +56,25 @@ def test_block_solve_matches_single_columns(lap642):
         assert np.abs(X[:, j] - xj).max() <= 1e-12
 
 
+@pytest.mark.parametrize("width", [None, 1, 5])
+def test_solve_into_out_equals_solve(lap642, width):
+    # the diffusion steps solve into column slices of one column-major matrix;
+    # a vector (width None) is written into a 1-D out
+    system = factorize(lap642.mass, lap642.stiffness, t=1e-2)
+    shape = (lap642.n,) if width is None else (lap642.n, width)
+    b = np.random.default_rng(4).standard_normal(shape)
+    if width is None:
+        out = np.full(lap642.n, np.nan)
+        target = out
+    else:
+        out = np.full((lap642.n, 3 * width), np.nan, order="F")
+        target = out[:, width:2 * width]
+    assert system.solve(b, out=target) is target
+    np.testing.assert_array_equal(target, system.solve(b))
+    if width is not None:  # the other columns are untouched
+        assert np.isnan(out[:, :width]).all() and np.isnan(out[:, 2 * width:]).all()
+
+
 def test_factorization_reuse_matches_refactorization(lap162):
     rng = np.random.default_rng(3)
     B = rng.standard_normal((lap162.n, 8))

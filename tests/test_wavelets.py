@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from meshwavelets import (DataError, Dictionary, NumericalError,
-                          build_dictionary, diffusion_step,
+                          build_dictionary, build_laplacian, diffusion_step,
                           factorize, load_dictionary, mother_wavelets,
-                          pair_rhos, sample, save_dictionary)
+                          normalize_unit_area, pair_rhos, sample, save_dictionary)
 from meshwavelets.sampling import explicit_samples
-from meshwavelets.synthetic import rigid_transform, rotation_matrix
+from meshwavelets.synthetic import icosphere, rigid_transform, rotation_matrix
 from meshwavelets.wavelets import MAGIC, indicator_columns
 
 
@@ -420,3 +420,23 @@ class TestSerialization:
         with pytest.raises(DataError, match="'abc'") as exc:
             load_dictionary(path)
         assert str(meta) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["wavelet", "heat"])
+def test_build_holds_one_dictionary_sized_array(kind):
+    # 10242 vertices x (10 samples x 25 scales): every scale is solved into
+    # its slice of one column matrix and the L1 norms are taken one scale
+    # block at a time, so beyond the dictionary only n x |S| blocks and the
+    # O(nnz) sparse matrices are live (each about one such block here)
+    mesh, _ = normalize_unit_area(icosphere(5))
+    lap = build_laplacian(mesh)
+    samples = sample(mesh, 10, seed=0)
+    tracemalloc.start()
+    try:
+        d = build_dictionary(lap, samples, n_scales=25, t_max=1.0, kind=kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = lap.n * len(samples) * 8
+    assert d.columns.flags.f_contiguous
+    assert peak <= d.columns.nbytes + 12 * block
