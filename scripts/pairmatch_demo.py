@@ -9,25 +9,22 @@ Usage: python scripts/pairmatch_demo.py [n_landmarks] [t_max]
 """
 import sys
 
-from meshwavelets import (build_dictionary, build_laplacian, curve,
-                          geodesic_errors, identity_map, normalize_unit_area,
-                          sample, transfer_pointmap)
+from meshwavelets import (Shape, build_dictionary, curve, geodesic_errors,
+                          identity_map, sample, transfer_pointmap)
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
 
 n_landmarks = int(sys.argv[1]) if len(sys.argv) > 1 else 8
 t_max = float(sys.argv[2]) if len(sys.argv) > 2 else 0.1
 
-src, _ = normalize_unit_area(jittered_icosphere(3, seed=3))
-dst, _ = normalize_unit_area(stretched_icosphere(3, seed=3))
-lap_src, lap_dst = build_laplacian(src), build_laplacian(dst)
+src, dst = Shape(jittered_icosphere(3, seed=3)), Shape(stretched_icosphere(3, seed=3))
 samples = sample(src, n_landmarks, seed=11)
-gt = identity_map(src.n_vertices)
-print(f"pair: {src.n_vertices} vertices, {n_landmarks} matched landmarks, "
+gt = identity_map(src.mesh.n_vertices)
+print(f"pair: {src.mesh.n_vertices} vertices, {n_landmarks} matched landmarks, "
       f"t_max={t_max}")
 
 for kind in ("wavelet", "heat"):
-    d_src = build_dictionary(lap_src, samples, n_scales=25, t_max=t_max, kind=kind)
-    d_dst = build_dictionary(lap_dst, samples, n_scales=25, t_max=t_max, kind=kind)
+    d_src = build_dictionary(src.lap, samples, n_scales=25, t_max=t_max, kind=kind)
+    d_dst = build_dictionary(dst.lap, samples, n_scales=25, t_max=t_max, kind=kind)
     pm = transfer_pointmap(d_src, d_dst)
     ec = curve(geodesic_errors(pm, gt, dst))
     print(f"{kind:7}: AUC@0.25 {ec.auc_025:.3f}, mean geodesic error "

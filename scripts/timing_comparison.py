@@ -12,17 +12,17 @@ Usage: python scripts/timing_comparison.py [max_subdivisions]
 import sys
 import time
 
-from meshwavelets import (build_dictionary, build_laplacian, generalized_eigs,
-                          ground_truth_wavelets, normalize_unit_area, sample)
+from meshwavelets import (Shape, build_dictionary, generalized_eigs, ground_truth_wavelets,
+                          sample)
 from meshwavelets.synthetic import icosphere
 
 max_level = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 
 print(f"{'vertices':>10} {'ours (s)':>10} {'baseline (s)':>13} {'speedup':>8}")
 for level in range(3, max_level + 1):
-    mesh, _ = normalize_unit_area(icosphere(level))
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, 10, seed=0)
+    shape = Shape(icosphere(level))
+    lap = shape.lap
+    samples = sample(shape, 10, seed=0)
 
     t0 = time.perf_counter()
     ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
@@ -33,5 +33,5 @@ for level in range(3, max_level + 1):
     ground_truth_wavelets(spectrum, lap, ours)
     seconds_baseline = time.perf_counter() - t0
 
-    print(f"{mesh.n_vertices:>10} {seconds_ours:>10.2f} {seconds_baseline:>13.2f} "
+    print(f"{lap.n:>10} {seconds_ours:>10.2f} {seconds_baseline:>13.2f} "
           f"{seconds_baseline / seconds_ours:>7.1f}x")

@@ -11,10 +11,9 @@ import sys
 
 from .errors import DataError, NumericalError
 from .evaluation import check_curve_args, curve, geodesic_errors
-from .experiments import (_DEFAULTS, load_landmarks, load_unit_mesh, run_experiment,
-                          selfmatch_map, transfer_map, write_curve_csv)
-from .laplacian import build_laplacian
-from .matching import load_pointmap, save_pointmap
+from .experiments import (_DEFAULTS, load_landmark_pair, load_landmarks, load_shape,
+                          run_experiment, write_curve_csv)
+from .matching import load_pointmap, reconstruct_delta_map, save_pointmap, transfer_pointmap
 from .sampling import sample
 from .wavelets import build_dictionary, pair_rhos, save_dictionary
 
@@ -29,56 +28,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_samples(mesh, value, seed):
-    """--samples accepts a count (FPS) or a path to a landmark index file."""
+def _shape_dictionary(args):
+    """The --mesh shape and its dictionary over --samples (FPS count or landmark file)."""
+    shape = load_shape(args.mesh)
     try:
-        n = int(value)
+        n = int(args.samples)
     except ValueError:
-        return load_landmarks(value, mesh)
-    return sample(mesh, n, seed=seed)
+        samples = load_landmarks(args.samples, shape.mesh)
+    else:
+        samples = sample(shape, n, seed=args.seed)
+    return shape, build_dictionary(shape.lap, samples, n_scales=args.scales, t_max=args.tmax)
 
 
 def _cmd_dict_build(args):
-    mesh, area = load_unit_mesh(args.mesh)
-    samples = _resolve_samples(mesh, args.samples, args.seed)
-    dictionary = build_dictionary(build_laplacian(mesh), samples, n_scales=args.scales,
-                                  t_max=args.tmax)
+    shape, dictionary = _shape_dictionary(args)
     save_dictionary(dictionary, args.out)
     print(f"wrote {args.out}: {dictionary.n_vertices} vertices x "
           f"{dictionary.n_columns} columns (t_step={dictionary.t_step:.6g}, "
-          f"original area={area:.6g})")
+          f"original area={shape.area:.6g})")
     return 0
 
 
 def _cmd_match_self(args):
-    mesh, _ = load_unit_mesh(args.mesh)
-    samples = _resolve_samples(mesh, args.samples, args.seed)
-    pm = selfmatch_map(build_laplacian(mesh), samples, args.scales, args.tmax)
+    pm = reconstruct_delta_map(_shape_dictionary(args)[1])
     save_pointmap(pm, args.out)
     print(f"wrote {args.out} ({pm.source_size} correspondences)")
     return 0
 
 
 def _cmd_match_pair(args):
-    mesh_src, area_src = load_unit_mesh(args.src)
-    mesh_dst, area_dst = load_unit_mesh(args.dst)
-    rho_src, rho_dst = pair_rhos(area_src, area_dst, args.rho)
-    pm = transfer_map(build_laplacian(mesh_src), build_laplacian(mesh_dst),
-                      load_landmarks(args.landmarks_src, mesh_src),
-                      load_landmarks(args.landmarks_dst, mesh_dst),
-                      args.scales, args.tmax, (rho_src, rho_dst))
+    src, dst = load_shape(args.src), load_shape(args.dst)
+    landmarks = load_landmark_pair(args.landmarks_src, args.landmarks_dst, src, dst)
+    rhos = pair_rhos(src.area, dst.area, args.rho)
+    d_src, d_dst = (build_dictionary(shape.lap, samples, n_scales=args.scales, t_max=args.tmax,
+                                     rho=rho)
+                    for shape, samples, rho in zip((src, dst), landmarks, rhos))
+    pm = transfer_pointmap(d_src, d_dst)
     save_pointmap(pm, args.out)
     print(f"wrote {args.out} ({pm.source_size} -> {pm.target_size} vertices, "
-          f"rho=({rho_src:.4g}, {rho_dst:.4g}))")
+          f"rho=({rhos[0]:.4g}, {rhos[1]:.4g}))")
     return 0
 
 
 def _cmd_eval(args):
     check_curve_args(args.thresholds, args.max_threshold)
-    mesh, _ = load_unit_mesh(args.mesh)
-    pm = load_pointmap(args.map, mesh.n_vertices)
-    gt = load_pointmap(args.gt, mesh.n_vertices)
-    errors = geodesic_errors(pm, gt, mesh)
+    shape = load_shape(args.mesh)
+    pm = load_pointmap(args.map, shape.mesh.n_vertices)
+    gt = load_pointmap(args.gt, shape.mesh.n_vertices)
+    errors = geodesic_errors(pm, gt, shape)
     ec = curve(errors, n_thresholds=args.thresholds, max_threshold=args.max_threshold)
     write_curve_csv(args.out, ec)
     print(f"mean_error={ec.mean_error!r}")

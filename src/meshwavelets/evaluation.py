@@ -2,8 +2,8 @@
 
 Errors follow the standard protocol: the geodesic distance on the target
 mesh between the predicted and the ground-truth image of each source vertex,
-normalized by the square root of the target area (the target is rescaled to
-unit area, making the normalization implicit).
+normalized by the square root of the target area (the target ``Shape`` is
+at unit area, making the normalization implicit).
 """
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import edge_graph, geodesic_distances_multi
+from .geodesics import geodesic_distances_multi
+from .laplacian import Shape
 from .matching import PointMap
-from .mesh import TriangleMesh, normalize_unit_area
+from .mesh import TriangleMesh
 
 _DIJKSTRA_CHUNK = 256
 _REACH_SLACK = 1.5
@@ -35,11 +36,11 @@ class EvalCurve:
     auc_025: float
 
 
-def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np.ndarray:
+def geodesic_errors(pm: PointMap, gt: PointMap, target: Shape) -> np.ndarray:
     """Per-source-vertex geodesic distance between map and ground-truth images.
 
-    Distances are exact Dijkstra distances on the unit-area version of the
-    target mesh. Exact hits (equal images) give 0 without any search. The
+    Distances are exact Dijkstra distances over the unit-area target's edge
+    graph. Exact hits (equal images) give 0 without any search. The
     other pairs are grouped by the image on the side with fewer distinct
     vertices, and Dijkstra runs once per such vertex, in chunks of 256
     sources, each chunk searching only to 1.5 times its longest Euclidean
@@ -51,11 +52,9 @@ def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np
     if pm.source_size != gt.source_size:
         raise ValueError(f"maps have different source sizes: {pm.source_size} vs "
                          f"{gt.source_size}")
-    if pm.target_size != target_mesh.n_vertices or gt.target_size != target_mesh.n_vertices:
+    if not pm.target_size == gt.target_size == target.mesh.n_vertices:
         raise ValueError("map target size does not match the target mesh")
     a, b = pm.targets, gt.targets
-    unit_mesh, _ = normalize_unit_area(target_mesh)
-    graph = edge_graph(unit_mesh)
     errors = np.zeros(a.size)
     miss = np.flatnonzero(a != b)
 
@@ -65,8 +64,8 @@ def geodesic_errors(pm: PointMap, gt: PointMap, target_mesh: TriangleMesh) -> np
     # the tests chooses it.
     if np.unique(b).size < np.unique(a).size:
         a, b = b, a
-    extent = np.ptp(unit_mesh.vertices, axis=0).max()
-    errors[miss] = _chunked_distances(unit_mesh, graph, a[miss], b[miss], extent)
+    extent = np.ptp(target.mesh.vertices, axis=0).max()
+    errors[miss] = _chunked_distances(target.mesh, target.graph, a[miss], b[miss], extent)
     if not np.isfinite(errors).all():
         warnings.warn(f"{int(np.isinf(errors).sum())} correspondences span "
                       "disconnected components (infinite geodesic error)", stacklevel=2)
@@ -102,7 +101,7 @@ def _chunked_distances(mesh: TriangleMesh, graph, src: np.ndarray, dst: np.ndarr
         # so the last source has the longest chord
         limit = _REACH_SLACK * reach[chunk[-1]]
         limit = limit if limit < extent else np.inf
-        dists = geodesic_distances_multi(mesh, sources[chunk], graph=graph, limit=limit)
+        dists = geodesic_distances_multi(graph, sources[chunk], limit=limit)
         pairs = by_rank[bounds[k]:bounds[k + 1]]
         out[pairs] = dists[pair_rank[pairs] - lo, dst[pairs]]
         limited[pairs] = limit < np.inf

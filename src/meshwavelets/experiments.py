@@ -4,8 +4,8 @@ Configs are plain key=value files with a strict key set per experiment kind;
 unknown keys are rejected. A list key takes a comma-separated list of values
 of its declared type, and a matching run covers every combination of the
 listed values. Every CSV starts with a versioned schema tag line. The
-loaders, the self-match and transfer stages and the curve writer below are
-also what the CLI's ``match`` and ``eval`` commands call.
+loaders and the curve writer below are also what the CLI's ``match`` and
+``eval`` commands call.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import DataError
 from .evaluation import check_curve_args, curve, geodesic_errors
-from .laplacian import build_laplacian
+from .laplacian import Shape
 from .matching import (identity_map, load_indices, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
-from .mesh import load_mesh, normalize_unit_area
+from .mesh import load_mesh
 from .sampling import explicit_samples, perturb_samples, sample
 from .solve import generalized_eigs
 from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
@@ -166,11 +166,11 @@ def run_experiment(config) -> dict:
     return summary
 
 
-def load_unit_mesh(path):
-    """Load a mesh file and normalize it to unit area; returns (mesh, original area)."""
+def load_shape(path) -> Shape:
+    """The ``Shape`` of a mesh file: its unit-area mesh and original area."""
     if not Path(path).exists():
         raise DataError(f"mesh file not found: {path}")
-    return normalize_unit_area(load_mesh(path))
+    return Shape(load_mesh(path))
 
 
 def load_landmarks(path, mesh):
@@ -186,27 +186,12 @@ def load_landmarks(path, mesh):
         raise DataError(f"{path}: bad landmark file: {exc}") from exc
 
 
-def selfmatch_map(lap, samples, scales, tmax):
-    """Self-matching stage: the wavelet dictionary of ``samples``, then its
-    delta reconstruction."""
-    return reconstruct_delta_map(build_dictionary(lap, samples, n_scales=scales, t_max=tmax))
-
-
-def transfer_map(lap_src, lap_dst, s_src, s_dst, scales, tmax, rhos, kind="wavelet"):
-    """Transfer stage: a dictionary of ``kind`` (``wavelet`` or ``heat``) per
-    shape over matched samples, then row-wise nearest-neighbor transfer.
-    ``rhos`` is the (source, target) pair from ``pair_rhos``."""
-    _check_matched(s_src, s_dst)
-    d_src = build_dictionary(lap_src, s_src, n_scales=scales, t_max=tmax, rho=rhos[0],
-                             kind=kind)
-    d_dst = build_dictionary(lap_dst, s_dst, n_scales=scales, t_max=tmax, rho=rhos[1],
-                             kind=kind)
-    return transfer_pointmap(d_src, d_dst)
-
-
-def _check_matched(s_src, s_dst):
-    if len(s_src) != len(s_dst):
-        raise DataError(f"landmark counts differ: {len(s_src)} vs {len(s_dst)}")
+def load_landmark_pair(path_src, path_dst, src: Shape, dst: Shape):
+    """Matched landmark samples of two shapes: line i of one file pairs with line i of the other."""
+    landmarks = load_landmarks(path_src, src.mesh), load_landmarks(path_dst, dst.mesh)
+    if len(landmarks[0]) != len(landmarks[1]):
+        raise DataError(f"landmark counts differ: {len(landmarks[0])} vs {len(landmarks[1])}")
+    return landmarks
 
 
 def _write_csv(path, schema, header, rows):
@@ -278,25 +263,26 @@ def _scores(ec, prefix=""):
 
 
 def _run_selfmatch(config, out_dir):
-    mesh, _ = load_unit_mesh(config["mesh"])
-    lap = build_laplacian(mesh)
-    gt = identity_map(mesh.n_vertices)
+    shape = load_shape(config["mesh"])
+    gt = identity_map(shape.mesh.n_vertices)
     score = functools.partial(curve, n_thresholds=config["n_thresholds"],
                               max_threshold=config["max_threshold"])
     # a sweep draws once per (count, strategy) and runs one baseline per count
-    draw = functools.cache(lambda n, strategy: sample(mesh, n, strategy=strategy,
+    draw = functools.cache(lambda n, strategy: sample(shape, n, strategy=strategy,
                                                       seed=config["seed"]))
 
     @functools.cache
     def baseline(k):  # the eigenbasis at the same budget: |S| + 1 basis functions
-        spectrum = generalized_eigs(lap.mass, lap.stiffness, k=k)
-        return _scores(score(geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, mesh)),
+        spectrum = generalized_eigs(shape.lap.mass, shape.lap.stiffness, k=k)
+        return _scores(score(geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, shape)),
                        "baseline_")
 
     def run(setting):
         samples = draw(setting["samples"], setting["strategy"])
-        pm = selfmatch_map(lap, samples, setting["scales"], setting["tmax"])
-        ec = score(geodesic_errors(pm, gt, mesh))
+        pm = reconstruct_delta_map(build_dictionary(shape.lap, samples,
+                                                    n_scales=setting["scales"],
+                                                    t_max=setting["tmax"]))
+        ec = score(geodesic_errors(pm, gt, shape))
         summary = {**_scores(ec), "samples": ",".join(map(str, samples.indices))}
         if config["baseline"] == "lbo":
             summary.update(baseline(len(samples) + 1))
@@ -305,26 +291,26 @@ def _run_selfmatch(config, out_dir):
     return _sweep(config, out_dir, run)
 
 
-def _identity_correspondence(mesh_src, mesh_dst, message):
-    """The ground truth of a pair given no landmarks or map: meshes with equal
+def _identity_correspondence(src, dst, message):
+    """The ground truth of a pair given no landmarks or map: shapes with equal
     vertex counts are taken to be in vertex-to-vertex correspondence (e.g.
     synthetic pairs), so the identity; any other pair is a ``DataError(message)``."""
-    if mesh_dst.n_vertices != mesh_src.n_vertices:
+    if dst.mesh.n_vertices != src.mesh.n_vertices:
         raise DataError(message)
-    return identity_map(mesh_src.n_vertices)
+    return identity_map(src.mesh.n_vertices)
 
 
-def _pair_landmarks(config, mesh_src, mesh_dst):
-    """The config's landmark pair, or None when the meshes take the same FPS
-    indices, which needs them in vertex correspondence."""
+def _pair_landmarks(config, src, dst):
+    """The config's landmark pair, which fixes the samples, or None when the
+    shapes take the same FPS indices, which needs them in vertex correspondence."""
     lm_src, lm_dst = config["landmarks_source"], config["landmarks_target"]
     if lm_src or lm_dst:
         if not (lm_src and lm_dst):
             raise DataError("landmarks_source and landmarks_target must be given together")
-        landmarks = load_landmarks(lm_src, mesh_src), load_landmarks(lm_dst, mesh_dst)
-        _check_matched(*landmarks)
-        return landmarks
-    _identity_correspondence(mesh_src, mesh_dst, "landmark files are required when the "
+        if len(config["samples"]) > 1 or len(config["strategy"]) > 1:
+            raise DataError("with landmark files, samples and strategy take one value")
+        return load_landmark_pair(lm_src, lm_dst, src, dst)
+    _identity_correspondence(src, dst, "landmark files are required when the "
                              "meshes are not in vertex-to-vertex correspondence")
     return None
 
@@ -332,17 +318,15 @@ def _pair_landmarks(config, mesh_src, mesh_dst):
 def _run_pairmatch(config, out_dir):
     if not config["mesh_source"] or not config["mesh_target"]:
         raise DataError("pairmatch requires both mesh_source and mesh_target")
-    mesh_src, area_src = load_unit_mesh(config["mesh_source"])
-    mesh_dst, area_dst = load_unit_mesh(config["mesh_target"])
-    lap_src, lap_dst = build_laplacian(mesh_src), build_laplacian(mesh_dst)
-    landmarks = _pair_landmarks(config, mesh_src, mesh_dst)
-    rho_src, rho_dst = pair_rhos(area_src, area_dst, config["rho"])
+    src, dst = load_shape(config["mesh_source"]), load_shape(config["mesh_target"])
+    landmarks = _pair_landmarks(config, src, dst)
+    rho_src, rho_dst = pair_rhos(src.area, dst.area, config["rho"])
     if config["gt_map"]:
-        gt = load_pointmap(config["gt_map"], mesh_dst.n_vertices)
-        if gt.source_size != mesh_src.n_vertices:
+        gt = load_pointmap(config["gt_map"], dst.mesh.n_vertices)
+        if gt.source_size != src.mesh.n_vertices:
             raise DataError("gt_map length does not match the source mesh")
     else:
-        gt = _identity_correspondence(mesh_src, mesh_dst,
+        gt = _identity_correspondence(src, dst,
                                       "gt_map is required when the meshes differ in size")
     score = functools.partial(curve, n_thresholds=config["n_thresholds"],
                               max_threshold=config["max_threshold"])
@@ -351,41 +335,41 @@ def _run_pairmatch(config, out_dir):
     def draw(n, strategy):  # FPS on the source; identical indices on the target
         if landmarks:
             return landmarks
-        src = sample(mesh_src, n, strategy=strategy, seed=config["seed"])
-        return src, src
+        drawn = sample(src, n, strategy=strategy, seed=config["seed"])
+        return drawn, drawn
 
     @functools.cache
     def source_samples(n, strategy, count, radius):
         # source samples moved within a geodesic disc; the target's stay
-        return perturb_samples(mesh_src, draw(n, strategy)[0], radius, count,
+        return perturb_samples(src, draw(n, strategy)[0], radius, count,
                                seed=config["seed"])
 
     # one entry is enough: displaced and noise_radius, on which the target
     # does not depend, are the innermost sweep keys
     @functools.lru_cache(maxsize=1)
     def target(n, strategy, scales, tmax):
-        return build_dictionary(lap_dst, draw(n, strategy)[1], n_scales=scales, t_max=tmax,
+        return build_dictionary(dst.lap, draw(n, strategy)[1], n_scales=scales, t_max=tmax,
                                 rho=rho_dst, kind=config["dictionary"])
 
     @functools.cache
     def baseline(k):
         # ground-truth functional map over |S| + 1 basis functions, converted
         # to a point map by nearest neighbors
-        spec_src = generalized_eigs(lap_src.mass, lap_src.stiffness, k)
-        spec_dst = generalized_eigs(lap_dst.mass, lap_dst.stiffness, k)
-        pm_base = fmap_to_pointmap(gt_functional_map(spec_src, spec_dst, lap_dst.mass, gt),
+        spec_src = generalized_eigs(src.lap.mass, src.lap.stiffness, k)
+        spec_dst = generalized_eigs(dst.lap.mass, dst.lap.stiffness, k)
+        pm_base = fmap_to_pointmap(gt_functional_map(spec_src, spec_dst, dst.lap.mass, gt),
                                    spec_src, spec_dst)
-        return _scores(score(geodesic_errors(pm_base, gt, mesh_dst)), "baseline_")
+        return _scores(score(geodesic_errors(pm_base, gt, dst)), "baseline_")
 
     def run(setting):
         n, strategy, scales, tmax = (setting[key] for key in ("samples", "strategy",
                                                               "scales", "tmax"))
         samples_src = source_samples(n, strategy, setting["displaced"],
                                      setting["noise_radius"])
-        source = build_dictionary(lap_src, samples_src, n_scales=scales, t_max=tmax,
+        source = build_dictionary(src.lap, samples_src, n_scales=scales, t_max=tmax,
                                   rho=rho_src, kind=config["dictionary"])
         pm = transfer_pointmap(source, target(n, strategy, scales, tmax))
-        ec = score(geodesic_errors(pm, gt, mesh_dst))
+        ec = score(geodesic_errors(pm, gt, dst))
         summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
         if config["baseline"] == "lbo":
             summary.update(baseline(len(samples_src) + 1))
@@ -395,9 +379,9 @@ def _run_pairmatch(config, out_dir):
 
 
 def _run_wavelets(config, out_dir):
-    mesh, _ = load_unit_mesh(config["mesh"])
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, config["samples"], strategy=config["strategy"],
+    shape = load_shape(config["mesh"])
+    lap = shape.lap
+    samples = sample(shape, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
     # the two timed routes to the wavelets of the samples: the diffusion
     # dictionary, and the truncated-spectral baseline (a restricted

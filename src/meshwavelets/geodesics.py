@@ -24,20 +24,16 @@ def edge_graph(mesh: TriangleMesh) -> sparse.csr_matrix:
     ).tocsr()
 
 
-def geodesic_distances_multi(mesh: TriangleMesh, sources,
-                             graph: sparse.csr_matrix | None = None,
+def geodesic_distances_multi(graph: sparse.csr_matrix, sources,
                              limit: float = np.inf) -> np.ndarray:
-    """Row-per-source matrix of Dijkstra distances, shape (len(sources), n).
+    """Dijkstra distances over an ``edge_graph``, one row per source: (len(sources), n).
 
     The search from each source stops at ``limit``: distances up to it are
     the same as without a limit, bit for bit, and vertices beyond it (or
-    unreachable) get ``inf``. Pass a prebuilt ``edge_graph(mesh)`` to
-    amortize graph construction over many calls; safe to call concurrently.
+    unreachable) get ``inf``. Safe to call concurrently.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
+    if sources.size and (sources.min() < 0 or sources.max() >= graph.shape[0]):
         raise ValueError("source index out of range")
-    if graph is None:
-        graph = edge_graph(mesh)
     # directed: the graph is symmetric, and scipy would transpose it per call
     return np.atleast_2d(dijkstra(graph, directed=True, indices=sources, limit=limit))

@@ -1,13 +1,15 @@
-"""Discrete Laplace-Beltrami assembly: lumped mass and cotangent stiffness."""
+"""Discrete Laplace-Beltrami assembly, and the ``Shape`` of one input mesh."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DataError
-from .mesh import TriangleMesh, face_areas
+from .geodesics import edge_graph
+from .mesh import TriangleMesh, face_areas, normalize_unit_area
 
 
 @dataclass(frozen=True)
@@ -79,3 +81,26 @@ def build_laplacian(mesh: TriangleMesh) -> LaplacianPair:
         raise DataError(f"isolated vertices (zero mass): {np.flatnonzero(mass <= 0).tolist()}")
 
     return LaplacianPair(mass=mass, stiffness=W.tocsc(), total_area=float(areas.sum()))
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One input mesh, built from the raw mesh: ``mesh`` is its unit-area copy and
+    ``area`` the original area; the unit-area mesh's Laplacian ``lap`` and edge
+    ``graph`` are built on first use, once."""
+
+    mesh: TriangleMesh
+    area: float = field(init=False)
+
+    def __post_init__(self):
+        mesh, area = normalize_unit_area(self.mesh)
+        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "area", area)
+
+    @cached_property
+    def lap(self) -> LaplacianPair:
+        return build_laplacian(self.mesh)
+
+    @cached_property
+    def graph(self) -> sparse.csr_matrix:
+        return edge_graph(self.mesh)

@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geodesics import edge_graph, geodesic_distances_multi
-from .mesh import TriangleMesh
+from .geodesics import geodesic_distances_multi
+from .laplacian import Shape
 
 STRATEGIES = ("fps-euclidean", "fps-geodesic", "random")
 
@@ -43,15 +43,16 @@ def explicit_samples(indices) -> SampleSet:
     return SampleSet(indices=np.asarray(indices, dtype=np.int64), strategy="explicit", seed=0)
 
 
-def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
+def sample(shape: Shape, n: int, strategy: str = "fps-euclidean",
            seed: int = 0) -> SampleSet:
-    """Select ``n`` distinct vertices of the mesh.
+    """Select ``n`` distinct vertices of the shape's unit-area mesh.
 
     Farthest-point strategies start from a seed-chosen uniform random vertex
     and greedily add the vertex maximizing the minimum distance (Euclidean or
     geodesic) to the already-chosen set; ties go to the lowest vertex index.
     ``random`` draws n distinct uniform indices. Deterministic given ``seed``.
     """
+    mesh = shape.mesh
     if not 1 <= n <= mesh.n_vertices:
         raise ValueError(f"n must be in [1, {mesh.n_vertices}], got {n}")
     if strategy not in STRATEGIES:
@@ -63,8 +64,7 @@ def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
         return SampleSet(indices=idx, strategy=strategy, seed=seed)
 
     if strategy == "fps-geodesic":
-        graph = edge_graph(mesh)
-        distances = lambda s: geodesic_distances_multi(mesh, [s], graph=graph)[0]
+        distances = lambda s: geodesic_distances_multi(shape.graph, [s])[0]
     else:
         distances = lambda s: np.linalg.norm(mesh.vertices - mesh.vertices[s], axis=1)
 
@@ -78,7 +78,7 @@ def sample(mesh: TriangleMesh, n: int, strategy: str = "fps-euclidean",
     return SampleSet(indices=np.array(chosen), strategy=strategy, seed=seed)
 
 
-def perturb_samples(mesh: TriangleMesh, samples: SampleSet, noise_radius: float,
+def perturb_samples(shape: Shape, samples: SampleSet, noise_radius: float,
                     count: int, seed: int = 0) -> SampleSet:
     """Displace ``count`` samples within a geodesic disc around their position.
 
@@ -94,15 +94,12 @@ def perturb_samples(mesh: TriangleMesh, samples: SampleSet, noise_radius: float,
         raise ValueError(f"count must be in [0, {len(samples)}], got {count}")
     if not noise_radius >= 0:  # also rejects NaN
         raise ValueError(f"noise_radius must be non-negative, got {noise_radius}")
-    if count == 0:  # the unperturbed path builds no edge graph
-        return samples
     rng = np.random.default_rng(seed)
     which = rng.choice(len(samples), size=count, replace=False)
     new_indices = np.array(samples.indices)
-    graph = edge_graph(mesh)
     for pos in np.sort(which):
         s = int(new_indices[pos])
-        d = geodesic_distances_multi(mesh, [s], graph=graph)[0]
+        d = geodesic_distances_multi(shape.graph, [s])[0]
         bound = noise_radius * np.max(d[np.isfinite(d)])
         candidates = np.flatnonzero(d <= bound)
         others = np.delete(new_indices, pos)

@@ -217,9 +217,11 @@ def save_dictionary(d: Dictionary, path) -> None:
     Binary layout: magic, little-endian u64 n_vertices / n_columns / n_scales /
     n_samples, f64 t_max / rho / t_step, u64 sample indices, then the column
     matrix as column-major f64. The sidecar (same stem, .meta suffix) repeats
-    the metadata as key=value lines.
+    the metadata as key=value lines, so ``path`` itself must not end in ``.meta``.
     """
     path = Path(path)
+    if path.with_suffix(".meta") == path:
+        raise ValueError(f"{path}: a dictionary path cannot end in .meta, its sidecar's suffix")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<4Q", d.n_vertices, d.n_columns, d.n_scales, len(d.samples)))

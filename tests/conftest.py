@@ -1,41 +1,55 @@
 import numpy as np
 import pytest
 
-from meshwavelets import build_laplacian, generalized_eigs, normalize_unit_area
+from meshwavelets import Shape, generalized_eigs
 from meshwavelets.synthetic import icosphere, jittered_icosphere, triangulated_grid
 
 
+# Each shape is built from the raw mesh; the mesh and Laplacian fixtures are
+# its unit-area mesh and Laplacian.
 @pytest.fixture(scope="session")
-def ico162():
-    mesh, _ = normalize_unit_area(icosphere(2))
-    return mesh
-
-
-@pytest.fixture(scope="session")
-def ico642():
-    mesh, _ = normalize_unit_area(icosphere(3))
-    return mesh
+def shape162():
+    return Shape(icosphere(2))
 
 
 @pytest.fixture(scope="session")
-def jitter642():
-    mesh, _ = normalize_unit_area(jittered_icosphere(3, seed=42))
-    return mesh
+def shape642():
+    return Shape(icosphere(3))
 
 
 @pytest.fixture(scope="session")
-def lap162(ico162):
-    return build_laplacian(ico162)
+def shape_jitter642():
+    return Shape(jittered_icosphere(3, seed=42))
 
 
 @pytest.fixture(scope="session")
-def lap642(ico642):
-    return build_laplacian(ico642)
+def ico162(shape162):
+    return shape162.mesh
 
 
 @pytest.fixture(scope="session")
-def lap_jitter642(jitter642):
-    return build_laplacian(jitter642)
+def ico642(shape642):
+    return shape642.mesh
+
+
+@pytest.fixture(scope="session")
+def jitter642(shape_jitter642):
+    return shape_jitter642.mesh
+
+
+@pytest.fixture(scope="session")
+def lap162(shape162):
+    return shape162.lap
+
+
+@pytest.fixture(scope="session")
+def lap642(shape642):
+    return shape642.lap
+
+
+@pytest.fixture(scope="session")
+def lap_jitter642(shape_jitter642):
+    return shape_jitter642.lap
 
 
 @pytest.fixture(scope="session")

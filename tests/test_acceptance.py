@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from meshwavelets import (build_dictionary, build_laplacian, curve, diffusion_step,
+from meshwavelets import (Shape, build_dictionary, build_laplacian, curve, diffusion_step,
                           eigenbasis_selfmatch_map, generalized_eigs,
                           geodesic_errors, ground_truth_wavelets, identity_map,
-                          mother_wavelets, normalize_unit_area,
+                          mother_wavelets,
                           reconstruct_delta_map, sample, spectral_mexican_hat,
                           transfer_pointmap)
 from meshwavelets.synthetic import (icosphere, jittered_icosphere,
@@ -27,10 +27,8 @@ def report(criterion, description, ok):
 
 
 @pytest.fixture(scope="module")
-def pair_meshes():
-    src, _ = normalize_unit_area(jittered_icosphere(3, seed=3))
-    dst, _ = normalize_unit_area(stretched_icosphere(3, seed=3))
-    return src, dst
+def pair_shapes():
+    return Shape(jittered_icosphere(3, seed=3)), Shape(stretched_icosphere(3, seed=3))
 
 
 def test_criterion_01_mass_conservation(lap642):
@@ -72,8 +70,8 @@ def test_criterion_02_first_order_euler_consistency(ico642, lap642):
               f"{ratio:.3f} in [1.8, 2.2] ({elapsed:.1f} s)", ok)
 
 
-def test_criterion_03_zero_mean_wavelets(ico642, lap642):
-    samples = sample(ico642, 6, seed=7)
+def test_criterion_03_zero_mean_wavelets(shape642, lap642):
+    samples = sample(shape642, 6, seed=7)
     # the ratio |A c| / ||c||_2 does not change under positive column scaling,
     # so the normalized dictionary shows the zero mean of the raw columns
     d = build_dictionary(lap642, samples, n_scales=25, t_max=1.0)
@@ -84,8 +82,8 @@ def test_criterion_03_zero_mean_wavelets(ico642, lap642):
            worst <= 1e-8)
 
 
-def test_criterion_04_mother_wavelet_spectral_agreement(ico162, lap162, spec162):
-    samples = sample(ico162, 5, seed=2)
+def test_criterion_04_mother_wavelet_spectral_agreement(shape162, lap162, spec162):
+    samples = sample(shape162, 5, seed=2)
     cols = mother_wavelets(lap162, samples)
     worst = 0.0
     for j, s in enumerate(samples.indices):
@@ -97,8 +95,8 @@ def test_criterion_04_mother_wavelet_spectral_agreement(ico162, lap162, spec162)
               f"(worst relative L2 {worst:.2e})", worst <= 1e-6)
 
 
-def test_criterion_05_identity_and_rigid_matching(jitter642, lap_jitter642):
-    samples = sample(jitter642, 6, seed=5)
+def test_criterion_05_identity_and_rigid_matching(jitter642, shape_jitter642, lap_jitter642):
+    samples = sample(shape_jitter642, 6, seed=5)
     d_self = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0)
     pm_self = transfer_pointmap(d_self, d_self)
     moved = rigid_transform(jitter642, rotation=rotation_matrix([0.4, 1.0, -0.2], 1.1),
@@ -113,27 +111,27 @@ def test_criterion_05_identity_and_rigid_matching(jitter642, lap_jitter642):
            mism_self == 0 and mism_rigid == 0)
 
 
-def test_criterion_06_selfmatch_ordering(jitter642, lap_jitter642):
+def test_criterion_06_selfmatch_ordering(jitter642, shape_jitter642, lap_jitter642):
     start = time.perf_counter()
-    samples = sample(jitter642, 6, seed=7)
+    samples = sample(shape_jitter642, 6, seed=7)
     dictionary = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0)
     pm_ours = reconstruct_delta_map(dictionary)
     gt = identity_map(jitter642.n_vertices)
-    err_ours = geodesic_errors(pm_ours, gt, jitter642).mean()
+    err_ours = geodesic_errors(pm_ours, gt, shape_jitter642).mean()
 
     spectrum = generalized_eigs(lap_jitter642.mass, lap_jitter642.stiffness, k=7)
     pm_lbob = eigenbasis_selfmatch_map(spectrum)
-    err_lbob = geodesic_errors(pm_lbob, gt, jitter642).mean()
+    err_lbob = geodesic_errors(pm_lbob, gt, shape_jitter642).mean()
     elapsed = time.perf_counter() - start
     ok = err_ours <= 0.5 * err_lbob and elapsed < 60.0
     report(6, f"self-match mean error {err_ours:.4f} <= 0.5 x eigenbasis "
               f"baseline {err_lbob:.4f} ({elapsed:.1f} s)", ok)
 
 
-def test_criterion_07_wavelets_vs_heat_auc(pair_meshes):
-    src, dst = pair_meshes
-    lap_src, lap_dst = build_laplacian(src), build_laplacian(dst)
-    gt = identity_map(src.n_vertices)
+def test_criterion_07_wavelets_vs_heat_auc(pair_shapes):
+    src, dst = pair_shapes
+    lap_src, lap_dst = src.lap, dst.lap
+    gt = identity_map(src.mesh.n_vertices)
     # t_max chosen so t_max * lambda_1 is a few units on the unit-area sphere
     # (its spectral gap 8*pi is the largest possible at fixed area)
     t_max = 0.1
@@ -153,9 +151,9 @@ def test_criterion_07_wavelets_vs_heat_auc(pair_meshes):
 
 def test_criterion_08_timing_ordering():
     start = time.perf_counter()
-    mesh, _ = normalize_unit_area(icosphere(5))  # 10242 vertices
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, 10, seed=0)
+    shape = Shape(icosphere(5))  # 10242 vertices
+    mesh, lap = shape.mesh, shape.lap
+    samples = sample(shape, 10, seed=0)
 
     t0 = time.perf_counter()
     ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
@@ -174,8 +172,8 @@ def test_criterion_08_timing_ordering():
               f"(x{speedup:.1f}, total {elapsed:.0f} s)", ok)
 
 
-def test_criterion_09_pointwise_distinguishability(jitter642, lap_jitter642):
-    samples = sample(jitter642, 1, seed=13)  # one generic sample
+def test_criterion_09_pointwise_distinguishability(shape_jitter642, lap_jitter642):
+    samples = sample(shape_jitter642, 1, seed=13)  # one generic sample
     d = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0)
     rows = d.columns  # (n, 25): per-vertex scale-response vectors
     n = rows.shape[0]
@@ -210,9 +208,9 @@ def test_criterion_10_distinct_exponential_sums():
                f"100-point grid (min max-difference {min_gap:.2e})", min_gap > 1e-8)
 
 
-def test_criterion_11_evaluation_correctness(ico162):
+def test_criterion_11_evaluation_correctness(ico162, shape162):
     gt = identity_map(ico162.n_vertices)
-    c_ident = curve(geodesic_errors(gt, gt, ico162))
+    c_ident = curve(geodesic_errors(gt, gt, shape162))
     exact_ok = c_ident.auc_025 == 1.0 and c_ident.mean_error == 0.0
 
     rng = np.random.default_rng(23)
@@ -242,9 +240,9 @@ def test_criterion_12_optional_faust_dataset():
     assert paths, f"no meshes found in {FAUST_DIR}"
     l2_ours, l2_truncated = [], []
     for path in paths[:10]:
-        mesh, _ = normalize_unit_area(load_mesh(path))
-        lap = build_laplacian(mesh)
-        samples = sample(mesh, 10, seed=0)
+        shape = Shape(load_mesh(path))
+        lap = shape.lap
+        samples = sample(shape, 10, seed=0)
         ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
         spectrum = generalized_eigs(lap.mass, lap.stiffness, max_n=6000)
         reference = ground_truth_wavelets(spectrum, lap, ours)

@@ -43,6 +43,16 @@ def test_dict_build_and_load(tmp_path, mesh_off):
     assert d.samples.strategy == "fps-euclidean"
 
 
+def test_dict_build_to_a_meta_path_is_2(tmp_path, mesh_off, capsys):
+    # the sidecar would overwrite the dictionary at the same path
+    out = tmp_path / "d.meta"
+    code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
+                 "--scales", "4", "--out", str(out)])
+    assert code == 2
+    assert ".meta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dict_build_uses_rho_1(tmp_path, mesh_off):
     out = tmp_path / "dict.dwd"
     code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
@@ -385,7 +395,7 @@ class TestExitCodes:
     def test_bad_curve_arguments_fail_before_any_work(self, tmp_path, mesh_off, capsys,
                                                       monkeypatch, kind, setting):
         import meshwavelets.experiments as experiments
-        monkeypatch.setattr(experiments, "load_unit_mesh", _no_work)
+        monkeypatch.setattr(experiments, "load_shape", _no_work)
         meshes = (f"mesh={mesh_off}" if kind == "selfmatch"
                   else f"mesh_source={mesh_off}\nmesh_target={mesh_off}")
         out_dir = tmp_path / "out"
@@ -399,7 +409,7 @@ class TestExitCodes:
     def test_eval_checks_curve_arguments_before_loading(self, tmp_path, mesh_off, capsys,
                                                         monkeypatch):
         import meshwavelets.cli as cli
-        monkeypatch.setattr(cli, "load_unit_mesh", _no_work)
+        monkeypatch.setattr(cli, "load_shape", _no_work)
         monkeypatch.setattr(cli, "load_pointmap", _no_work)
         identity = tmp_path / "identity.txt"
         identity.write_text("".join(f"{i}\n" for i in range(162)))

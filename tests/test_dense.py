@@ -97,8 +97,8 @@ def numpy_reference_columns(lap, samples, n_scales, t_max, kind):
 
 
 @pytest.mark.parametrize("kind", ["wavelet", "heat"])
-def test_dictionary_matches_numpy_products(jitter642, lap_jitter642, kind):
-    samples = sample(jitter642, 8, seed=3)
+def test_dictionary_matches_numpy_products(shape_jitter642, lap_jitter642, kind):
+    samples = sample(shape_jitter642, 8, seed=3)
     d = build_dictionary(lap_jitter642, samples, n_scales=12, t_max=1.0, kind=kind)
     want = numpy_reference_columns(lap_jitter642, samples, 12, 1.0, kind)
     assert np.array_equal(d.columns, want)

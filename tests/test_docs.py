@@ -1,15 +1,18 @@
-"""README drift: the documented commands and experiment kinds are the real ones.
+"""README drift: the documented commands, experiment kinds and example are the real ones.
 
 The CLI block must hold only commands that parse and must show every
-subcommand; the experiments table must list exactly the configurable kinds.
+subcommand; the experiments table must list exactly the configurable kinds;
+the minimal example must run.
 """
 import argparse
 import re
 import shlex
 from pathlib import Path
 
+from meshwavelets import write_off
 from meshwavelets.cli import build_parser
 from meshwavelets.experiments import _SCHEMAS
+from meshwavelets.synthetic import jittered_icosphere
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -48,3 +51,14 @@ def test_cli_block_matches_parser():
 def test_experiments_table_matches_schemas():
     kinds = re.findall(r"^\| `(\w+)` ", section("Experiments"), flags=re.M)
     assert sorted(kinds) == sorted(_SCHEMAS)
+
+
+def test_minimal_example_runs(tmp_path, monkeypatch, capsys):
+    example = README.split("A minimal end-to-end use:\n\n```python\n", 1)[1].split("```", 1)[0]
+    write_off(jittered_icosphere(2, seed=1), tmp_path / "mesh.off")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert scope["pm"].source_size == scope["shape"].mesh.n_vertices == 162
+    assert re.fullmatch(r"mean error \d\.\d{4}, AUC@0\.25 \d\.\d{3}\n",
+                        capsys.readouterr().out)

@@ -6,31 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meshwavelets import (TriangleMesh, curve, edge_graph, evaluation,
+from meshwavelets import (Shape, TriangleMesh, curve, edge_graph, evaluation,
                           geodesic_distances_multi, geodesic_errors, identity_map,
-                          normalize_unit_area, total_area)
+                          total_area)
 from meshwavelets.matching import PointMap
 from meshwavelets.synthetic import jittered_icosphere, triangulated_grid
 from tests.conftest import chain_mesh
 
 
-def all_sources_errors(pm, gt, mesh):
+def all_sources_errors(pm, gt, shape):
     """Reference: one unbounded Dijkstra row per distinct image on the side
-    with fewer distinct images, looked up for every pair."""
-    unit_mesh, _ = normalize_unit_area(mesh)
+    with fewer distinct images, looked up for every pair, over a graph of the
+    shape's unit-area mesh built here."""
     a, b = pm.targets, gt.targets
     ua, ub = np.unique(a), np.unique(b)
     if ub.size < ua.size:
         a, b, ua = b, a, ub
-    dists = geodesic_distances_multi(unit_mesh, ua, graph=edge_graph(unit_mesh))
-    row_of = np.empty(mesh.n_vertices, dtype=np.int64)
+    dists = geodesic_distances_multi(edge_graph(shape.mesh), ua)
+    row_of = np.empty(shape.mesh.n_vertices, dtype=np.int64)
     row_of[ua] = np.arange(ua.size)
     return dists[row_of[a], b]
 
 
-def test_identity_map_zero_errors(ico162):
-    gt = identity_map(ico162.n_vertices)
-    errors = geodesic_errors(gt, gt, ico162)
+def test_identity_map_zero_errors(shape162):
+    gt = identity_map(shape162.mesh.n_vertices)
+    errors = geodesic_errors(gt, gt, shape162)
     assert (errors == 0.0).all()
 
 
@@ -40,7 +40,7 @@ def test_single_displaced_vertex_error_is_path_length():
     targets = np.arange(mesh.n_vertices)
     targets[0] = 2  # v0 mapped to v2: shortest path v0-v1-v2 has length 3
     pm = PointMap(targets=targets, target_size=mesh.n_vertices)
-    errors = geodesic_errors(pm, gt, mesh)
+    errors = geodesic_errors(pm, gt, Shape(mesh))
     expected = 3.0 / np.sqrt(total_area(mesh))  # unit-area normalization
     assert errors[0] == pytest.approx(expected, rel=1e-12)
     assert (errors[1:] == 0.0).all()
@@ -54,15 +54,16 @@ def test_disconnected_pair_infinite_with_warning():
     # v0 sent to the other component; v1 and v4 miss within their own
     targets = np.array([3, 2, 2, 3, 5, 5])
     pm = PointMap(targets=targets, target_size=6)
+    shape = Shape(mesh)
     with pytest.warns(UserWarning, match="1 correspondences span disconnected"):
-        errors = geodesic_errors(pm, gt, mesh)
+        errors = geodesic_errors(pm, gt, shape)
     assert np.isinf(errors[0])
     side = np.sqrt(2.0) / np.sqrt(total_area(mesh))  # hypotenuse, unit-area scale
     assert errors[1] == pytest.approx(side, rel=1e-12)
     assert errors[4] == pytest.approx(side, rel=1e-12)
     assert (errors[[2, 3, 5]] == 0.0).all()
     assert np.array_equal(errors.view(np.uint64),
-                          all_sources_errors(pm, gt, mesh).view(np.uint64))
+                          all_sources_errors(pm, gt, shape).view(np.uint64))
     c = curve(errors)
     assert np.isfinite(c.mean_error)  # inf excluded from the mean
 
@@ -72,8 +73,10 @@ def test_disconnected_pair_infinite_with_warning():
        kinds=st.lists(st.sampled_from(["hit", "ring", "antipode"]), min_size=1, max_size=300),
        pool=st.integers(1, 642), seed=st.integers(0, 2**32 - 1),
        swap=st.booleans())
-def test_errors_match_all_sources_reference(ico162, ico642, use_642, kinds, pool, seed, swap):
-    mesh = ico642 if use_642 else ico162
+def test_errors_match_all_sources_reference(shape162, shape642, use_642, kinds, pool, seed,
+                                            swap):
+    shape = shape642 if use_642 else shape162
+    mesh = shape.mesh
     n = mesh.n_vertices
     graph = edge_graph(mesh)
     rng = np.random.default_rng(seed)
@@ -89,9 +92,9 @@ def test_errors_match_all_sources_reference(ico162, ico642, use_642, kinds, pool
         pm, gt = gt, pm
     pm = PointMap(targets=pm, target_size=n)
     gt = PointMap(targets=gt, target_size=n)
-    errors = geodesic_errors(pm, gt, mesh)
+    errors = geodesic_errors(pm, gt, shape)
     assert np.array_equal(errors.view(np.uint64),
-                          all_sources_errors(pm, gt, mesh).view(np.uint64))
+                          all_sources_errors(pm, gt, shape).view(np.uint64))
 
 
 def test_detour_beyond_the_bound_is_searched_again():
@@ -108,29 +111,30 @@ def test_detour_beyond_the_bound_is_searched_again():
     targets[0] = 60  # (0, 0, 0) sent to (0, 0, 0.5), the other free end
     pm = PointMap(targets=targets, target_size=n)
     gt = identity_map(n)
-    errors = geodesic_errors(pm, gt, mesh)
+    shape = Shape(mesh)
+    errors = geodesic_errors(pm, gt, shape)
     assert errors[0] > 20 / np.sqrt(total_area(mesh))
     assert np.array_equal(errors.view(np.uint64),
-                          all_sources_errors(pm, gt, mesh).view(np.uint64))
+                          all_sources_errors(pm, gt, shape).view(np.uint64))
 
 
-def test_far_sources_are_searched_once(ico642, monkeypatch):
+def test_far_sources_are_searched_once(shape642, monkeypatch):
     # antipodal partners lie beyond any bound that could prune on a sphere,
     # so their sources go straight to one unbounded search
     calls = []
 
-    def spy(mesh, sources, graph=None, limit=np.inf):
+    def spy(graph, sources, limit=np.inf):
         calls.append((len(sources), limit))
-        return geodesic_distances_multi(mesh, sources, graph=graph, limit=limit)
+        return geodesic_distances_multi(graph, sources, limit=limit)
 
     monkeypatch.setattr(evaluation, "geodesic_distances_multi", spy)
-    n = ico642.n_vertices
+    n = shape642.mesh.n_vertices
     targets = np.arange(n)
-    v = ico642.vertices
+    v = shape642.mesh.vertices
     for i in range(40):
         targets[i] = np.argmin(np.linalg.norm(v + v[i], axis=1))
     errors = geodesic_errors(PointMap(targets=targets, target_size=n), identity_map(n),
-                             ico642)
+                             shape642)
     assert (errors[:40] > 0).all() and np.isfinite(errors).all()
     assert calls == [(40, np.inf)]
 
@@ -142,9 +146,10 @@ def test_memory_bounded_on_10k_mesh():
     assert n == 10242
     pm = PointMap(targets=graph.indices[graph.indptr[:-1]].astype(np.int64), target_size=n)
     gt = identity_map(n)
+    shape = Shape(mesh)
     tracemalloc.start()
     try:
-        errors = geodesic_errors(pm, gt, mesh)
+        errors = geodesic_errors(pm, gt, shape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,12 +158,12 @@ def test_memory_bounded_on_10k_mesh():
     assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_size_mismatch_rejected(ico162):
-    gt = identity_map(ico162.n_vertices)
+def test_size_mismatch_rejected(shape162):
+    gt = identity_map(shape162.mesh.n_vertices)
     short = PointMap(targets=np.zeros(3, dtype=np.int64),
-                     target_size=ico162.n_vertices)
+                     target_size=shape162.mesh.n_vertices)
     with pytest.raises(ValueError, match="source sizes"):
-        geodesic_errors(short, gt, ico162)
+        geodesic_errors(short, gt, shape162)
 
 
 def test_curve_all_zero_errors():

@@ -1,11 +1,12 @@
 import collections
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from meshwavelets import (DataError, NumericalError, experiments, parse_config, run_experiment,
-                          write_off)
+from meshwavelets import (DataError, NumericalError, TriangleMesh, experiments, geodesics, mesh,
+                          parse_config, run_experiment, write_off)
 from meshwavelets.cli import main
 from meshwavelets.experiments import _DEFAULTS, _SCHEMAS, resolve_config
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
@@ -282,6 +283,30 @@ class TestPairmatchExperiment:
             run_experiment(config)
 
 
+    @pytest.mark.parametrize("key, values", [("samples", "2,4,8"),
+                                             ("strategy", "fps-euclidean,random")])
+    def test_landmark_files_take_one_samples_and_strategy(self, tmp_path, pair_files,
+                                                          monkeypatch, key, values):
+        # landmark files fix the samples, so a sweep over samples or strategy
+        # would write identical rows under different labels
+        def no_work(*args, **kwargs):
+            raise AssertionError("a dictionary was built")
+        monkeypatch.setattr(experiments, "build_dictionary", no_work)
+        src, dst = pair_files
+        lm = tmp_path / "lm.txt"
+        lm.write_text("3\n77\n130\n9\n")
+        config = resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o5"),
+            "mesh_source": str(src), "mesh_target": str(dst),
+            "landmarks_source": str(lm), "landmarks_target": str(lm),
+            "scales": "4", "tmax": "0.1", "baseline": "none", key: values,
+        })
+        with pytest.raises(DataError, match="with landmark files, samples and strategy take "
+                                            "one value"):
+            run_experiment(config)
+        assert not (tmp_path / "o5" / "sweep.csv").exists()
+
+
 class TestWaveletComparisonExperiment:
     def test_csv_and_ordering(self, tmp_path, mesh_file):
         config = resolve_config({
@@ -501,11 +526,45 @@ class TestSweepExperiments:
         assert "config.tmax=0.25,0.5" in (tmp_path / "o" / "summary.txt").read_text()
 
 
-def test_transfer_map_rejects_unknown_kind():
-    from meshwavelets import build_laplacian, normalize_unit_area, sample
-    from meshwavelets.experiments import transfer_map
-    mesh, _ = normalize_unit_area(jittered_icosphere(1, seed=4))
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, 3, seed=0)
-    with pytest.raises(ValueError, match="bogus"):
-        transfer_map(lap, lap, samples, samples, 4, 0.5, (1.0, 1.0), kind="bogus")
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count the calls of ``module.name`` wherever a package module holds it."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    for held in list(sys.modules.values()):
+        if (getattr(held, "__name__", "").startswith("meshwavelets")
+                and getattr(held, name, None) is original):
+            monkeypatch.setattr(held, name, wrapper)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("selfmatch", {"TriangleMesh": 2, "face_areas_raw": 4, "edge_graph": 1}),
+    ("pairmatch", {"TriangleMesh": 4, "face_areas_raw": 8, "edge_graph": 1}),
+])
+def test_each_mesh_is_normalized_assembled_and_graphed_once(tmp_path, mesh_file, pair_files,
+                                                            monkeypatch, kind, expected):
+    # per mesh: one TriangleMesh as loaded and one at unit area, each with its
+    # face areas, plus the areas of the normalization and of the Laplacian;
+    # one edge graph, of the mesh the errors are measured on, for the map and
+    # the baseline alike
+    calls = collections.Counter()
+    post_init = TriangleMesh.__post_init__
+
+    def counted_post_init(self):
+        calls["TriangleMesh"] += 1
+        post_init(self)
+    monkeypatch.setattr(TriangleMesh, "__post_init__", counted_post_init)
+    _count_calls(monkeypatch, calls, mesh, "face_areas_raw")
+    _count_calls(monkeypatch, calls, geodesics, "edge_graph")
+    config = {"experiment": kind, "out_dir": str(tmp_path / "o"), "samples": "4",
+              "scales": "6", "tmax": "0.5", "baseline": "lbo"}
+    if kind == "selfmatch":
+        config["mesh"] = str(mesh_file)
+    else:
+        config["mesh_source"], config["mesh_target"] = map(str, pair_files)
+    summary = run_experiment(resolve_config(config))
+    assert np.isfinite(summary["baseline_mean_error"])
+    assert calls == expected

@@ -11,14 +11,14 @@ from tests.conftest import chain_mesh
 
 
 def test_source_distance_zero(ico162):
-    d = geodesic_distances_multi(ico162, [7])[0]
+    d = geodesic_distances_multi(edge_graph(ico162), [7])[0]
     assert d[7] == 0.0
     assert (d >= 0).all() and np.isfinite(d).all()
 
 
 def test_chain_path_length():
     mesh = chain_mesh()
-    d = geodesic_distances_multi(mesh, [0])[0]
+    d = geodesic_distances_multi(edge_graph(mesh), [0])[0]
     assert d[1] == pytest.approx(1.0)
     assert d[2] == pytest.approx(3.0)
 
@@ -27,21 +27,21 @@ def test_disconnected_component_infinite():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
          [10, 10, 0], [11, 10, 0], [10, 11, 0]]
     mesh = TriangleMesh(vertices=v, faces=[[0, 1, 2], [3, 4, 5]])
-    d = geodesic_distances_multi(mesh, [0])[0]
+    d = geodesic_distances_multi(edge_graph(mesh), [0])[0]
     assert np.isfinite(d[:3]).all()
     assert np.isinf(d[3:]).all()
 
 
 def test_source_out_of_range(ico162):
     with pytest.raises(ValueError, match="out of range"):
-        geodesic_distances_multi(ico162, [ico162.n_vertices])
+        geodesic_distances_multi(edge_graph(ico162), [ico162.n_vertices])
 
 
 def test_triangle_inequality(ico162):
     graph = edge_graph(ico162)
     rng = np.random.default_rng(0)
     verts = rng.choice(ico162.n_vertices, size=12, replace=False)
-    dists = geodesic_distances_multi(ico162, verts, graph=graph)
+    dists = geodesic_distances_multi(graph, verts)
     pos = {int(v): i for i, v in enumerate(verts)}
     for a in verts:
         for b in verts:
@@ -53,9 +53,9 @@ def test_triangle_inequality(ico162):
 def test_limit_truncates_without_changing_near_distances(ico162):
     graph = edge_graph(ico162)
     sources = [0, 17, 99]
-    full = geodesic_distances_multi(ico162, sources, graph=graph)
+    full = geodesic_distances_multi(graph, sources)
     limit = float(np.median(full))
-    bounded = geodesic_distances_multi(ico162, sources, graph=graph, limit=limit)
+    bounded = geodesic_distances_multi(graph, sources, limit=limit)
     near = full <= limit
     assert near.any() and (~near).any()
     np.testing.assert_array_equal(bounded[near].view(np.uint64), full[near].view(np.uint64))
@@ -64,9 +64,9 @@ def test_limit_truncates_without_changing_near_distances(ico162):
 
 def test_concurrent_calls_consistent(ico162):
     graph = edge_graph(ico162)
-    expected = [geodesic_distances_multi(ico162, [s], graph=graph) for s in range(16)]
+    expected = [geodesic_distances_multi(graph, [s]) for s in range(16)]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda s: geodesic_distances_multi(ico162, [s], graph=graph),
+        results = list(pool.map(lambda s: geodesic_distances_multi(graph, [s]),
                                 range(16)))
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got, want)
@@ -106,7 +106,7 @@ def test_directed_search_equals_undirected(mesh, limit):
     # geodesic_distances_multi runs gives the undirected distances bit for bit
     graph = edge_graph(mesh)
     sources = np.arange(0, mesh.n_vertices, 5)
-    got = geodesic_distances_multi(mesh, sources, graph=graph, limit=limit)
+    got = geodesic_distances_multi(graph, sources, limit=limit)
     want = dijkstra(graph, directed=False, indices=sources, limit=limit)
     assert np.isinf(got).any() == (limit < np.inf)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

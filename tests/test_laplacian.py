@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from meshwavelets import DataError, TriangleMesh, build_laplacian, face_areas
-from meshwavelets.synthetic import rigid_transform, rotation_matrix
+from meshwavelets import (DataError, Shape, TriangleMesh, build_laplacian, edge_graph,
+                          face_areas, normalize_unit_area, total_area)
+from meshwavelets.synthetic import jittered_icosphere, rigid_transform, rotation_matrix
 
 
 @pytest.fixture
@@ -97,3 +100,16 @@ def test_isolated_vertex_reported():
 def test_apply_operator_constant_in_kernel(lap642):
     ones = np.ones(lap642.n)
     assert np.abs(lap642.apply_operator(ones)).max() <= 1e-8
+
+
+def test_shape_holds_unit_area_mesh_and_builds_each_operator_once():
+    raw = jittered_icosphere(2, seed=5)
+    shape = Shape(raw)
+    assert shape.area == total_area(raw)
+    unit, _ = normalize_unit_area(raw)
+    assert np.array_equal(shape.mesh.vertices, unit.vertices)
+    assert shape.lap is shape.lap and shape.graph is shape.graph
+    assert shape.lap.total_area == pytest.approx(1.0, rel=1e-12)
+    assert (shape.graph != edge_graph(unit)).nnz == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.area = 1.0

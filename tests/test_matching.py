@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meshwavelets import (Dictionary, build_dictionary, build_laplacian, curve,
-                          geodesic_distances_multi, geodesic_errors, identity_map,
-                          load_pointmap, nearest_rows, normalize_unit_area,
+from meshwavelets import (Dictionary, Shape, build_dictionary, build_laplacian, curve,
+                          edge_graph, geodesic_distances_multi, geodesic_errors,
+                          identity_map, load_pointmap, nearest_rows,
                           reconstruct_delta_map, sample, save_pointmap,
                           transfer_pointmap)
 from meshwavelets.matching import PointMap, gram_argmax
@@ -28,8 +28,8 @@ def _ridge_weights(dictionary):
 
 
 @pytest.fixture(scope="module")
-def setup642(ico642, lap642):
-    samples = sample(ico642, 6, seed=5)
+def setup642(ico642, shape642, lap642):
+    samples = sample(shape642, 6, seed=5)
     dictionary = build_dictionary(lap642, samples, n_scales=25, t_max=1.0)
     return ico642, lap642, samples, dictionary
 
@@ -44,14 +44,14 @@ class TestReconstruct:
     def test_sample_vertices_recovered_nearby(self, setup642):
         mesh, _, samples, dictionary = setup642
         pm = reconstruct_delta_map(dictionary)
-        dists = geodesic_distances_multi(mesh, samples.indices)
+        dists = geodesic_distances_multi(edge_graph(mesh), samples.indices)
         for s, d in zip(samples.indices, dists):
             assert d[pm.targets[s]] <= 0.05  # normalized units (unit-area mesh)
 
-    def test_single_column_dictionary_degenerates(self, lap162, ico162):
+    def test_single_column_dictionary_degenerates(self, lap162, shape162):
         # all-positive single column: every indicator coefficient is positive,
         # so every vertex lands on the column's argmax
-        samples = sample(ico162, 1, seed=0)
+        samples = sample(shape162, 1, seed=0)
         d = build_dictionary(lap162, samples, n_scales=1, t_max=0.2, kind="heat")
         pm = reconstruct_delta_map(d)
         assert np.unique(pm.targets).size == 1
@@ -65,13 +65,13 @@ class TestReconstruct:
         assert np.linalg.cond(regularized) < 1e12
         reconstruct_delta_map(dictionary)  # succeeds
 
-    def test_monotone_improvement_with_samples(self, ico642, lap642):
+    def test_monotone_improvement_with_samples(self, ico642, shape642, lap642):
         errors = []
         for n_samp in (2, 4, 6):
-            samples = sample(ico642, n_samp, seed=5)
+            samples = sample(shape642, n_samp, seed=5)
             d = build_dictionary(lap642, samples, n_scales=25, t_max=1.0)
             pm = reconstruct_delta_map(d)
-            errs = geodesic_errors(pm, identity_map(ico642.n_vertices), ico642)
+            errs = geodesic_errors(pm, identity_map(ico642.n_vertices), shape642)
             errors.append(errs.mean())
         assert errors[1] <= errors[0] * 1.1
         assert errors[2] <= errors[1] * 1.1
@@ -156,8 +156,8 @@ def _two_sided_reconstruction(dictionary, block=512):
 
 
 @pytest.mark.parametrize("kind", ["wavelet", "heat"])
-def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, kind):
-    samples = sample(jitter642, 6, seed=5)
+def test_reconstruction_equals_two_sided_reference(shape_jitter642, lap_jitter642, kind):
+    samples = sample(shape_jitter642, 6, seed=5)
     d = build_dictionary(lap_jitter642, samples, n_scales=25, t_max=1.0, kind=kind)
     expected, _ = _two_sided_reconstruction(d)
     np.testing.assert_array_equal(reconstruct_delta_map(d).targets, expected)
@@ -168,9 +168,9 @@ def test_reconstruction_equals_two_sided_reference(jitter642, lap_jitter642, kin
 def test_reconstruction_ties_on_symmetric_sphere(subdivisions, n_samples):
     # an exactly symmetric mesh has reconstructions tied in exact arithmetic;
     # roundoff may then pick either candidate, but only among equal values
-    mesh, _ = normalize_unit_area(icosphere(subdivisions))
-    samples = sample(mesh, n_samples, seed=0)
-    d = build_dictionary(build_laplacian(mesh), samples, n_scales=25, t_max=1.0)
+    shape = Shape(icosphere(subdivisions))
+    samples = sample(shape, n_samples, seed=0)
+    d = build_dictionary(shape.lap, samples, n_scales=25, t_max=1.0)
     expected, recon = _two_sided_reconstruction(d)
     got = reconstruct_delta_map(d).targets
     cols = np.flatnonzero(got != expected)
@@ -194,16 +194,18 @@ class TestNearestRows:
 
 
 @pytest.fixture(scope="module")
-def jmesh():
-    mesh, _ = normalize_unit_area(jittered_icosphere(3, seed=42))
-    return mesh
+def jshape():
+    return Shape(jittered_icosphere(3, seed=42))
 
 
 @pytest.fixture(scope="module")
-def jdict(jmesh):
-    lap = build_laplacian(jmesh)
-    samples = sample(jmesh, 5, seed=2)
-    return build_dictionary(lap, samples, n_scales=10, t_max=0.5)
+def jmesh(jshape):
+    return jshape.mesh
+
+
+@pytest.fixture(scope="module")
+def jdict(jshape):
+    return build_dictionary(jshape.lap, sample(jshape, 5, seed=2), n_scales=10, t_max=0.5)
 
 
 class TestTransfer:
@@ -239,10 +241,9 @@ class TestTransfer:
             transfer_pointmap(jdict, other)
 
     def test_wavelets_beat_heat_on_synthetic_pair(self):
-        src, _ = normalize_unit_area(jittered_icosphere(3, seed=3))
-        dst, _ = normalize_unit_area(stretched_icosphere(3, seed=3))
-        lap_s, lap_d = build_laplacian(src), build_laplacian(dst)
-        gt = identity_map(src.n_vertices)
+        src, dst = Shape(jittered_icosphere(3, seed=3)), Shape(stretched_icosphere(3, seed=3))
+        lap_s, lap_d = src.lap, dst.lap
+        gt = identity_map(src.mesh.n_vertices)
         for n_samp in (4, 8):
             samples = sample(src, n_samp, seed=11)
             aucs = {}

@@ -71,10 +71,10 @@ class TestMexicanHat:
 
 
 class TestReferenceTimes:
-    def test_linear_mode(self, ico162, lap162, spec162):
+    def test_linear_mode(self, shape162, lap162, spec162):
         # scale n of the reference is the Mexican hat at time n * t_step,
         # normalized like a wavelet column
-        like = build_dictionary(lap162, sample(ico162, 3, seed=4), n_scales=4, t_max=0.3)
+        like = build_dictionary(lap162, sample(shape162, 3, seed=4), n_scales=4, t_max=0.3)
         ref = ground_truth_wavelets(spec162, lap162, like)
         for n in range(1, like.n_scales + 1):
             for j, s in enumerate(like.samples.indices):
@@ -86,8 +86,8 @@ class TestReferenceTimes:
 
 
 class TestGroundTruthWavelets:
-    def test_finite_and_range_normalized(self, ico642, lap642, spec642):
-        samples = sample(ico642, 3, seed=1)
+    def test_finite_and_range_normalized(self, shape642, lap642, spec642):
+        samples = sample(shape642, 3, seed=1)
         like = build_dictionary(lap642, samples, n_scales=5, t_max=0.2, kind="heat")
         ref = ground_truth_wavelets(spec642, lap642, like)
         assert np.isfinite(ref.columns).all()
@@ -98,10 +98,10 @@ class TestGroundTruthWavelets:
         assert (ref.n_scales, ref.t_max, ref.t_step, ref.rho) == \
             (like.n_scales, like.t_max, like.t_step, like.rho)
 
-    def test_matches_euler_dictionary_in_the_limit(self, ico162, lap162, spec162):
+    def test_matches_euler_dictionary_in_the_limit(self, shape162, lap162, spec162):
         # the diffusion dictionary converges to the reference as the number
         # of scales grows at fixed t_max (smaller Euler steps)
-        samples = sample(ico162, 2, seed=3)
+        samples = sample(shape162, 2, seed=3)
         t_max = 0.05
         errs = []
         for n_scales in (4, 16):
@@ -112,20 +112,20 @@ class TestGroundTruthWavelets:
         assert errs[1] < errs[0]
 
 
-def _reference(mesh, lap, spectrum, n_scales=4):
-    like = build_dictionary(lap, sample(mesh, 2, seed=2), n_scales=n_scales, t_max=0.2)
+def _reference(shape, lap, spectrum, n_scales=4):
+    like = build_dictionary(lap, sample(shape, 2, seed=2), n_scales=n_scales, t_max=0.2)
     return ground_truth_wavelets(spectrum, lap, like)
 
 
 class TestDictionaryError:
-    def test_identical_inputs_zero(self, ico162, lap162, spec162):
-        ref = _reference(ico162, lap162, spec162)
+    def test_identical_inputs_zero(self, shape162, lap162, spec162):
+        ref = _reference(shape162, lap162, spec162)
         err = dictionary_error(ref, ref, lap162.mass)
         assert err.l2_average == 0.0 and err.linf_average == 0.0
         assert (err.l2_per_scale == 0).all() and (err.linf_per_scale == 0).all()
 
-    def test_norm_homogeneity(self, ico162, lap162, spec162):
-        ref = _reference(ico162, lap162, spec162)
+    def test_norm_homogeneity(self, shape162, lap162, spec162):
+        ref = _reference(shape162, lap162, spec162)
         other = dataclasses.replace(ref, columns=-ref.columns)
         base = dictionary_error(other, ref, lap162.mass)
         c = 3.0
@@ -135,15 +135,15 @@ class TestDictionaryError:
         assert scaled.l2_average == pytest.approx(c * base.l2_average, rel=1e-12)
         assert scaled.linf_average == pytest.approx(c * base.linf_average, rel=1e-12)
 
-    def test_dimension_mismatch(self, ico162, lap162, spec162, lap642, spec642, ico642):
-        ref162 = _reference(ico162, lap162, spec162)
-        ref642 = _reference(ico642, lap642, spec642)
+    def test_dimension_mismatch(self, shape162, lap162, spec162, lap642, spec642, shape642):
+        ref162 = _reference(shape162, lap162, spec162)
+        ref642 = _reference(shape642, lap642, spec642)
         with pytest.raises(ValueError, match="vertex counts"):
             dictionary_error(ref642, ref162, lap162.mass)
 
-    def test_scale_count_mismatch(self, ico162, lap162, spec162):
-        ref4 = _reference(ico162, lap162, spec162, n_scales=4)
-        ref5 = _reference(ico162, lap162, spec162, n_scales=5)
+    def test_scale_count_mismatch(self, shape162, lap162, spec162):
+        ref4 = _reference(shape162, lap162, spec162, n_scales=4)
+        ref5 = _reference(shape162, lap162, spec162, n_scales=5)
         with pytest.raises(ValueError, match="scale counts: 5 vs 4"):
             dictionary_error(ref5, ref4, lap162.mass)
 

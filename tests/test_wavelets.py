@@ -5,18 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meshwavelets import (DataError, Dictionary, NumericalError,
+from meshwavelets import (DataError, Dictionary, NumericalError, Shape,
                           build_dictionary, build_laplacian, diffusion_step,
                           factorize, load_dictionary, mother_wavelets,
-                          normalize_unit_area, pair_rhos, sample, save_dictionary)
+                          pair_rhos, sample, save_dictionary)
 from meshwavelets.sampling import explicit_samples
 from meshwavelets.synthetic import icosphere, rigid_transform, rotation_matrix
 from meshwavelets.wavelets import MAGIC, indicator_columns
 
 
 @pytest.fixture(scope="module")
-def samples162(ico162):
-    return sample(ico162, 4, seed=7)
+def samples162(shape162):
+    return sample(shape162, 4, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +143,10 @@ class TestBuildDictionary:
         d = build_dictionary(lap162, samples162, n_scales=10, t_max=2.0, rho=0.5)
         assert d.t_step == pytest.approx(0.5 * 2.0 / (10 * np.sqrt(lap162.total_area)))
 
-    def test_zero_mean_before_normalization(self, ico642, lap642):
+    def test_zero_mean_before_normalization(self, shape642, lap642):
         # |A c| / ||c||_2 does not change under positive column scaling, so
         # the normalized columns show the zero mean of the raw ones
-        samples = sample(ico642, 3, seed=0)
+        samples = sample(shape642, 3, seed=0)
         d = build_dictionary(lap642, samples, n_scales=8, t_max=1.0)
         means = lap642.mass @ d.columns
         norms = np.linalg.norm(d.columns, axis=0)
@@ -299,6 +299,14 @@ class TestSerialization:
         assert loaded.t_step == dict162.t_step
         assert loaded.rho == dict162.rho
 
+    def test_path_that_is_its_own_sidecar_rejected(self, tmp_path, dict162):
+        # the sidecar of d.meta is d.meta itself: writing it would overwrite
+        # the dictionary, so nothing is written
+        path = tmp_path / "d.meta"
+        with pytest.raises(ValueError, match=r"\.meta"):
+            save_dictionary(dict162, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_column_bytes_match_column_major_layout(self, tmp_path, dict162, order):
         cols = np.array(dict162.columns, order=order)
@@ -428,9 +436,9 @@ def test_build_holds_one_dictionary_sized_array(kind):
     # its slice of one column matrix and the L1 norms are taken one scale
     # block at a time, so beyond the dictionary only n x |S| blocks and the
     # O(nnz) sparse matrices are live (each about one such block here)
-    mesh, _ = normalize_unit_area(icosphere(5))
-    lap = build_laplacian(mesh)
-    samples = sample(mesh, 10, seed=0)
+    shape = Shape(icosphere(5))
+    lap = shape.lap
+    samples = sample(shape, 10, seed=0)
     tracemalloc.start()
     try:
         d = build_dictionary(lap, samples, n_scales=25, t_max=1.0, kind=kind)
