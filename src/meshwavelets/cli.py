@@ -10,12 +10,12 @@ import argparse
 import sys
 
 from .errors import DataError, NumericalError
-from .evaluation import check_curve_args, curve, geodesic_errors
+from .evaluation import curve, geodesic_errors
 from .experiments import (_DEFAULTS, load_landmark_pair, load_landmarks, load_shape,
                           run_experiment, write_curve_csv)
 from .matching import load_pointmap, reconstruct_delta_map, save_pointmap, transfer_pointmap
 from .sampling import sample
-from .wavelets import build_dictionary, pair_rhos, save_dictionary
+from .wavelets import build_dictionary, check_dictionary_path, pair_rhos, save_dictionary
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -41,6 +41,7 @@ def _shape_dictionary(args):
 
 
 def _cmd_dict_build(args):
+    check_dictionary_path(args.out)
     shape, dictionary = _shape_dictionary(args)
     save_dictionary(dictionary, args.out)
     print(f"wrote {args.out}: {dictionary.n_vertices} vertices x "
@@ -71,12 +72,11 @@ def _cmd_match_pair(args):
 
 
 def _cmd_eval(args):
-    check_curve_args(args.thresholds, args.max_threshold)
     shape = load_shape(args.mesh)
     pm = load_pointmap(args.map, shape.mesh.n_vertices)
     gt = load_pointmap(args.gt, shape.mesh.n_vertices)
     errors = geodesic_errors(pm, gt, shape)
-    ec = curve(errors, n_thresholds=args.thresholds, max_threshold=args.max_threshold)
+    ec = curve(errors)
     write_curve_csv(args.out, ec)
     print(f"mean_error={ec.mean_error!r}")
     print(f"auc_025={ec.auc_025!r}")
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--mesh", required=True, help="target mesh")
     p.add_argument("--out", required=True)
-    p.add_argument("--thresholds", type=int, default=_DEFAULTS["n_thresholds"])
-    p.add_argument("--max-threshold", type=float, default=_DEFAULTS["max_threshold"])
     p.set_defaults(func=_cmd_eval)
 
     p_exp = sub.add_parser("experiment", help="config-driven experiments")

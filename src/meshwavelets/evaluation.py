@@ -20,6 +20,10 @@ from .mesh import TriangleMesh
 _DIJKSTRA_CHUNK = 256
 _REACH_SLACK = 1.5
 
+# the one grid of every cumulative curve: 100 evenly spaced errors in [0, 0.5]
+THRESHOLDS = np.linspace(0.0, 0.5, 100)
+THRESHOLDS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class EvalCurve:
@@ -111,17 +115,8 @@ def _chunked_distances(mesh: TriangleMesh, graph, src: np.ndarray, dst: np.ndarr
     return out
 
 
-def check_curve_args(n_thresholds: int, max_threshold: float) -> None:
-    """``ValueError`` unless ``curve`` accepts these; configs and ``eval`` check them first."""
-    if n_thresholds < 2:
-        raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
-    if not 0 < max_threshold < np.inf:
-        raise ValueError(f"max_threshold must be positive and finite, got {max_threshold}")
-
-
-def curve(errors: np.ndarray, n_thresholds: int = 100,
-          max_threshold: float = 0.5) -> EvalCurve:
-    """Cumulative error curve over evenly spaced thresholds in [0, max].
+def curve(errors: np.ndarray) -> EvalCurve:
+    """Cumulative error curve over ``THRESHOLDS``.
 
     Infinite errors count against every threshold (never matched) and are
     excluded from the mean.
@@ -129,10 +124,8 @@ def curve(errors: np.ndarray, n_thresholds: int = 100,
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty error vector")
-    check_curve_args(n_thresholds, max_threshold)
-    thresholds = np.linspace(0.0, max_threshold, n_thresholds)
-    fractions = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
+    fractions = (errors[None, :] <= THRESHOLDS[:, None]).mean(axis=1)
     finite = errors[np.isfinite(errors)]
     mean_error = float(finite.mean()) if finite.size else float("inf")
-    return EvalCurve(thresholds=thresholds, fractions=fractions,
+    return EvalCurve(thresholds=THRESHOLDS, fractions=fractions,
                      mean_error=mean_error, auc_025=float((errors <= 0.25).mean()))

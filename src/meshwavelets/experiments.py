@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .evaluation import check_curve_args, curve, geodesic_errors
+from .evaluation import curve, geodesic_errors
 from .laplacian import Shape
 from .matching import (identity_map, load_indices, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
 from .mesh import load_mesh
-from .sampling import explicit_samples, perturb_samples, sample
+from .sampling import SampleSet, explicit_samples, perturb_samples, sample
 from .solve import generalized_eigs
 from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
                        fmap_to_pointmap, ground_truth_wavelets,
@@ -40,13 +40,12 @@ def _rho(value):
 
 _SCHEMAS = {
     "selfmatch": {"mesh": str, "samples": [int], "scales": [int], "tmax": [float],
-                  "strategy": [str], "baseline": str, "n_thresholds": int,
-                  "max_threshold": float},
+                  "strategy": [str], "baseline": str},
     "pairmatch": {"mesh_source": str, "mesh_target": str, "landmarks_source": str,
                   "landmarks_target": str, "gt_map": str, "samples": [int],
                   "strategy": [str], "scales": [int], "tmax": [float], "displaced": [int],
                   "noise_radius": [float], "rho": _rho, "dictionary": str,
-                  "baseline": str, "n_thresholds": int, "max_threshold": float},
+                  "baseline": str},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "strategy": str},
 }
@@ -57,8 +56,6 @@ _DEFAULTS = {
     "scales": 25,
     "tmax": 1.0,
     "strategy": "fps-euclidean",
-    "n_thresholds": 100,
-    "max_threshold": 0.5,
     "landmarks_source": "",
     "landmarks_target": "",
     "gt_map": "",
@@ -118,8 +115,6 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
         if key in _CHOICES and config[key] not in _CHOICES[key]:
             raise DataError(f"{source}: bad value for {key!r}: {config[key]!r}; "
                             f"expected one of {list(_CHOICES[key])}")
-    if "max_threshold" in schema:  # the curve's arguments fail before any work
-        check_curve_args(config["n_thresholds"], config["max_threshold"])
     return config
 
 
@@ -265,8 +260,6 @@ def _scores(ec, prefix=""):
 def _run_selfmatch(config, out_dir):
     shape = load_shape(config["mesh"])
     gt = identity_map(shape.mesh.n_vertices)
-    score = functools.partial(curve, n_thresholds=config["n_thresholds"],
-                              max_threshold=config["max_threshold"])
     # a sweep draws once per (count, strategy) and runs one baseline per count
     draw = functools.cache(lambda n, strategy: sample(shape, n, strategy=strategy,
                                                       seed=config["seed"]))
@@ -274,7 +267,7 @@ def _run_selfmatch(config, out_dir):
     @functools.cache
     def baseline(k):  # the eigenbasis at the same budget: |S| + 1 basis functions
         spectrum = generalized_eigs(shape.lap.mass, shape.lap.stiffness, k=k)
-        return _scores(score(geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, shape)),
+        return _scores(curve(geodesic_errors(eigenbasis_selfmatch_map(spectrum), gt, shape)),
                        "baseline_")
 
     def run(setting):
@@ -282,7 +275,7 @@ def _run_selfmatch(config, out_dir):
         pm = reconstruct_delta_map(build_dictionary(shape.lap, samples,
                                                     n_scales=setting["scales"],
                                                     t_max=setting["tmax"]))
-        ec = score(geodesic_errors(pm, gt, shape))
+        ec = curve(geodesic_errors(pm, gt, shape))
         summary = {**_scores(ec), "samples": ",".join(map(str, samples.indices))}
         if config["baseline"] == "lbo":
             summary.update(baseline(len(samples) + 1))
@@ -291,18 +284,9 @@ def _run_selfmatch(config, out_dir):
     return _sweep(config, out_dir, run)
 
 
-def _identity_correspondence(src, dst, message):
-    """The ground truth of a pair given no landmarks or map: shapes with equal
-    vertex counts are taken to be in vertex-to-vertex correspondence (e.g.
-    synthetic pairs), so the identity; any other pair is a ``DataError(message)``."""
-    if dst.mesh.n_vertices != src.mesh.n_vertices:
-        raise DataError(message)
-    return identity_map(src.mesh.n_vertices)
-
-
 def _pair_landmarks(config, src, dst):
     """The config's landmark pair, which fixes the samples, or None when the
-    shapes take the same FPS indices, which needs them in vertex correspondence."""
+    target takes the ground truth's images of the source's samples."""
     lm_src, lm_dst = config["landmarks_source"], config["landmarks_target"]
     if lm_src or lm_dst:
         if not (lm_src and lm_dst):
@@ -310,8 +294,6 @@ def _pair_landmarks(config, src, dst):
         if len(config["samples"]) > 1 or len(config["strategy"]) > 1:
             raise DataError("with landmark files, samples and strategy take one value")
         return load_landmark_pair(lm_src, lm_dst, src, dst)
-    _identity_correspondence(src, dst, "landmark files are required when the "
-                             "meshes are not in vertex-to-vertex correspondence")
     return None
 
 
@@ -325,18 +307,22 @@ def _run_pairmatch(config, out_dir):
         gt = load_pointmap(config["gt_map"], dst.mesh.n_vertices)
         if gt.source_size != src.mesh.n_vertices:
             raise DataError("gt_map length does not match the source mesh")
+    elif dst.mesh.n_vertices != src.mesh.n_vertices:
+        raise DataError("gt_map is required when the meshes differ in size")
     else:
-        gt = _identity_correspondence(src, dst,
-                                      "gt_map is required when the meshes differ in size")
-    score = functools.partial(curve, n_thresholds=config["n_thresholds"],
-                              max_threshold=config["max_threshold"])
+        # meshes of equal size given no map are taken to be in vertex-to-vertex
+        # correspondence (e.g. synthetic pairs)
+        gt = identity_map(src.mesh.n_vertices)
 
     @functools.cache
-    def draw(n, strategy):  # FPS on the source; identical indices on the target
+    def draw(n, strategy):  # FPS on the source; their ground-truth images on the target
         if landmarks:
             return landmarks
         drawn = sample(src, n, strategy=strategy, seed=config["seed"])
-        return drawn, drawn
+        images = gt.targets[drawn.indices]
+        if np.unique(images).size < images.size:
+            raise DataError("gt_map takes two source samples to the same target vertex")
+        return drawn, SampleSet(images, drawn.strategy, drawn.seed)
 
     @functools.cache
     def source_samples(n, strategy, count, radius):
@@ -359,7 +345,7 @@ def _run_pairmatch(config, out_dir):
         spec_dst = generalized_eigs(dst.lap.mass, dst.lap.stiffness, k)
         pm_base = fmap_to_pointmap(gt_functional_map(spec_src, spec_dst, dst.lap.mass, gt),
                                    spec_src, spec_dst)
-        return _scores(score(geodesic_errors(pm_base, gt, dst)), "baseline_")
+        return _scores(curve(geodesic_errors(pm_base, gt, dst)), "baseline_")
 
     def run(setting):
         n, strategy, scales, tmax = (setting[key] for key in ("samples", "strategy",
@@ -369,7 +355,7 @@ def _run_pairmatch(config, out_dir):
         source = build_dictionary(src.lap, samples_src, n_scales=scales, t_max=tmax,
                                   rho=rho_src, kind=config["dictionary"])
         pm = transfer_pointmap(source, target(n, strategy, scales, tmax))
-        ec = score(geodesic_errors(pm, gt, dst))
+        ec = curve(geodesic_errors(pm, gt, dst))
         summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
         if config["baseline"] == "lbo":
             summary.update(baseline(len(samples_src) + 1))

@@ -24,7 +24,8 @@ class TriangleMesh:
         Vertex indices of each triangle, in file order.
 
     Construction validates the mesh invariants: indices in range, no face
-    with a repeated vertex, no (near-)degenerate face.
+    with a repeated vertex, no (near-)degenerate face. The face areas it
+    computes for the last check are kept, read-only, for ``face_areas``.
     """
 
     vertices: np.ndarray
@@ -42,15 +43,17 @@ class TriangleMesh:
         repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
         if repeated.any():
             raise DataError(f"faces with repeated vertex index: {np.flatnonzero(repeated).tolist()}")
+        areas = face_areas_raw(v, f)
         if len(f):
-            areas = face_areas_raw(v, f)
             bad = areas <= DEGENERATE_AREA_FRACTION * areas.mean()
             if bad.any():
                 raise DataError(f"degenerate faces (near-zero area): {np.flatnonzero(bad).tolist()}")
         v.flags.writeable = False
         f.flags.writeable = False
+        areas.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "_areas", areas)
 
     @property
     def n_vertices(self) -> int:
@@ -68,7 +71,7 @@ def face_areas_raw(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 def face_areas(mesh: TriangleMesh) -> np.ndarray:
     """Area of each triangle, A_f = 0.5 * ||(v1-v0) x (v2-v0)||."""
-    return face_areas_raw(mesh.vertices, mesh.faces)
+    return mesh._areas
 
 
 def total_area(mesh: TriangleMesh) -> float:

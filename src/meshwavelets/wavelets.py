@@ -100,18 +100,14 @@ def mother_wavelets(lap: LaplacianPair, samples: SampleSet) -> np.ndarray:
     return cols / lap.mass[:, None]
 
 
-def diffusion_step(lap: LaplacianPair, t: float, block: np.ndarray,
-                   system: SpdSystem | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def diffusion_step(lap: LaplacianPair, block: np.ndarray, system: SpdSystem,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """One backward-Euler heat step: (A + tW)^-1 A applied to a column block.
 
-    Conserves the A-weighted integral of every column. Pass a prefactorized
-    ``system`` for the same (lap, t) to reuse the factorization, and ``out``
-    to receive the result.
+    ``system`` is the factorization of A + tW, ``factorize(lap.mass,
+    lap.stiffness, t)``, which fixes the step t. Conserves the A-weighted
+    integral of every column. Pass ``out`` to receive the result.
     """
-    if not 0 < t < np.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if system is None:
-        system = factorize(lap.mass, lap.stiffness, t)
     block = np.asarray(block, dtype=np.float64)
     rhs = lap.mass[:, None] * block if block.ndim == 2 else lap.mass * block
     return system.solve(rhs, out=out)
@@ -139,7 +135,7 @@ def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
     columns = np.empty((lap.n, n_scales * k), order="F")
     block = first_block
     for start in range(0, n_scales * k, k):
-        block = diffusion_step(lap, t, block, system, out=columns[:, start:start + k])
+        block = diffusion_step(lap, block, system, out=columns[:, start:start + k])
         if zero_mean:
             # wavelet columns have exactly zero A-weighted mean in exact
             # arithmetic (W has zero row sums); project out the roundoff
@@ -211,6 +207,14 @@ def _time_step(lap, n_scales, t_max, rho):
     return rho * t_max / (n_scales * np.sqrt(lap.total_area))
 
 
+def check_dictionary_path(path) -> Path:
+    """``path`` as a ``Path``; ``ValueError`` if it ends in ``.meta``, its sidecar's suffix."""
+    path = Path(path)
+    if path.with_suffix(".meta") == path:
+        raise ValueError(f"{path}: a dictionary path cannot end in .meta, its sidecar's suffix")
+    return path
+
+
 def save_dictionary(d: Dictionary, path) -> None:
     """Serialize a dictionary to the DWDICT01 binary format plus a .meta sidecar.
 
@@ -219,9 +223,7 @@ def save_dictionary(d: Dictionary, path) -> None:
     matrix as column-major f64. The sidecar (same stem, .meta suffix) repeats
     the metadata as key=value lines, so ``path`` itself must not end in ``.meta``.
     """
-    path = Path(path)
-    if path.with_suffix(".meta") == path:
-        raise ValueError(f"{path}: a dictionary path cannot end in .meta, its sidecar's suffix")
+    path = check_dictionary_path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<4Q", d.n_vertices, d.n_columns, d.n_scales, len(d.samples)))

@@ -43,8 +43,12 @@ def test_dict_build_and_load(tmp_path, mesh_off):
     assert d.samples.strategy == "fps-euclidean"
 
 
-def test_dict_build_to_a_meta_path_is_2(tmp_path, mesh_off, capsys):
-    # the sidecar would overwrite the dictionary at the same path
+def test_dict_build_to_a_meta_path_is_2(tmp_path, mesh_off, capsys, monkeypatch):
+    # the sidecar would overwrite the dictionary at the same path; the path
+    # is refused before the mesh is loaded or any dictionary built
+    import meshwavelets.cli as cli
+    monkeypatch.setattr(cli, "load_shape", _no_work)
+    monkeypatch.setattr(cli, "build_dictionary", _no_work)
     out = tmp_path / "d.meta"
     code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
                  "--scales", "4", "--out", str(out)])
@@ -63,8 +67,7 @@ def test_dict_build_uses_rho_1(tmp_path, mesh_off):
 
 def test_cli_defaults_are_the_experiment_defaults(monkeypatch):
     # one table: a changed experiment default is the CLI's default too
-    for key, value in {"scales": 7, "tmax": 0.25, "seed": 3, "rho": "0.5",
-                       "n_thresholds": 20, "max_threshold": 0.3}.items():
+    for key, value in {"scales": 7, "tmax": 0.25, "seed": 3, "rho": "0.5"}.items():
         monkeypatch.setitem(experiments._DEFAULTS, key, value)
     parse = build_parser().parse_args
     built = parse(["dict", "build", "--mesh", "m.off", "--samples", "3", "--out", "o"])
@@ -75,8 +78,6 @@ def test_cli_defaults_are_the_experiment_defaults(monkeypatch):
         assert (args.scales, args.tmax) == (7, 0.25)
     assert built.seed == matched.seed == 3
     assert paired.rho == "0.5"
-    args = parse(["eval", "--map", "m", "--gt", "g", "--mesh", "m.off", "--out", "o"])
-    assert (args.thresholds, args.max_threshold) == (20, 0.3)
 
 
 def test_dict_build_with_landmark_file(tmp_path, mesh_off):
@@ -321,22 +322,6 @@ class TestExitCodes:
         assert "t_max must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
-    def test_bad_max_threshold_is_2(self, tmp_path, mesh_off, capsys, value):
-        identity = tmp_path / "identity.txt"
-        identity.write_text("".join(f"{i}\n" for i in range(162)))
-        out = tmp_path / "curve.csv"
-        assert main(["eval", "--map", str(identity), "--gt", str(identity),
-                     "--mesh", str(mesh_off), "--max-threshold", value,
-                     "--out", str(out)]) == 2
-        assert "max_threshold must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
-        config = tmp_path / "config.txt"
-        config.write_text(f"experiment=selfmatch\nout_dir={tmp_path}/o\nmesh={mesh_off}\n"
-                          f"samples=3\nscales=4\nbaseline=none\nmax_threshold={value}\n")
-        assert main(["experiment", "run", "--config", str(config)]) == 2
-        assert "max_threshold must be positive and finite" in capsys.readouterr().err
-
     @pytest.mark.parametrize("role, text, message", [
         ("landmarks", "0\nabc\n", "could not convert string 'abc'"),
         ("landmarks", "3\n3\n", "sample indices must be distinct"),
@@ -386,38 +371,6 @@ class TestExitCodes:
             assert main(command + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {empty}: bad {what} file: needs at least one index\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("kind, setting", [
-        ("selfmatch", "max_threshold=nan"),
-        ("pairmatch", "n_thresholds=1"),
-    ])
-    def test_bad_curve_arguments_fail_before_any_work(self, tmp_path, mesh_off, capsys,
-                                                      monkeypatch, kind, setting):
-        import meshwavelets.experiments as experiments
-        monkeypatch.setattr(experiments, "load_shape", _no_work)
-        meshes = (f"mesh={mesh_off}" if kind == "selfmatch"
-                  else f"mesh_source={mesh_off}\nmesh_target={mesh_off}")
-        out_dir = tmp_path / "out"
-        config = tmp_path / "config.txt"
-        config.write_text(f"experiment={kind}\nout_dir={out_dir}\n{meshes}\n{setting}\n")
-        assert main(["experiment", "run", "--config", str(config)]) == 2
-        assert "must be" in capsys.readouterr().err
-        assert not (out_dir / "map.txt").exists() and not (out_dir / "curve.csv").exists()
-        assert not out_dir.exists()
-
-    def test_eval_checks_curve_arguments_before_loading(self, tmp_path, mesh_off, capsys,
-                                                        monkeypatch):
-        import meshwavelets.cli as cli
-        monkeypatch.setattr(cli, "load_shape", _no_work)
-        monkeypatch.setattr(cli, "load_pointmap", _no_work)
-        identity = tmp_path / "identity.txt"
-        identity.write_text("".join(f"{i}\n" for i in range(162)))
-        out = tmp_path / "curve.csv"
-        assert main(["eval", "--map", str(identity), "--gt", str(identity),
-                     "--mesh", str(mesh_off), "--max-threshold", "nan",
-                     "--out", str(out)]) == 2
-        assert "max_threshold must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_failure_is_3(self, tmp_path, mesh_off, capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """README drift: the documented commands, experiment kinds and example are the real ones.
 
 The CLI block must hold only commands that parse and must show every
-subcommand; the experiments table must list exactly the configurable kinds;
-the minimal example must run.
+subcommand; the experiments table must list exactly the configurable kinds
+and name each kind's config keys; the minimal example must run.
 """
 import argparse
 import re
@@ -49,8 +49,12 @@ def test_cli_block_matches_parser():
 
 
 def test_experiments_table_matches_schemas():
-    kinds = re.findall(r"^\| `(\w+)` ", section("Experiments"), flags=re.M)
-    assert sorted(kinds) == sorted(_SCHEMAS)
+    # one row per kind, naming exactly its config keys besides out_dir and seed
+    rows = dict(re.findall(r"^\| `(\w+)` +\|[^|]*\|([^|]*)\|$", section("Experiments"),
+                           flags=re.M))
+    assert sorted(rows) == sorted(_SCHEMAS)
+    for kind, keys in rows.items():
+        assert set(re.findall(r"`(\w+)`", keys)) == set(_SCHEMAS[kind]), kind
 
 
 def test_minimal_example_runs(tmp_path, monkeypatch, capsys):

@@ -282,6 +282,42 @@ class TestPairmatchExperiment:
         with pytest.raises(DataError, match="landmark counts differ: 3 vs 2"):
             run_experiment(config)
 
+    def test_relabelled_target_takes_the_ground_truth_images(self, tmp_path):
+        # without landmark files the target's samples are the ground truth's
+        # images of the source's, so relabelling the target's vertices (and
+        # the ground truth with them) leaves the score where it was
+        source, target = jittered_icosphere(3, seed=4), stretched_icosphere(3, seed=4)
+        order = np.random.default_rng(0).permutation(target.n_vertices)
+        new_index = np.argsort(order)  # old vertex i is new vertex new_index[i]
+        relabelled = TriangleMesh(target.vertices[order], new_index[target.faces])
+        write_off(source, tmp_path / "src.off")
+        aucs = []
+        for name, mesh, gt in (("plain", target, np.arange(target.n_vertices)),
+                               ("relabelled", relabelled, new_index)):
+            write_off(mesh, tmp_path / f"{name}.off")
+            (tmp_path / f"{name}.txt").write_text("".join(f"{i}\n" for i in gt))
+            aucs.append(run_experiment(resolve_config({
+                "experiment": "pairmatch", "out_dir": str(tmp_path / name),
+                "mesh_source": str(tmp_path / "src.off"),
+                "mesh_target": str(tmp_path / f"{name}.off"),
+                "gt_map": str(tmp_path / f"{name}.txt"), "samples": "10", "tmax": "0.1",
+                "baseline": "none", "seed": "1"}))["auc_025"])
+        assert aucs[0] > 0.9
+        assert aucs[1] == pytest.approx(aucs[0], abs=0.01)
+
+    def test_colliding_ground_truth_images_rejected(self, tmp_path, pair_files):
+        src, dst = pair_files
+        gt = tmp_path / "gt.txt"
+        gt.write_text("0\n" * 162)
+        config = resolve_config({
+            "experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+            "mesh_source": str(src), "mesh_target": str(dst), "gt_map": str(gt),
+            "samples": "4", "scales": "4", "tmax": "0.1", "baseline": "none",
+        })
+        with pytest.raises(DataError, match="^gt_map takes two source samples to the same "
+                                            "target vertex$"):
+            run_experiment(config)
+
 
     @pytest.mark.parametrize("key, values", [("samples", "2,4,8"),
                                              ("strategy", "fps-euclidean,random")])
@@ -474,8 +510,8 @@ class TestSweepExperiments:
         config = resolve_config({"experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
                                  "mesh_source": str(mesh_file), "mesh_target": str(other),
                                  "samples": "4", **lists})
-        with pytest.raises(DataError, match="^landmark files are required when the meshes "
-                                            "are not in vertex-to-vertex correspondence$"):
+        with pytest.raises(DataError, match="^gt_map is required when the meshes differ in "
+                                            "size$"):
             run_experiment(config)
 
     @pytest.mark.parametrize("kind, keys", [
@@ -541,15 +577,15 @@ def _count_calls(monkeypatch, calls, module, name):
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("selfmatch", {"TriangleMesh": 2, "face_areas_raw": 4, "edge_graph": 1}),
-    ("pairmatch", {"TriangleMesh": 4, "face_areas_raw": 8, "edge_graph": 1}),
+    ("selfmatch", {"TriangleMesh": 2, "face_areas_raw": 2, "edge_graph": 1}),
+    ("pairmatch", {"TriangleMesh": 4, "face_areas_raw": 4, "edge_graph": 1}),
 ])
 def test_each_mesh_is_normalized_assembled_and_graphed_once(tmp_path, mesh_file, pair_files,
                                                             monkeypatch, kind, expected):
     # per mesh: one TriangleMesh as loaded and one at unit area, each with its
-    # face areas, plus the areas of the normalization and of the Laplacian;
-    # one edge graph, of the mesh the errors are measured on, for the map and
-    # the baseline alike
+    # face areas, which the normalization and the Laplacian reuse; one edge
+    # graph, of the mesh the errors are measured on, for the map and the
+    # baseline alike
     calls = collections.Counter()
     post_init = TriangleMesh.__post_init__
 

@@ -59,22 +59,23 @@ class TestDiffusionStep:
     def test_mass_conservation(self, lap642):
         rng = np.random.default_rng(0)
         f = rng.uniform(0.5, 1.5, lap642.n)
-        out = diffusion_step(lap642, 1e-3, f)
+        out = diffusion_step(lap642, f, factorize(lap642.mass, lap642.stiffness, 1e-3))
         assert abs(a_dot(lap642.mass, out) - a_dot(lap642.mass, f)) \
             <= 1e-10 * abs(a_dot(lap642.mass, f))
 
     def test_constant_function_fixed(self, lap162):
         f = np.full(lap162.n, 3.25)
-        out = diffusion_step(lap162, 0.05, f)
+        out = diffusion_step(lap162, f, factorize(lap162.mass, lap162.stiffness, 0.05))
         np.testing.assert_allclose(out, f, rtol=1e-9)
 
     def test_reuses_supplied_system(self, lap162):
-        t = 1e-2
-        system = factorize(lap162.mass, lap162.stiffness, t)
+        # one factorization serves every step; ``out`` receives the result
+        system = factorize(lap162.mass, lap162.stiffness, 1e-2)
         rng = np.random.default_rng(1)
         F = rng.standard_normal((lap162.n, 3))
-        np.testing.assert_array_equal(diffusion_step(lap162, t, F, system=system),
-                                      diffusion_step(lap162, t, F))
+        out = np.empty((lap162.n, 3), order="F")
+        assert diffusion_step(lap162, F, system, out=out) is out
+        np.testing.assert_array_equal(out, diffusion_step(lap162, F, system))
 
     def test_single_step_matches_spectral_oracle(self, lap642, spec642):
         # smooth input: centered linear coordinate function
@@ -88,8 +89,10 @@ class TestDiffusionStep:
 
         target = exact(f, t)
         anorm = lambda g: np.sqrt(a_dot(lap642.mass, g * g))
-        err_full = anorm(diffusion_step(lap642, t, f) - target) / anorm(target)
-        two_half_steps = diffusion_step(lap642, t / 2, diffusion_step(lap642, t / 2, f))
+        err_full = anorm(diffusion_step(lap642, f, factorize(lap642.mass, lap642.stiffness, t))
+                         - target) / anorm(target)
+        half = factorize(lap642.mass, lap642.stiffness, t / 2)
+        two_half_steps = diffusion_step(lap642, diffusion_step(lap642, f, half), half)
         err_half = anorm(two_half_steps - target) / anorm(target)
         assert err_full <= 5e-3
         assert 1.8 <= err_full / err_half <= 2.2  # first order in the step size
@@ -125,8 +128,8 @@ class TestBuildDictionary:
         # scale-major: first |S| columns are scale 1
         t = dict162.t_step
         system = factorize(lap162.mass, lap162.stiffness, t)
-        scale1 = diffusion_step(lap162, t, mother_wavelets(lap162, samples162), system)
-        scale2 = diffusion_step(lap162, t, scale1, system)
+        scale1 = diffusion_step(lap162, mother_wavelets(lap162, samples162), system)
+        scale2 = diffusion_step(lap162, scale1, system)
         scale1, scale2 = (normalize_like_dictionary(lap162.mass, c) for c in (scale1, scale2))
         np.testing.assert_allclose(dict162.columns[:, :4], scale1, atol=1e-12)
         np.testing.assert_allclose(dict162.columns[:, 4:8], scale2, atol=1e-12)
@@ -185,10 +188,10 @@ class TestBuildDictionary:
         f = indicator_columns(lap162.n, samples162)
         diffused = f
         for _ in range(3):
-            diffused = diffusion_step(lap162, t, diffused, system)
+            diffused = diffusion_step(lap162, diffused, system)
         lap_then_diff = mother_wavelets(lap162, samples162)
         for _ in range(3):
-            lap_then_diff = diffusion_step(lap162, t, lap_then_diff, system)
+            lap_then_diff = diffusion_step(lap162, lap_then_diff, system)
         diff_then_lap = lap162.apply_operator(diffused)
         err = np.abs(lap_then_diff - diff_then_lap).max()
         assert err <= 1e-8 * np.abs(diff_then_lap).max()
@@ -264,7 +267,7 @@ class TestHeatDictionary:
         system = factorize(lap162.mass, lap162.stiffness, t)
         block = indicator_columns(lap162.n, samples162)
         for _ in range(5):
-            block = diffusion_step(lap162, t, block, system)
+            block = diffusion_step(lap162, block, system)
             for j, s in enumerate(samples162.indices):
                 expected = lap162.mass[s]  # A-weighted sum of the unit indicator
                 got = a_dot(lap162.mass, block[:, j])
