@@ -8,12 +8,12 @@ Lanczos and keeps a dense solver only as the full-spectrum oracle.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse import _sparsetools  # csr_matvecs: Y += A X in place, at a few us a call
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import ArpackError, eigsh, splu
 
@@ -30,9 +30,10 @@ class SpdSystem:
     ``solve`` accepts a single vector or an (n, m) column block, writes into
     ``out`` (new if not given) and guarantees a relative residual of at most
     1e-10 per column in the factor's order; only the columns that fail that
-    check after the LU solve get one step of iterative refinement.
-    Concurrent calls from multiple threads are safe. ``P A P^T`` is factorized
-    in nested-dissection order ``P`` with diagonal pivots, safe as A is SPD.
+    check after the substitution get one step of iterative refinement.
+    Concurrent calls share no buffer. SuperLU factorizes ``P A P^T`` in
+    nested-dissection order ``P`` with diagonal pivots, safe as A is SPD, and
+    is dropped once ``_Substitution`` holds its L and U.
     """
 
     def __init__(self, matrix: sparse.csc_matrix):
@@ -42,20 +43,20 @@ class SpdSystem:
             raise ValueError("matrix is not symmetric")
         self.matrix = matrix
         self.n = matrix.shape[0]
-        self._lock = threading.Lock()
-        self._perm = _nested_dissection(matrix)
-        self._inverse = np.argsort(self._perm)
-        self._permuted = matrix[self._perm][:, self._perm]
+        perm = _nested_dissection(matrix)
         try:
-            self._lu = splu(self._permuted, permc_spec="NATURAL",
-                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            lu = splu(matrix[perm][:, perm], permc_spec="NATURAL",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU reports the failing pivot
             raise NumericalError(f"factorization breakdown (matrix not SPD?): {exc}") from exc
-
-    @property
-    def fill(self) -> float:
-        """LU fill of the factorization: (nnz(L) + nnz(U)) / nnz(A)."""
-        return (self._lu.L.nnz + self._lu.U.nnz) / self.matrix.nnz
+        # diagonal pivots: L U = Q P A P^T Q^T for SuperLU's column order Q
+        lower, upper, perm = lu.L, lu.U, perm[np.argsort(lu.perm_c)]
+        del lu  # frees SuperLU's own copy of the factor
+        self.fill = (lower.nnz + upper.nnz) / matrix.nnz  # the LU fill
+        self._lu = _Substitution(lower, upper)
+        self._perm = perm[self._lu.order]
+        self._inverse = np.argsort(self._perm)
+        self._permuted = matrix.tocsr()[self._perm][:, self._perm]
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
@@ -64,16 +65,15 @@ class SpdSystem:
         if out is None:
             out = np.empty(rhs.shape, order="F")
         b, x = (rhs[:, None], out[:, None]) if rhs.ndim == 1 else (rhs, out)
-        # both gathers run along the contiguous rows of transposed column blocks
-        bp = np.take(b.T, self._perm, axis=1).T
-        with self._lock:  # SuperLU solves share internal buffers
-            xp = self._lu.solve(bp)
+        bp = b[self._perm]  # C order, as are xp and r
+        xp = self._lu.solve(bp)
         norm_b = np.maximum(np.linalg.norm(bp, axis=0), np.finfo(float).tiny)
-        r = bp - self._permuted @ xp
-        bad = np.flatnonzero(~(np.linalg.norm(r, axis=0) <= SOLVE_RTOL * norm_b))  # NaN fails too
+        r = self._permuted @ xp
+        np.subtract(bp, r, out=r)
+        norm_r = np.sqrt(np.einsum("ij,ij->j", r, r))  # with no n x m temporary
+        bad = np.flatnonzero(~(norm_r <= SOLVE_RTOL * norm_b))  # NaN fails too
         if bad.size:  # one step of iterative refinement, failing columns only
-            with self._lock:
-                xp[:, bad] += self._lu.solve(r[:, bad])
+            xp[:, bad] += self._lu.solve(r[:, bad])
             res = np.linalg.norm(bp[:, bad] - self._permuted @ xp[:, bad], axis=0)
             still = np.flatnonzero(~(res <= SOLVE_RTOL * norm_b[bad]))
             if still.size:
@@ -81,9 +81,89 @@ class SpdSystem:
                 raise NumericalError(
                     f"direct solve relative residual {res[j] / norm_b[bad[j]]:.3e} exceeds "
                     f"{SOLVE_RTOL:.0e} (column {bad[j]})")
-        # "clip" writes straight into out; "raise" would gather into a copy of it
-        np.take(xp.T, self._inverse, axis=1, out=x.T, mode="clip")
+        x[...] = np.take(xp, self._inverse, axis=0, out=r, mode="clip")  # "raise" copies r
         return out
+
+
+class _Substitution:
+    """Substitution with SuperLU's L and U, the rows numbered by level.
+
+    A chain block is a maximal run of columns each the only child of the next
+    in L's elimination tree (a column's parent is its first sub-diagonal
+    nonzero; Liu 1990); its level is its height in the tree of blocks. Blocks
+    of one level are independent (Anderson and Saad 1989), so per level a
+    substitution is one product with the inverses of the level's diagonal
+    blocks and one with its other columns: a solve reads L and U once for all
+    its right-hand sides. Row k of the renumbered L U is SuperLU's ``order[k]``.
+    """
+
+    def __init__(self, lower: sparse.csc_matrix, upper: sparse.csc_matrix):
+        n, idx = lower.shape[0], lower.indices.dtype
+
+        def offsets(counts):  # where each of consecutive runs of counts entries starts
+            return np.concatenate(([0], np.cumsum(counts))).astype(idx)
+        col = np.repeat(np.arange(n, dtype=idx), np.diff(lower.indptr))
+        parent = np.minimum.reduceat(np.where(lower.indices > col, lower.indices, n),
+                                     lower.indptr[:-1])  # L's indices are unsorted
+        first = np.flatnonzero(np.concatenate(  # the last column's parent n is a root
+            ([True], (parent[:-1] != np.arange(1, n)) | (np.bincount(parent)[1:n] > 1))))
+        size = np.diff(first, append=n)
+        block = np.repeat(np.arange(first.size), size)
+        child = np.flatnonzero(parent[first + size - 1] < n)
+        height = [0] * first.size
+        for k, up in zip(child.tolist(), block[parent[first + size - 1][child]].tolist()):
+            height[up] = max(height[up], height[k] + 1)  # children are numbered first
+        height = np.array(height)
+        order = self.order = np.argsort(height[block], kind="stable").astype(idx)  # by level
+        pos = np.empty(n, idx)
+        pos[order] = np.arange(n)
+        # blocks of L (strict lower part) and U, packed: (i, j) at dense[at[j] + i * size]
+        base = np.cumsum(size ** 2) - size ** 2
+        dense, off = np.zeros(base[-1] + size[-1] ** 2), []
+        at = (base - first * (size + 1))[block] + np.arange(n)
+        for factor, edge in ((lower, first + size - 1), (upper, first)):
+            edge = np.repeat(edge[block].astype(idx), np.diff(factor.indptr))  # last/first row
+            inside = factor.indices <= edge if factor is lower else factor.indices >= edge
+            take = np.flatnonzero(inside)
+            within = np.diff(np.searchsorted(take, factor.indptr))
+            dense[np.repeat(at, within) + factor.indices.take(take)
+                  * np.repeat(size[block], within)] = factor.data.take(take)
+            take = np.flatnonzero(~inside)  # the rest, as CSC by level
+            ptr = np.searchsorted(take, factor.indptr).astype(idx)
+            rows, data = pos.take(factor.indices.take(take)), factor.data.take(take)
+            off.append((offsets(np.diff(ptr)[order]), np.empty_like(rows), np.empty_like(data)))
+            _sparsetools.csr_row_index(n, order, ptr, rows, data, *off[-1][1:])
+        trtri, blocks = scipy.linalg.lapack.dtrtri, zip(base.tolist(), size.tolist())
+        for d in [dense[a:a + s * s].reshape(s, s).T for a, s in blocks]:  # transposed views
+            trtri(d, 0, 1, 1)  # (lower, unitdiag, overwrite) by position, the cheaper call
+            trtri(d, 1, 0, 1)
+        # the negated inverses as CSR: row i of a block of L holds its columns
+        # 0..i, of U its columns i..s-1, from the block's first one, c
+        b = block[order]
+        local, inverse, c = order - first[b], [], np.arange(n) - (order - first[b])
+        for length, lead in ((local + 1, 0), (size[b] - local, local)):
+            indptr = offsets(length)
+            cols = np.repeat(c + lead - indptr[:-1], length) + np.arange(indptr[-1])
+            inverse.append((indptr, cols.astype(idx),
+                            -dense[cols + np.repeat(base[b] + local * size[b] - c, length)]))
+        inverse[0][2][inverse[0][0][1:] - 1] = -1.0  # L's unit diagonal
+        bounds = offsets(np.bincount(height[b])).tolist()
+        self._levels = [(s, e, *((p[s:e + 1], i, x) for p, i, x in
+                                 (inverse[0], off[0], inverse[1], off[1])))
+                        for s, e in zip(bounds[:-1], bounds[1:])]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``(L U)^-1 b`` for a C-ordered (n, m) block in level order."""
+        n, m = b.shape
+        w, z = np.array(b, order="C"), np.zeros((n, m))  # z: minus the forward result y
+        for s, e, li, lo, ui, uo in self._levels:
+            _sparsetools.csr_matvecs(e - s, n, m, *li, w, z[s:e])  # y_k = L_kk^-1 w_k
+            _sparsetools.csc_matvecs(n, e - s, m, *lo, z[s:e], w)  # w_>k -= L_>k,k y_k
+        w.fill(0.0)  # the backward pass adds x_k into w
+        for s, e, li, lo, ui, uo in reversed(self._levels):
+            _sparsetools.csr_matvecs(e - s, n, m, *ui, z, w[s:e])  # x_k = U_kk^-1 y_k
+            _sparsetools.csc_matvecs(n, e - s, m, *uo, w[s:e], z)  # y_<k -= U_<k,k x_k
+        return w
 
 
 def _nested_dissection(matrix: sparse.spmatrix) -> np.ndarray:

@@ -1,10 +1,13 @@
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
 from meshwavelets import NumericalError, build_laplacian, factorize, generalized_eigs
@@ -122,7 +125,7 @@ def test_concurrent_solves(lap642):
 
 
 class _CountingLU:
-    """Test double around the SuperLU factor: records the width of every
+    """Test double around the stored factor: records the width of every
     solve and lets ``perturb(call_number, x)`` damage the result."""
 
     def __init__(self, lu, perturb=None):
@@ -389,3 +392,81 @@ def test_ordered_solve_matches_colamd_solve():
     expected = splu(matrix).solve(b)
     x = SpdSystem(matrix).solve(b)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@st.composite
+def _spd_systems(draw):
+    """A graph Laplacian plus a positive diagonal: a lone vertex, a path, a
+    dense clique and a random sparse graph as separate components, their
+    vertices shuffled; the right-hand side is a vector or a block."""
+    path, clique, extra = draw(st.integers(2, 40)), draw(st.integers(2, 12)), draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 1 + path + clique + extra
+    start = 1 + path + clique
+    edges = [(i, i + 1) for i in range(1, path)]
+    edges += [(i, j) for i in range(1 + path, start) for j in range(i + 1, start)]
+    pairs = rng.integers(start, n, size=(draw(st.integers(0, 3 * extra)), 2))
+    edges += [(i, j) for i, j in pairs if i != j]
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    adjacency = sparse.coo_matrix((rng.uniform(0.1, 1.0, i.size), (i, j)), shape=(n, n))
+    adjacency = (adjacency + adjacency.T).tocsr()  # a repeated pair sums its weights
+    laplacian = sparse.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency
+    perm = rng.permutation(n)
+    matrix = (laplacian + sparse.diags(rng.uniform(0.1, 1.0, n))).tocsr()[perm][:, perm]
+    width = draw(st.sampled_from([None, 1, 4]))
+    rhs = rng.standard_normal(n if width is None else (n, width))
+    return matrix.tocsc(), rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spd_systems())
+def test_substitution_matches_dense_solve(system_and_rhs):
+    matrix, b = system_and_rhs
+    x = SpdSystem(matrix).solve(b)
+    expected = np.linalg.solve(matrix.toarray(), b)
+    assert x.shape == b.shape
+    x2, b2, e2 = (a.reshape(b.shape[0], -1) for a in (x, b, expected))
+    res = np.linalg.norm(matrix @ x2 - b2, axis=0)
+    assert (res <= 1e-10 * np.linalg.norm(b2, axis=0)).all()
+    assert (np.linalg.norm(x2 - e2, axis=0) <= 1e-12 * np.linalg.norm(e2, axis=0)).all()
+
+
+@pytest.mark.parametrize("name", ["sphere2562", "two-spheres", "path", "no-edges"])
+def test_levels_reach_only_earlier_levels(name):
+    # numbered by level, an entry of L outside the diagonal blocks leads from
+    # an earlier level's column to a later level's row, and of U from a later
+    # column to an earlier row; the blocks' inverses stay inside their level
+    matrix = _ORDERING_INPUTS[name]()
+    levels = SpdSystem(matrix)._lu._levels
+    assert levels[0][0] == 0 and levels[-1][1] == matrix.shape[0]
+    for (s, e, inv_l, off_l, inv_u, off_u), following in zip(levels, levels[1:] + [None]):
+        assert following is None or following[0] == e
+        for indptr, indices, _ in (inv_l, inv_u):
+            reached = indices[indptr[0]:indptr[-1]]
+            assert ((s <= reached) & (reached < e)).all()
+        assert (off_l[1][off_l[0][0]:off_l[0][-1]] >= e).all()
+        assert (off_u[1][off_u[0][0]:off_u[0][-1]] < s).all()
+
+
+def test_chain_blocks_keep_the_levels_few():
+    # without chain blocks the levels would follow the elimination tree's
+    # height (427 columns at 10242 vertices); the separators' chains keep the
+    # count near the nested dissection's depth (12 levels)
+    assert len(SpdSystem(_diffusion_matrix(5))._lu._levels) <= 16
+
+
+def test_solve_holds_three_column_blocks(lap642):
+    # the right-hand side in the factor's order, the substitution's two
+    # buffers; the residual is a CSR product with the C-ordered solution,
+    # which scipy does not copy
+    system = factorize(lap642.mass, lap642.stiffness, t=1e-3)
+    b = np.asfortranarray(np.random.default_rng(12).standard_normal((lap642.n, 20)))
+    out = np.empty_like(b, order="F")
+    system.solve(b, out=out)
+    tracemalloc.start()
+    try:
+        system.solve(b, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * b.nbytes + 64 * lap642.n

@@ -437,8 +437,9 @@ class TestSerialization:
 def test_build_holds_one_dictionary_sized_array(kind):
     # 10242 vertices x (10 samples x 25 scales): every scale is solved into
     # its slice of one column matrix and the L1 norms are taken one scale
-    # block at a time, so beyond the dictionary only n x |S| blocks and the
-    # O(nnz) sparse matrices are live (each about one such block here)
+    # block at a time, so beyond the dictionary and the factor of A + tW only
+    # n x |S| blocks and the O(nnz) sparse matrices are live (each about one
+    # such block here)
     shape = Shape(icosphere(5))
     lap = shape.lap
     samples = sample(shape, 10, seed=0)
@@ -450,4 +451,17 @@ def test_build_holds_one_dictionary_sized_array(kind):
         tracemalloc.stop()
     block = lap.n * len(samples) * 8
     assert d.columns.flags.f_contiguous
-    assert peak <= d.columns.nbytes + 12 * block
+    assert peak <= d.columns.nbytes + _factor_bytes(factorize(lap.mass, lap.stiffness, d.t_step)) \
+        + 12 * block
+
+
+def _factor_bytes(system):
+    """Bytes of the numpy arrays that hold the factor's L and U (about 12 of
+    the test's n x |S| blocks at 10242 vertices)."""
+    arrays = {}
+    for level in system._lu._levels:
+        for part in level[2:]:
+            for a in part:
+                a = a if a.base is None else a.base
+                arrays[id(a)] = a
+    return sum(a.nbytes for a in arrays.values())
