@@ -43,9 +43,8 @@ _SCHEMAS = {
                   "strategy": [str], "baseline": str},
     "pairmatch": {"mesh_source": str, "mesh_target": str, "landmarks_source": str,
                   "landmarks_target": str, "gt_map": str, "samples": [int],
-                  "strategy": [str], "scales": [int], "tmax": [float], "displaced": [int],
-                  "noise_radius": [float], "rho": _rho, "dictionary": str,
-                  "baseline": str},
+                  "strategy": [str], "scales": [int], "tmax": [float], "dictionary": [str],
+                  "displaced": [int], "noise_radius": [float], "rho": _rho, "baseline": str},
     "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
                  "truncation": int, "strategy": str},
 }
@@ -112,9 +111,10 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
         # defaults are converted too, so that a config never shares the
         # default tables' lists
         config[key] = _convert(key, raw.get(key, defaults.get(key)), typ, source)
-        if key in _CHOICES and config[key] not in _CHOICES[key]:
-            raise DataError(f"{source}: bad value for {key!r}: {config[key]!r}; "
-                            f"expected one of {list(_CHOICES[key])}")
+        for value in config[key] if isinstance(typ, list) else [config[key]]:
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise DataError(f"{source}: bad value for {key!r}: {value!r}; "
+                                f"expected one of {list(_CHOICES[key])}")
     return config
 
 
@@ -333,9 +333,9 @@ def _run_pairmatch(config, out_dir):
     # one entry is enough: displaced and noise_radius, on which the target
     # does not depend, are the innermost sweep keys
     @functools.lru_cache(maxsize=1)
-    def target(n, strategy, scales, tmax):
+    def target(n, strategy, scales, tmax, kind):
         return build_dictionary(dst.lap, draw(n, strategy)[1], n_scales=scales, t_max=tmax,
-                                rho=rho_dst, kind=config["dictionary"])
+                                rho=rho_dst, kind=kind)
 
     @functools.cache
     def baseline(k):
@@ -348,13 +348,13 @@ def _run_pairmatch(config, out_dir):
         return _scores(curve(geodesic_errors(pm_base, gt, dst)), "baseline_")
 
     def run(setting):
-        n, strategy, scales, tmax = (setting[key] for key in ("samples", "strategy",
-                                                              "scales", "tmax"))
+        n, strategy, scales, tmax, kind = (setting[key] for key in (
+            "samples", "strategy", "scales", "tmax", "dictionary"))
         samples_src = source_samples(n, strategy, setting["displaced"],
                                      setting["noise_radius"])
         source = build_dictionary(src.lap, samples_src, n_scales=scales, t_max=tmax,
-                                  rho=rho_src, kind=config["dictionary"])
-        pm = transfer_pointmap(source, target(n, strategy, scales, tmax))
+                                  rho=rho_src, kind=kind)
+        pm = transfer_pointmap(source, target(n, strategy, scales, tmax, kind))
         ec = curve(geodesic_errors(pm, gt, dst))
         summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
         if config["baseline"] == "lbo":

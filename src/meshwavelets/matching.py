@@ -19,8 +19,6 @@ from .wavelets import Dictionary
 
 # rows of a Gram strip or distance block: 128 * n floats, 10 MiB at 10242 vertices
 _NN_BLOCK = 128
-# rows of a Gram strip compared with the column maxima at a time
-_TIE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -113,29 +111,26 @@ def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
     buffer = np.empty(min(block, n) * n)
-    # row r of a strip weighs block - r, so the heaviest row that reaches a
-    # column's maximum is the first one
-    weights = np.arange(block, 0, -1, dtype=np.min_scalar_type(block))[:, None]
     for s in range(0, n, block):
         e = min(s + block, n)
         strip = dense.matmul(b[s:e], b[s:].T, out=buffer)
-        head = strip.argmax(axis=1)
-        tail = strip[:, e - s:]
-        tail_max = tail.max(axis=0, initial=-np.inf)
-        # down the tail a few rows at a time: argmax(axis=0) would copy a
-        # transposed strip
-        heaviest = np.zeros(n - e, dtype=weights.dtype)
-        for r in range(0, e - s, _TIE_ROWS):
-            t = min(r + _TIE_ROWS, e - s)
-            hits = tail[r:t] == tail_max
-            np.maximum(heaviest, (hits * weights[r:t]).max(axis=0), out=heaviest)
-        values = np.concatenate([strip[np.arange(e - s), head], tail_max])
-        rows = np.concatenate([head, block - heaviest.astype(np.int64)]) + s
         # every column sees its candidate rows in increasing order, so a
         # strict comparison lets ties keep the lowest row
-        take = values > best[s:]
-        best[s:][take] = values[take]
-        arg[s:][take] = rows[take]
+        head = strip.argmax(axis=1)
+        head_max = strip[np.arange(e - s), head]
+        take = head_max > best[s:e]
+        best[s:e][take] = head_max[take]
+        arg[s:e][take] = head[take] + s
+        tail = strip[:, e - s:]
+        tail_max = tail.max(axis=0, initial=-np.inf)
+        improved = np.flatnonzero(tail_max > best[e:])
+        best[e + improved] = tail_max[improved]
+        # only the improved columns need the first row that reaches their
+        # maximum, gathered block x block at a time: argmax(axis=0) of the
+        # whole tail would copy a transposed strip
+        for c in range(0, improved.size, block):
+            cols = improved[c:c + block]
+            arg[e + cols] = tail.T[cols].argmax(axis=1) + s
     return arg
 
 

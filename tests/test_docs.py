@@ -2,7 +2,8 @@
 
 The CLI block must hold only commands that parse and must show every
 subcommand; the experiments table must list exactly the configurable kinds
-and name each kind's config keys; the minimal example must run.
+and name each kind's config keys; the minimal example must run; the Scripts
+section must name exactly the files under ``scripts/`` and ``configs/``.
 """
 import argparse
 import re
@@ -14,7 +15,8 @@ from meshwavelets.cli import build_parser
 from meshwavelets.experiments import _SCHEMAS
 from meshwavelets.synthetic import jittered_icosphere
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def section(title):
@@ -66,3 +68,10 @@ def test_minimal_example_runs(tmp_path, monkeypatch, capsys):
     assert scope["pm"].source_size == scope["shape"].mesh.n_vertices == 162
     assert re.fullmatch(r"mean error \d\.\d{4}, AUC@0\.25 \d\.\d{3}\n",
                         capsys.readouterr().out)
+
+
+def test_scripts_section_names_every_script_and_config():
+    named = set(re.findall(r"\b((?:scripts|configs)/[\w.-]+)", section("Scripts")))
+    shipped = {f"{path.parent.name}/{path.name}" for folder in ("scripts", "configs")
+               for path in (ROOT / folder).iterdir() if path.is_file()}
+    assert named == shipped

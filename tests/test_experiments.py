@@ -66,12 +66,14 @@ class TestConfigParsing:
         ("selfmatch", "baseline=LBO", "['lbo', 'none']"),
         ("pairmatch", "baseline=eigen", "['lbo', 'none']"),
         ("pairmatch", "dictionary=wavelets", "['wavelet', 'heat']"),
+        ("pairmatch", "dictionary=wavelet,heet", "['wavelet', 'heat']"),
     ])
     def test_unknown_choice_rejected(self, tmp_path, kind, line, allowed):
         meshes = "mesh=m\n" if kind == "selfmatch" else "mesh_source=a\nmesh_target=b\n"
         path = write_config(tmp_path, f"experiment={kind}\nout_dir={tmp_path}/o\n"
                                       f"{meshes}{line}\n")
-        with pytest.raises(DataError, match=re.escape(allowed)):
+        key = line.split("=")[0]
+        with pytest.raises(DataError, match=re.escape(f"{key!r}") + ".*" + re.escape(allowed)):
             run_experiment(path)
         assert not (tmp_path / "o").exists()
 
@@ -407,18 +409,20 @@ class TestSweepExperiments:
         assert summary == {"rows": 4, "elapsed_seconds": summary["elapsed_seconds"],
                            "out_dir": str(tmp_path / "o")}
         assert [row[4:] for row in sweep_rows(tmp_path / "o")] == [
-            ["displaced", "noise_radius", "mean_error", "auc_025"],
-            ["1", "0.05", "0.07325429229803737", "1.0"],
-            ["1", "0.2", "0.09182420069463051", "1.0"],
-            ["2", "0.05", "0.07325429229803737", "1.0"],
-            ["2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+            ["dictionary", "displaced", "noise_radius", "mean_error", "auc_025"],
+            ["wavelet", "1", "0.05", "0.07325429229803737", "1.0"],
+            ["wavelet", "1", "0.2", "0.09182420069463051", "1.0"],
+            ["wavelet", "2", "0.05", "0.07325429229803737", "1.0"],
+            ["wavelet", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
         ]
 
     def test_pairmatch_sweep_builds_each_dictionary_once(self, tmp_path, pair_files,
                                                         monkeypatch):
-        # the target dictionary depends on (samples, strategy, scales, tmax)
-        # and the displaced samples on (samples, strategy, displaced,
-        # noise_radius); one call per row would make 16 and 8
+        # the target dictionary depends on (samples, strategy, scales, tmax,
+        # dictionary) and the displaced samples on (samples, strategy,
+        # displaced, noise_radius); one call per row would make 32 and 16, and
+        # with dictionary after noise_radius the one-entry target cache would
+        # miss on every row: 16 targets
         calls = collections.Counter()
 
         def counted(name):
@@ -436,21 +440,47 @@ class TestSweepExperiments:
             "experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
             "mesh_source": str(src), "mesh_target": str(dst), "samples": "5",
             "scales": "3,4", "displaced": "1,2", "noise_radius": "0.05,0.2", "tmax": "0.2",
-            "baseline": "none",
+            "dictionary": "wavelet,heat", "baseline": "none",
         }))
-        assert calls == {"build_dictionary": 10, "perturb_samples": 4}
-        # rows computed at the previous commit, which built both per row
+        assert calls == {"build_dictionary": 20, "perturb_samples": 4}
+        # each kind's rows as a one-kind sweep computed them before dictionary
+        # became a list key
         assert [row[2:] for row in sweep_rows(tmp_path / "o")] == [
-            ["scales", "tmax", "displaced", "noise_radius", "mean_error", "auc_025"],
-            ["3", "0.2", "1", "0.05", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "1", "0.2", "0.09543556785616827", "1.0"],
-            ["3", "0.2", "2", "0.05", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "2", "0.2", "0.09442868238321904", "0.9753086419753086"],
-            ["4", "0.2", "1", "0.05", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "1", "0.2", "0.09182420069463051", "1.0"],
-            ["4", "0.2", "2", "0.05", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+            ["scales", "tmax", "dictionary", "displaced", "noise_radius", "mean_error",
+             "auc_025"],
+            ["3", "0.2", "wavelet", "1", "0.05", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "wavelet", "1", "0.2", "0.09543556785616827", "1.0"],
+            ["3", "0.2", "wavelet", "2", "0.05", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "wavelet", "2", "0.2", "0.09442868238321904", "0.9753086419753086"],
+            ["3", "0.2", "heat", "1", "0.05", "0.10799590073145085", "0.9444444444444444"],
+            ["3", "0.2", "heat", "1", "0.2", "0.12380433809901695", "0.9197530864197531"],
+            ["3", "0.2", "heat", "2", "0.05", "0.10799590073145085", "0.9444444444444444"],
+            ["3", "0.2", "heat", "2", "0.2", "0.129413339548718", "0.8950617283950617"],
+            ["4", "0.2", "wavelet", "1", "0.05", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "wavelet", "1", "0.2", "0.09182420069463051", "1.0"],
+            ["4", "0.2", "wavelet", "2", "0.05", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "wavelet", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+            ["4", "0.2", "heat", "1", "0.05", "0.10874768132933366", "0.9506172839506173"],
+            ["4", "0.2", "heat", "1", "0.2", "0.12245037626008387", "0.9382716049382716"],
+            ["4", "0.2", "heat", "2", "0.05", "0.10874768132933366", "0.9506172839506173"],
+            ["4", "0.2", "heat", "2", "0.2", "0.12707855232781026", "0.9074074074074074"],
         ]
+
+    def test_dictionary_sweep_rows_equal_single_kind_runs(self, tmp_path, pair_files):
+        src, dst = pair_files
+        pair = {"experiment": "pairmatch", "mesh_source": str(src), "mesh_target": str(dst),
+                "samples": "5", "scales": "6", "tmax": "0.5"}
+        run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / "s"),
+                                       "dictionary": "wavelet,heat"}))
+        header, *rows = sweep_rows(tmp_path / "s")
+        scores = ["mean_error", "auc_025", "baseline_mean_error", "baseline_auc_025"]
+        assert header == ["samples", "strategy", "scales", "tmax", "dictionary", "displaced",
+                          "noise_radius", *scores]
+        assert [row[4] for row in rows] == ["wavelet", "heat"]
+        for row in rows:
+            one = run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / row[4]),
+                                                 "dictionary": row[4]}))
+            assert row[-4:] == [repr(one[key]) for key in scores]
 
     def test_failing_setting_keeps_finished_rows(self, tmp_path, monkeypatch):
         # on this pair the dictionary at tmax=4 has degenerate columns
@@ -470,10 +500,10 @@ class TestSweepExperiments:
                                              "tmax": "0.25"}))
         for out in ("o", "e"):
             assert sweep_rows(tmp_path / out) == [
-                ["samples", "strategy", "scales", "tmax", "displaced", "noise_radius",
-                 "mean_error", "auc_025"],
-                ["6", "fps-euclidean", "25", "0.25", "0", "0.0", repr(one["mean_error"]),
-                 repr(one["auc_025"])],
+                ["samples", "strategy", "scales", "tmax", "dictionary", "displaced",
+                 "noise_radius", "mean_error", "auc_025"],
+                ["6", "fps-euclidean", "25", "0.25", "wavelet", "0", "0.0",
+                 repr(one["mean_error"]), repr(one["auc_025"])],
             ]
             assert not (tmp_path / out / "summary.txt").exists()
         # a sweep.csv that cannot be written does not hide the setting's error
