@@ -27,13 +27,14 @@ _ND_LEAF = 16  # nested dissection stops at parts of at most this many vertices
 class SpdSystem:
     """Factorized sparse SPD system (A + tW), immutable after construction.
 
-    ``solve`` accepts a single vector or an (n, m) column block, writes into
-    ``out`` (new if not given) and guarantees a relative residual of at most
-    1e-10 per column in the factor's order; only the columns that fail that
-    check after the substitution get one step of iterative refinement.
+    ``solve`` accepts a single vector or an (n, m) column block and returns a
+    new C-ordered solution of its shape with a relative residual of at most
+    1e-10 per column; only the columns that fail that check after the
+    substitution get one step of iterative refinement, and a column that still
+    fails, as all would if SuperLU's U were not D L^T, raises a NumericalError.
     Concurrent calls share no buffer. SuperLU factorizes ``P A P^T`` in
     nested-dissection order ``P`` with diagonal pivots, safe as A is SPD, and
-    is dropped once ``_Substitution`` holds its L and U.
+    is dropped once ``_Substitution`` holds its L and pivots D (U = D L^T).
     """
 
     def __init__(self, matrix: sparse.csc_matrix):
@@ -41,7 +42,7 @@ class SpdSystem:
         gap = abs(matrix - matrix.T)
         if gap.nnz and gap.max() > 1e-12 * abs(matrix).max():
             raise ValueError("matrix is not symmetric")
-        self.matrix = matrix
+        self.matrix = matrix.tocsr()
         self.n = matrix.shape[0]
         perm = _nested_dissection(matrix)
         try:
@@ -53,51 +54,47 @@ class SpdSystem:
         lower, upper, perm = lu.L, lu.U, perm[np.argsort(lu.perm_c)]
         del lu  # frees SuperLU's own copy of the factor
         self.fill = (lower.nnz + upper.nnz) / matrix.nnz  # the LU fill
-        self._lu = _Substitution(lower, upper)
+        self._lu = _Substitution(lower, upper.diagonal())
         self._perm = perm[self._lu.order]
         self._inverse = np.argsort(self._perm)
-        self._permuted = matrix.tocsr()[self._perm][:, self._perm]
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, system has {self.n}")
-        if out is None:
-            out = np.empty(rhs.shape, order="F")
-        b, x = (rhs[:, None], out[:, None]) if rhs.ndim == 1 else (rhs, out)
-        bp = b[self._perm]  # C order, as are xp and r
-        xp = self._lu.solve(bp)
-        norm_b = np.maximum(np.linalg.norm(bp, axis=0), np.finfo(float).tiny)
-        r = self._permuted @ xp
-        np.subtract(bp, r, out=r)
+        b = rhs[:, None] if rhs.ndim == 1 else rhs
+        x = self._lu.solve(b[self._perm])[self._inverse]
+        norm_b = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
+        r = self.matrix @ x  # CSR times C order: scipy copies neither
+        np.subtract(b, r, out=r)
         norm_r = np.sqrt(np.einsum("ij,ij->j", r, r))  # with no n x m temporary
         bad = np.flatnonzero(~(norm_r <= SOLVE_RTOL * norm_b))  # NaN fails too
         if bad.size:  # one step of iterative refinement, failing columns only
-            xp[:, bad] += self._lu.solve(r[:, bad])
-            res = np.linalg.norm(bp[:, bad] - self._permuted @ xp[:, bad], axis=0)
+            x[:, bad] += self._lu.solve(r[:, bad][self._perm])[self._inverse]
+            res = np.linalg.norm(b[:, bad] - self.matrix @ x[:, bad], axis=0)
             still = np.flatnonzero(~(res <= SOLVE_RTOL * norm_b[bad]))
             if still.size:
                 j = still[0]
                 raise NumericalError(
                     f"direct solve relative residual {res[j] / norm_b[bad[j]]:.3e} exceeds "
                     f"{SOLVE_RTOL:.0e} (column {bad[j]})")
-        x[...] = np.take(xp, self._inverse, axis=0, out=r, mode="clip")  # "raise" copies r
-        return out
+        return x[:, 0] if rhs.ndim == 1 else x
 
 
 class _Substitution:
-    """Substitution with SuperLU's L and U, the rows numbered by level.
+    """Substitution with SuperLU's L and pivots D, the rows numbered by level.
 
     A chain block is a maximal run of columns each the only child of the next
     in L's elimination tree (a column's parent is its first sub-diagonal
     nonzero; Liu 1990); its level is its height in the tree of blocks. Blocks
     of one level are independent (Anderson and Saad 1989), so per level a
     substitution is one product with the inverses of the level's diagonal
-    blocks and one with its other columns: a solve reads L and U once for all
-    its right-hand sides. Row k of the renumbered L U is SuperLU's ``order[k]``.
+    blocks and one with its other columns: a solve reads L once for all its
+    right-hand sides, and the backward pass reads the same arrays transposed,
+    as U = D L^T. Row k of the renumbered L is SuperLU's ``order[k]``.
     """
 
-    def __init__(self, lower: sparse.csc_matrix, upper: sparse.csc_matrix):
+    def __init__(self, lower: sparse.csc_matrix, pivots: np.ndarray):
         n, idx = lower.shape[0], lower.indices.dtype
 
         def offsets(counts):  # where each of consecutive runs of counts entries starts
@@ -117,52 +114,50 @@ class _Substitution:
         order = self.order = np.argsort(height[block], kind="stable").astype(idx)  # by level
         pos = np.empty(n, idx)
         pos[order] = np.arange(n)
-        # blocks of L (strict lower part) and U, packed: (i, j) at dense[at[j] + i * size]
+        self._pivots = pivots[order][:, None]
+        # L's diagonal blocks, packed: (i, j) at dense[at[j] + i * size]
         base = np.cumsum(size ** 2) - size ** 2
-        dense, off = np.zeros(base[-1] + size[-1] ** 2), []
+        dense = np.zeros(base[-1] + size[-1] ** 2)
         at = (base - first * (size + 1))[block] + np.arange(n)
-        for factor, edge in ((lower, first + size - 1), (upper, first)):
-            edge = np.repeat(edge[block].astype(idx), np.diff(factor.indptr))  # last/first row
-            inside = factor.indices <= edge if factor is lower else factor.indices >= edge
-            take = np.flatnonzero(inside)
-            within = np.diff(np.searchsorted(take, factor.indptr))
-            dense[np.repeat(at, within) + factor.indices.take(take)
-                  * np.repeat(size[block], within)] = factor.data.take(take)
-            take = np.flatnonzero(~inside)  # the rest, as CSC by level
-            ptr = np.searchsorted(take, factor.indptr).astype(idx)
-            rows, data = pos.take(factor.indices.take(take)), factor.data.take(take)
-            off.append((offsets(np.diff(ptr)[order]), np.empty_like(rows), np.empty_like(data)))
-            _sparsetools.csr_row_index(n, order, ptr, rows, data, *off[-1][1:])
+        last = np.repeat((first + size - 1)[block].astype(idx), np.diff(lower.indptr))
+        inside = lower.indices <= last
+        take = np.flatnonzero(inside)
+        within = np.diff(np.searchsorted(take, lower.indptr))
+        dense[np.repeat(at, within) + lower.indices.take(take)
+              * np.repeat(size[block], within)] = lower.data.take(take)
+        take = np.flatnonzero(~inside)  # the rest, as CSC by level
+        low = sparse.csc_matrix((lower.data.take(take), pos.take(lower.indices.take(take)),
+                                 np.searchsorted(take, lower.indptr)), shape=(n, n))[:, order]
         trtri, blocks = scipy.linalg.lapack.dtrtri, zip(base.tolist(), size.tolist())
-        for d in [dense[a:a + s * s].reshape(s, s).T for a, s in blocks]:  # transposed views
-            trtri(d, 0, 1, 1)  # (lower, unitdiag, overwrite) by position, the cheaper call
-            trtri(d, 1, 0, 1)
-        # the negated inverses as CSR: row i of a block of L holds its columns
-        # 0..i, of U its columns i..s-1, from the block's first one, c
+        for a, s in blocks:  # the transposed view is upper triangular
+            trtri(dense[a:a + s * s].reshape(s, s).T, 0, 1, 1)  # (lower, unitdiag, overwrite)
+        # the negated inverses as CSR: row i of a block holds its columns
+        # 0..i, from the block's first one, c; L stores its unit diagonal
         b = block[order]
-        local, inverse, c = order - first[b], [], np.arange(n) - (order - first[b])
-        for length, lead in ((local + 1, 0), (size[b] - local, local)):
-            indptr = offsets(length)
-            cols = np.repeat(c + lead - indptr[:-1], length) + np.arange(indptr[-1])
-            inverse.append((indptr, cols.astype(idx),
-                            -dense[cols + np.repeat(base[b] + local * size[b] - c, length)]))
-        inverse[0][2][inverse[0][0][1:] - 1] = -1.0  # L's unit diagonal
+        local = order - first[b]
+        indptr, c = offsets(local + 1), np.arange(n) - local
+        cols = np.repeat(c - indptr[:-1], local + 1) + np.arange(indptr[-1])
+        inv = indptr, cols.astype(idx), -dense[cols + np.repeat(base[b] + local * size[b] - c,
+                                                                local + 1)]
         bounds = offsets(np.bincount(height[b])).tolist()
-        self._levels = [(s, e, *((p[s:e + 1], i, x) for p, i, x in
-                                 (inverse[0], off[0], inverse[1], off[1])))
+        self._levels = [(s, e, (inv[0][s:e + 1], *inv[1:]),
+                         (low.indptr[s:e + 1], low.indices, low.data))
                         for s, e in zip(bounds[:-1], bounds[1:])]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``(L U)^-1 b`` for a C-ordered (n, m) block in level order."""
-        n, m = b.shape
-        w, z = np.array(b, order="C"), np.zeros((n, m))  # z: minus the forward result y
-        for s, e, li, lo, ui, uo in self._levels:
-            _sparsetools.csr_matvecs(e - s, n, m, *li, w, z[s:e])  # y_k = L_kk^-1 w_k
-            _sparsetools.csc_matvecs(n, e - s, m, *lo, z[s:e], w)  # w_>k -= L_>k,k y_k
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        """``(L D L^T)^-1 w`` for an (n, m) block in level order; overwrites
+        ``w`` if it is C-ordered, and returns the result."""
+        w = np.ascontiguousarray(w)  # scipy's kernels copy any other layout on every call
+        n, m = w.shape
+        z = np.zeros((n, m))  # minus the forward result y
+        for s, e, inv, low in self._levels:
+            _sparsetools.csr_matvecs(e - s, n, m, *inv, w, z[s:e])  # y_k = L_kk^-1 w_k
+            _sparsetools.csc_matvecs(n, e - s, m, *low, z[s:e], w)  # w_>k -= L_>k,k y_k
         w.fill(0.0)  # the backward pass adds x_k into w
-        for s, e, li, lo, ui, uo in reversed(self._levels):
-            _sparsetools.csr_matvecs(e - s, n, m, *ui, z, w[s:e])  # x_k = U_kk^-1 y_k
-            _sparsetools.csc_matvecs(n, e - s, m, *uo, w[s:e], z)  # y_<k -= U_<k,k x_k
+        for s, e, inv, low in reversed(self._levels):
+            z[s:e] /= self._pivots[s:e]  # v_k = D_k^-1 y_k; a whole-block divide buffers
+            _sparsetools.csr_matvecs(e - s, n, m, *low, w, z[s:e])  # v_k -= L_>k,k^T x_>k
+            _sparsetools.csc_matvecs(n, e - s, m, *inv, z[s:e], w)  # x_k = L_kk^-T v_k
         return w
 
 

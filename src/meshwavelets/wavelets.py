@@ -100,17 +100,16 @@ def mother_wavelets(lap: LaplacianPair, samples: SampleSet) -> np.ndarray:
     return cols / lap.mass[:, None]
 
 
-def diffusion_step(lap: LaplacianPair, block: np.ndarray, system: SpdSystem,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def diffusion_step(lap: LaplacianPair, block: np.ndarray, system: SpdSystem) -> np.ndarray:
     """One backward-Euler heat step: (A + tW)^-1 A applied to a column block.
 
     ``system`` is the factorization of A + tW, ``factorize(lap.mass,
     lap.stiffness, t)``, which fixes the step t. Conserves the A-weighted
-    integral of every column. Pass ``out`` to receive the result.
+    integral of every column.
     """
     block = np.asarray(block, dtype=np.float64)
     rhs = lap.mass[:, None] * block if block.ndim == 2 else lap.mass * block
-    return system.solve(rhs, out=out)
+    return system.solve(rhs)
 
 
 def pair_rhos(area_source: float, area_target: float, rho="auto") -> tuple[float, float]:
@@ -135,7 +134,8 @@ def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
     columns = np.empty((lap.n, n_scales * k), order="F")
     block = first_block
     for start in range(0, n_scales * k, k):
-        block = diffusion_step(lap, block, system, out=columns[:, start:start + k])
+        columns[:, start:start + k] = diffusion_step(lap, block, system)
+        block = columns[:, start:start + k]
         if zero_mean:
             # wavelet columns have exactly zero A-weighted mean in exact
             # arithmetic (W has zero row sums); project out the roundoff

@@ -85,7 +85,9 @@ def numpy_reference_columns(lap, samples, n_scales, t_max, kind):
     block = mother_wavelets(lap, samples) if wavelet else indicator_columns(lap.n, samples)
     scales = []
     for _ in range(n_scales):
-        block = system.solve(lap.mass[:, None] * block)
+        # column-major, as the dictionary is, so numpy's products below see
+        # the layout that dense's see
+        block = np.asfortranarray(system.solve(lap.mass[:, None] * block))
         if wavelet:
             block -= lap.mass @ block / lap.total_area
         scales.append(block)

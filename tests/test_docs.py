@@ -3,13 +3,20 @@
 The CLI block must hold only commands that parse and must show every
 subcommand; the experiments table must list exactly the configurable kinds
 and name each kind's config keys; the minimal example must run; the Scripts
-section must name exactly the files under ``scripts/`` and ``configs/``.
+section must name exactly the files under ``scripts/`` and ``configs/``; the
+Library tour's signatures must be the package's.
 """
 import argparse
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
+import meshwavelets
 from meshwavelets import write_off
 from meshwavelets.cli import build_parser
 from meshwavelets.experiments import _SCHEMAS
@@ -75,3 +82,43 @@ def test_scripts_section_names_every_script_and_config():
     shipped = {f"{path.parent.name}/{path.name}" for folder in ("scripts", "configs")
                for path in (ROOT / folder).iterdir() if path.is_file()}
     assert named == shipped
+
+
+def public_callables():
+    """Every public function, class and class method of the package's
+    modules, by name, each from the module that defines it."""
+    found = {}
+    for info in pkgutil.iter_modules(meshwavelets.__path__):
+        module = importlib.import_module(f"meshwavelets.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                found.setdefault(name, []).append(obj)
+            if inspect.isclass(obj):
+                for method, fn in vars(obj).items():
+                    if not method.startswith("_") and inspect.isfunction(fn):
+                        found.setdefault(method, []).append(fn)
+    return found
+
+
+def test_library_tour_signatures_match_the_code():
+    # each backticked `name(a, b=default)` names one public callable, whose
+    # parameters are exactly a, b, ... in order (a trailing `...` stands for
+    # the rest), with the quoted defaults
+    quoted = re.findall(r"`(\w+)\(([^`]*)\)`", section("Library tour"))
+    assert quoted
+    callables = public_callables()
+    for name, params in quoted:
+        assert len(callables.get(name, [])) == 1, f"`{name}` is not one public callable"
+        signature = inspect.signature(callables[name][0])
+        real = [p for p in signature.parameters.values() if p.name != "self"]
+        items = [item.strip() for item in params.split(",")]
+        if items[-1] == "...":
+            items, real = items[:-1], real[:len(items) - 1]
+        assert [item.split("=")[0] for item in items] == [p.name for p in real], \
+            f"README's `{name}({params})` against {signature}"
+        for item, p in zip(items, real):
+            if "=" in item:
+                assert eval(item.split("=", 1)[1], {"np": np}) == p.default, \
+                    f"README's `{name}({params})` against {signature}"

@@ -80,8 +80,8 @@ class TestReconstruct:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 300), m=st.integers(1, 4))
 def test_gram_argmax_matches_dense_oracle(data, n, m):
-    # small integers make many Gram entries exactly equal: the lowest row must
-    # win, also when equal rows fall in different 64-row sub-blocks of a strip
+    # small integers make many Gram entries exactly equal: ties must resolve
+    # to the lowest row, also when the equal rows fall in different strips
     b = data.draw(arrays(np.int8, (n, m), elements=st.integers(-2, 2))).astype(np.float64)
     block = data.draw(st.sampled_from([1, 7, 64, 65, 130, n, 512]))
     np.testing.assert_array_equal(gram_argmax(b, block=block),
@@ -122,7 +122,7 @@ def test_gram_argmax_holds_one_strip_at_a_time():
     finally:
         tracemalloc.stop()
     # one block x n strip of float64 plus O(n): every strip reuses one
-    # buffer, and the tie-break works 64 rows at a time
+    # buffer, and the tie-break gathers at most block columns at a time
     assert peak <= block * n * 8 + 400 * n
 
 

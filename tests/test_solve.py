@@ -59,25 +59,6 @@ def test_block_solve_matches_single_columns(lap642):
         assert np.abs(X[:, j] - xj).max() <= 1e-12
 
 
-@pytest.mark.parametrize("width", [None, 1, 5])
-def test_solve_into_out_equals_solve(lap642, width):
-    # the diffusion steps solve into column slices of one column-major matrix;
-    # a vector (width None) is written into a 1-D out
-    system = factorize(lap642.mass, lap642.stiffness, t=1e-2)
-    shape = (lap642.n,) if width is None else (lap642.n, width)
-    b = np.random.default_rng(4).standard_normal(shape)
-    if width is None:
-        out = np.full(lap642.n, np.nan)
-        target = out
-    else:
-        out = np.full((lap642.n, 3 * width), np.nan, order="F")
-        target = out[:, width:2 * width]
-    assert system.solve(b, out=target) is target
-    np.testing.assert_array_equal(target, system.solve(b))
-    if width is not None:  # the other columns are untouched
-        assert np.isnan(out[:, :width]).all() and np.isnan(out[:, 2 * width:]).all()
-
-
 def test_factorization_reuse_matches_refactorization(lap162):
     rng = np.random.default_rng(3)
     B = rng.standard_normal((lap162.n, 8))
@@ -168,6 +149,20 @@ def test_only_the_failing_column_is_refined(lap642):
     assert (res <= 1e-10 * np.linalg.norm(b, axis=0)).all()
     others = [0, 1, 2, 4, 5, 6, 7]
     np.testing.assert_array_equal(x[:, others], clean[:, others])
+
+
+def test_refinement_of_several_columns_succeeds(lap642):
+    b = np.random.default_rng(7).standard_normal((lap642.n, 8))
+    clean = factorize(lap642.mass, lap642.stiffness, t=1e-3).solve(b)
+
+    def damage_first_solve(call, x):
+        if call == 1:  # columns 2 and 5 fail the first check
+            x[:, [2, 5]] += 1e-6 * np.linalg.norm(x[:, 5])
+
+    system = _counted_system(lap642, damage_first_solve)
+    x = system.solve(b)
+    assert system._lu.widths == [8, 2]  # one refinement block of both columns
+    assert np.abs(x - clean).max() <= 1e-12
 
 
 def test_column_failing_after_refinement_is_named(lap642):
@@ -434,18 +429,33 @@ def test_substitution_matches_dense_solve(system_and_rhs):
 @pytest.mark.parametrize("name", ["sphere2562", "two-spheres", "path", "no-edges"])
 def test_levels_reach_only_earlier_levels(name):
     # numbered by level, an entry of L outside the diagonal blocks leads from
-    # an earlier level's column to a later level's row, and of U from a later
-    # column to an earlier row; the blocks' inverses stay inside their level
+    # an earlier level's column to a later level's row; read transposed, as
+    # rows of U = D L^T, the same arrays lead from a later column to an
+    # earlier row. The blocks' inverses stay inside their level
     matrix = _ORDERING_INPUTS[name]()
     levels = SpdSystem(matrix)._lu._levels
     assert levels[0][0] == 0 and levels[-1][1] == matrix.shape[0]
-    for (s, e, inv_l, off_l, inv_u, off_u), following in zip(levels, levels[1:] + [None]):
+    for (s, e, inv, low), following in zip(levels, levels[1:] + [None]):
         assert following is None or following[0] == e
-        for indptr, indices, _ in (inv_l, inv_u):
-            reached = indices[indptr[0]:indptr[-1]]
-            assert ((s <= reached) & (reached < e)).all()
-        assert (off_l[1][off_l[0][0]:off_l[0][-1]] >= e).all()
-        assert (off_u[1][off_u[0][0]:off_u[0][-1]] < s).all()
+        reached = inv[1][inv[0][0]:inv[0][-1]]
+        assert ((s <= reached) & (reached < e)).all()
+        assert (low[1][low[0][0]:low[0][-1]] >= e).all()
+
+
+@pytest.mark.parametrize("name", list(_ORDERING_INPUTS) + ["sphere2562-t1e-3"])
+def test_superlu_upper_factor_is_pivots_times_lower_transposed(name, monkeypatch):
+    # the substitution keeps only L, whose stored unit diagonal its inverses
+    # reuse, and the pivots D: exact if SuperLU's U equals D L^T under the
+    # options SpdSystem passes
+    inputs = {**_ORDERING_INPUTS, "sphere2562-t1e-3": lambda: _diffusion_matrix(4, t=1e-3)}
+    matrix = inputs[name]()
+    factors = []
+    monkeypatch.setattr("meshwavelets.solve.splu",
+                        lambda *args, **kw: factors.append(splu(*args, **kw)) or factors[-1])
+    SpdSystem(matrix)
+    upper, lower = factors[0].U, factors[0].L
+    assert (lower.diagonal() == 1.0).all()
+    assert abs(upper - sparse.diags(upper.diagonal()) @ lower.T).max() <= 1e-12 * abs(upper).max()
 
 
 def test_chain_blocks_keep_the_levels_few():
@@ -456,16 +466,16 @@ def test_chain_blocks_keep_the_levels_few():
 
 
 def test_solve_holds_three_column_blocks(lap642):
-    # the right-hand side in the factor's order, the substitution's two
-    # buffers; the residual is a CSR product with the C-ordered solution,
-    # which scipy does not copy
+    # the right-hand side in the factor's order, which the substitution
+    # overwrites, and its second buffer; then the solution in vertex order
+    # and the residual, a CSR product with the C-ordered solution, which
+    # scipy does not copy
     system = factorize(lap642.mass, lap642.stiffness, t=1e-3)
     b = np.asfortranarray(np.random.default_rng(12).standard_normal((lap642.n, 20)))
-    out = np.empty_like(b, order="F")
-    system.solve(b, out=out)
+    system.solve(b)
     tracemalloc.start()
     try:
-        system.solve(b, out=out)
+        system.solve(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
