@@ -23,7 +23,7 @@ from .laplacian import Shape
 from .matching import (identity_map, load_indices, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
 from .mesh import load_mesh
-from .sampling import SampleSet, explicit_samples, perturb_samples, sample
+from .sampling import STRATEGIES, SampleSet, explicit_samples, perturb_samples, sample
 from .solve import generalized_eigs
 from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
                        fmap_to_pointmap, ground_truth_wavelets,
@@ -68,7 +68,7 @@ _DEFAULTS = {
 }
 
 # string keys with a closed set of values
-_CHOICES = {"dictionary": KINDS, "baseline": ("lbo", "none")}
+_CHOICES = {"dictionary": KINDS, "baseline": ("lbo", "none"), "strategy": STRATEGIES}
 
 # kind-specific defaults that differ from the shared table
 _KIND_DEFAULTS = {"wavelets": {"samples": 10}}

@@ -23,9 +23,9 @@ class TriangleMesh:
     faces : (m, 3) int array
         Vertex indices of each triangle, in file order.
 
-    Construction validates the mesh invariants: indices in range, no face
-    with a repeated vertex, no (near-)degenerate face. The face areas it
-    computes for the last check are kept, read-only, for ``face_areas``.
+    Construction validates the mesh invariants: finite coordinates, indices in
+    range, no face with a repeated vertex, no (near-)degenerate face. The face
+    areas it computes for the last check are kept, read-only, for ``face_areas``.
     """
 
     vertices: np.ndarray
@@ -36,6 +36,8 @@ class TriangleMesh:
         f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
         if v.ndim != 2 or v.shape[1] != 3:
             raise DataError(f"vertices must be (n, 3), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise DataError(f"vertex {np.isfinite(v).all(1).argmin()} has a non-finite coordinate")
         if f.ndim != 2 or f.shape[1] != 3:
             raise DataError(f"faces must be (m, 3), got {f.shape}")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
@@ -132,37 +134,6 @@ def _records(lines):
     return np.flatnonzero(content) + 1, tokens, starts[content], counts[content]
 
 
-def _first(bad):
-    """The index of the first true entry of ``bad``, else its length."""
-    hits = np.flatnonzero(bad)
-    return hits[0] if hits.size else len(bad)
-
-
-def _table(tokens, starts, fits, first, k, convert):
-    """Fields ``first .. first + k - 1`` of the leading well-formed records.
-
-    ``fits`` marks the records that have those fields; ``convert`` maps an
-    array of field strings to numbers, raising ``ValueError`` or
-    ``OverflowError`` on a bad one. Returns (values, m): ``values`` is the
-    (m, k) table of records ``0 .. m - 1``, where m is the first record that
-    does not fit or has a field that does not convert (``len(starts)`` if none).
-    """
-    m = _first(~fits)
-    cells = tokens[(starts[:m, None] + np.arange(first, first + k)).ravel()]
-    try:
-        values = convert(cells)
-    except (ValueError, OverflowError):
-        # the first cell that does not convert ends the table
-        for i in range(len(cells)):
-            try:
-                convert(cells[i:i + 1])
-            except (ValueError, OverflowError):
-                break
-        m = i // k
-        values = convert(cells[:m * k])
-    return values.reshape(m, k), m
-
-
 def _floats(cells):
     return np.array(cells.tolist(), dtype=np.float64)
 
@@ -195,35 +166,40 @@ def _parse_off(lines):
     except ValueError:
         raise DataError(f"OFF parse error at line {num}: non-integer count in {text!r}") from None
 
-    rows = slice(2, 2 + max(n_verts, 0))
-    verts, m = _table(tokens, starts[rows], counts[rows] >= 3, 0, 3, _floats)
-    if m < len(numbers[rows]):
-        num = numbers[rows][m]
-        raise DataError(f"OFF parse error at line {num}: {_off_vertex_error(lines[num - 1].strip())}")
-    if len(verts) < n_verts:
-        raise DataError(f"OFF parse error: expected {n_verts} vertices, file ended early")
-
-    rows = slice(rows.stop, rows.stop + max(n_faces, 0))
-    faces, m = _table(tokens, starts[rows], counts[rows] >= 4, 0, 4, _ints)
-    m = _first((faces[:, 0] != 3) | ((faces[:, 1:] < 0) | (faces[:, 1:] >= n_verts)).any(axis=1))
-    if m < len(numbers[rows]):
-        num = numbers[rows][m]
-        raise DataError(f"OFF parse error at line {num}: "
-                        f"{_off_face_error(lines[num - 1].strip(), n_verts)}")
-    if len(faces) < n_faces:
-        raise DataError(f"OFF parse error: expected {n_faces} faces, file ended early")
-    return verts, faces[:, 1:]
-
-
-def _off_vertex_error(text):
-    """Why an OFF vertex record is bad, worded as the parser reports it."""
-    return ("vertex needs 3 coordinates" if len(text.split()) < 3
-            else f"bad coordinate in {text!r}")
+    nv, nf = max(n_verts, 0), max(n_faces, 0)
+    v, f = slice(2, 2 + nv), slice(2 + nv, 2 + nv + nf)
+    try:
+        if len(numbers) >= f.stop and (counts[v] >= 3).all() and (counts[f] >= 4).all():
+            verts = _floats(tokens[(starts[v, None] + np.arange(3)).ravel()]).reshape(-1, 3)
+            faces = _ints(tokens[(starts[f, None] + np.arange(4)).ravel()]).reshape(-1, 4)
+            if (faces[:, 0] == 3).all() and ((faces[:, 1:] >= 0) & (faces[:, 1:] < n_verts)).all():
+                return verts, faces[:, 1:]
+    except (ValueError, OverflowError):
+        pass
+    # not well formed: the first fault in file order is the one reported
+    for r, num in enumerate(numbers[2:f.stop].tolist()):
+        text = lines[num - 1].strip()
+        fields = text.split()
+        problem = (_vertex_problem(fields, text) if r < nv
+                   else _off_face_problem(fields, text, n_verts))
+        if problem:
+            raise DataError(f"OFF parse error at line {num}: {problem}")
+    kind, n = ("vertices", n_verts) if len(numbers) < v.stop else ("faces", n_faces)
+    raise DataError(f"OFF parse error: expected {n} {kind}, file ended early")
 
 
-def _off_face_error(text, n_verts):
-    """Why an OFF face record is bad, worded as the parser reports it."""
-    fields = text.split()
+def _vertex_problem(coordinates, text):
+    """Why a vertex record with these coordinate fields is bad, or None."""
+    if len(coordinates) < 3:
+        return "vertex needs 3 coordinates"
+    try:
+        list(map(float, coordinates[:3]))
+    except ValueError:
+        return f"bad coordinate in {text!r}"
+
+
+def _off_face_problem(fields, text, n_verts):
+    """Why an OFF face record with these fields is bad, or None."""
     try:
         count = int(fields[0])
     except ValueError:
@@ -236,7 +212,9 @@ def _off_face_error(text, n_verts):
         idx = [int(x) for x in fields[1:4]]
     except ValueError:
         return f"bad face index in {text!r}"
-    return f"vertex index {next(i for i in idx if not 0 <= i < n_verts)} out of range"
+    for i in idx:
+        if not 0 <= i < n_verts:
+            return f"vertex index {i} out of range"
 
 
 def _parse_obj(lines):
@@ -244,32 +222,35 @@ def _parse_obj(lines):
     tags = tokens[starts]
     # normals, texcoords, groups, materials are ignored
     is_v, is_f = tags == "v", tags == "f"
-    verts, m_v = _table(tokens, starts[is_v], counts[is_v] >= 4, 1, 3, _floats)
-    refs, m_f = _table(tokens, starts[is_f], counts[is_f] == 4, 1, 3, _obj_refs)
-    # OBJ indices are 1-based; negative indices count back from the most
-    # recently defined vertex
-    defined = np.cumsum(is_v)[is_f][:m_f, None]
-    faces = np.where(refs > 0, refs - 1, defined + refs)
-    m_f = _first(((faces < 0) | (faces >= defined)).any(axis=1))
-    # the first bad record of either kind, as a record index
-    bad = [rows[m] for rows, m in ((np.flatnonzero(is_v), m_v), (np.flatnonzero(is_f), m_f))
-           if m < len(rows)]
-    if bad:
-        r = min(bad)
-        num = numbers[r]
-        raise DataError(f"OBJ parse error at line {num}: "
-                        f"{_obj_error(lines[num - 1].strip(), int(is_v[:r].sum()))}")
-    return verts, faces
+    try:
+        if (counts[is_v] >= 4).all() and (counts[is_f] == 4).all():
+            verts = _floats(tokens[(starts[is_v, None] + np.arange(1, 4)).ravel()]).reshape(-1, 3)
+            refs = _obj_refs(tokens[(starts[is_f, None] + np.arange(1, 4)).ravel()]).reshape(-1, 3)
+            # OBJ indices are 1-based; negative indices count back from the
+            # most recently defined vertex
+            defined = np.cumsum(is_v)[is_f][:, None]
+            faces = np.where(refs > 0, refs - 1, defined + refs)
+            if ((faces >= 0) & (faces < defined)).all():
+                return verts, faces
+    except (ValueError, OverflowError):
+        pass
+    # not well formed: the first fault in file order is the one reported
+    defined = 0
+    for num in numbers[is_v | is_f].tolist():
+        text = lines[num - 1].strip()
+        tag, *fields = text.split()
+        if tag == "v":
+            problem = _vertex_problem(fields, text)
+            defined += 1
+        else:
+            problem = _obj_face_problem(fields, defined)
+        if problem:
+            raise DataError(f"OBJ parse error at line {num}: {problem}")
 
 
-def _obj_error(text, n_verts):
-    """Why an OBJ ``v`` or ``f`` record is bad, worded as the parser reports
-    it; ``n_verts`` vertices are defined before it."""
-    fields = text.split()
-    if fields[0] == "v":
-        return ("vertex needs 3 coordinates" if len(fields) < 4
-                else f"bad coordinate in {text!r}")
-    refs = fields[1:]
+def _obj_face_problem(refs, n_verts):
+    """Why an OBJ face record with these references is bad, or None;
+    ``n_verts`` vertices are defined before it."""
     if len(refs) != 3:
         return f"non-triangle face with {len(refs)} vertices"
     for ref in refs:

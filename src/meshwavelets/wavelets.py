@@ -20,7 +20,7 @@ import numpy as np
 from . import dense
 from .errors import DataError, NumericalError
 from .laplacian import LaplacianPair
-from .sampling import SampleSet, explicit_samples
+from .sampling import SampleSet
 from .solve import SpdSystem, factorize
 
 MAGIC = b"DWDICT01"
@@ -288,10 +288,7 @@ def load_dictionary(path) -> Dictionary:
     except ValueError:
         raise DataError(f"{meta_path}: bad seed {meta['seed']!r}") from None
     try:
-        if strategy == "explicit":
-            samples = explicit_samples(idx)
-        else:
-            samples = SampleSet(indices=idx, strategy=strategy, seed=seed)
+        samples = SampleSet(indices=idx, strategy=strategy, seed=seed)
         return Dictionary(columns=columns, samples=samples, n_scales=int(n_scales),
                           t_max=t_max, rho=rho, t_step=t_step, kind=kind)
     except ValueError as exc:

@@ -90,6 +90,7 @@ def test_dict_build_with_landmark_file(tmp_path, mesh_off):
     d = load_dictionary(out)
     np.testing.assert_array_equal(d.samples.indices, [0, 50, 100])
     assert d.samples.strategy == "explicit"
+    assert d.samples.seed == 0
 
 
 def test_match_self_and_eval(tmp_path, mesh_off):
@@ -255,6 +256,16 @@ class TestExitCodes:
                        "--out", str(out)]
         assert main(command) == 2
         assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{folder}'\n"
+
+    def test_non_finite_vertex_is_2(self, tmp_path, capsys):
+        path = tmp_path / "m.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 -inf\n3 0 1 2\n3 0 1 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["match", "self", "--mesh", str(path), "--samples", "3",
+                         "--scales", "4", "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "vertex 3 has a non-finite coordinate" in capsys.readouterr().err
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         code = main(["match", "self", "--mesh", str(tmp_path / "nope.off"),

@@ -8,7 +8,7 @@ import pytest
 from meshwavelets import (DataError, NumericalError, TriangleMesh, experiments, geodesics, mesh,
                           parse_config, run_experiment, write_off)
 from meshwavelets.cli import main
-from meshwavelets.experiments import _DEFAULTS, _SCHEMAS, resolve_config
+from meshwavelets.experiments import _CHOICES, _DEFAULTS, _SCHEMAS, resolve_config
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
 
 
@@ -67,15 +67,26 @@ class TestConfigParsing:
         ("pairmatch", "baseline=eigen", "['lbo', 'none']"),
         ("pairmatch", "dictionary=wavelets", "['wavelet', 'heat']"),
         ("pairmatch", "dictionary=wavelet,heet", "['wavelet', 'heat']"),
+        ("selfmatch", "strategy=fps-euclidean,fps-geodezic",
+         "['fps-euclidean', 'fps-geodesic', 'random']"),
+        ("wavelets", "strategy=fps", "['fps-euclidean', 'fps-geodesic', 'random']"),
     ])
     def test_unknown_choice_rejected(self, tmp_path, kind, line, allowed):
-        meshes = "mesh=m\n" if kind == "selfmatch" else "mesh_source=a\nmesh_target=b\n"
+        meshes = "mesh_source=a\nmesh_target=b\n" if kind == "pairmatch" else "mesh=m\n"
         path = write_config(tmp_path, f"experiment={kind}\nout_dir={tmp_path}/o\n"
                                       f"{meshes}{line}\n")
         key = line.split("=")[0]
         with pytest.raises(DataError, match=re.escape(f"{key!r}") + ".*" + re.escape(allowed)):
             run_experiment(path)
         assert not (tmp_path / "o").exists()
+
+    def test_every_string_key_is_a_path_or_a_closed_set(self):
+        paths = {"mesh", "mesh_source", "mesh_target", "landmarks_source", "landmarks_target",
+                 "gt_map"}
+        for kind, schema in _SCHEMAS.items():
+            for key, typ in schema.items():
+                if typ in (str, [str]):
+                    assert key in paths or key in _CHOICES, (kind, key)
 
     @pytest.mark.parametrize("kind, line, key", [
         ("selfmatch", "samples=2,2.5", "samples"),

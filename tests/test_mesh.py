@@ -110,6 +110,12 @@ def test_repeated_vertex_in_face_rejected():
         TriangleMesh(vertices=np.eye(3), faces=[[0, 1, 1]])
 
 
+def test_non_finite_vertex_rejected():
+    v = [[0, 0, 0], [1, 0, 0], [0, np.nan, 0], [0, 0, 1]]
+    with pytest.raises(DataError, match="vertex 2 has a non-finite coordinate"):
+        TriangleMesh(vertices=v, faces=[[0, 1, 3]])
+
+
 def test_degenerate_face_rejected():
     v = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]]  # first three are collinear
     with pytest.raises(DataError, match="degenerate"):
