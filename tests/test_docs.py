@@ -4,7 +4,8 @@ The CLI block must hold only commands that parse and must show every
 subcommand; the experiments table must list exactly the configurable kinds
 and name each kind's config keys; the minimal example must run; the Scripts
 section must name exactly the files under ``scripts/`` and ``configs/``; the
-Library tour's signatures must be the package's.
+Library tour's signatures must be the package's, and its ``evaluation`` row
+must name the Dijkstra chunk size the module uses.
 """
 import argparse
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import meshwavelets
-from meshwavelets import write_off
+from meshwavelets import evaluation, write_off
 from meshwavelets.cli import build_parser
 from meshwavelets.experiments import _SCHEMAS
 from meshwavelets.synthetic import jittered_icosphere
@@ -122,3 +123,9 @@ def test_library_tour_signatures_match_the_code():
             if "=" in item:
                 assert eval(item.split("=", 1)[1], {"np": np}) == p.default, \
                     f"README's `{name}({params})` against {signature}"
+
+
+def test_evaluation_row_names_the_dijkstra_chunk():
+    row = re.search(r"^\| `evaluation` .*$", section("Library tour"), flags=re.M).group(0)
+    chunk = str(evaluation._DIJKSTRA_CHUNK)
+    assert re.findall(r"chunks of (\d+) sources, O\((\d+)·n\) memory", row) == [(chunk, chunk)]
