@@ -14,13 +14,12 @@ from .laplacian import LaplacianPair, Shape, build_laplacian
 from .matching import (PointMap, identity_map, load_pointmap, nearest_rows,
                        reconstruct_delta_map, save_pointmap, transfer_pointmap)
 from .mesh import (TriangleMesh, face_areas, load_mesh, normalize_unit_area,
-                   total_area, write_obj, write_off)
+                   total_area, write_off)
 from .sampling import SampleSet, explicit_samples, perturb_samples, sample
 from .solve import Spectrum, SpdSystem, factorize, generalized_eigs
 from .spectral import (DictionaryError, FunctionalMap, dictionary_error,
                        eigenbasis_selfmatch_map, fmap_to_pointmap,
-                       gt_functional_map, ground_truth_wavelets,
-                       spectral_heat_kernel, spectral_mexican_hat)
+                       gt_functional_map, ground_truth_wavelets, spectral_mexican_hat)
 from .wavelets import (Dictionary, build_dictionary, diffusion_step,
                        indicator_columns, load_dictionary, mother_wavelets,
                        pair_rhos, save_dictionary)

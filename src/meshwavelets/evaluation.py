@@ -30,11 +30,10 @@ class EvalCurve:
     """Cumulative matching curve plus scalar summaries.
 
     ``fractions[i]`` is the share of correspondences with normalized geodesic
-    error at most ``thresholds[i]``; ``auc_025`` is the share with error at
+    error at most ``THRESHOLDS[i]``; ``auc_025`` is the share with error at
     most 0.25 and ``mean_error`` the mean over finite errors.
     """
 
-    thresholds: np.ndarray
     fractions: np.ndarray
     mean_error: float
     auc_025: float
@@ -164,5 +163,5 @@ def curve(errors: np.ndarray) -> EvalCurve:
     fractions = (errors[None, :] <= THRESHOLDS[:, None]).mean(axis=1)
     finite = errors[np.isfinite(errors)]
     mean_error = float(finite.mean()) if finite.size else float("inf")
-    return EvalCurve(thresholds=THRESHOLDS, fractions=fractions,
-                     mean_error=mean_error, auc_025=float((errors <= 0.25).mean()))
+    return EvalCurve(fractions=fractions, mean_error=mean_error,
+                     auc_025=float((errors <= 0.25).mean()))

@@ -18,17 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .evaluation import curve, geodesic_errors
+from .evaluation import THRESHOLDS, curve, geodesic_errors
 from .laplacian import Shape
 from .matching import (identity_map, load_indices, load_pointmap, reconstruct_delta_map,
                        save_pointmap, transfer_pointmap)
 from .mesh import load_mesh
 from .sampling import STRATEGIES, SampleSet, explicit_samples, perturb_samples, sample
 from .solve import generalized_eigs
-from .spectral import (dictionary_error, eigenbasis_selfmatch_map,
-                       fmap_to_pointmap, ground_truth_wavelets,
-                       gt_functional_map)
-from .wavelets import KINDS, build_dictionary, pair_rhos
+from .spectral import (TRUNCATION, dictionary_error, eigenbasis_selfmatch_map,
+                       fmap_to_pointmap, ground_truth_wavelets, gt_functional_map)
+from .wavelets import KINDS, Dictionary, _time_step, build_dictionary, pair_rhos
 
 _COMMON_KEYS = {"experiment", "out_dir", "seed"}
 
@@ -45,8 +44,7 @@ _SCHEMAS = {
                   "landmarks_target": str, "gt_map": str, "samples": [int],
                   "strategy": [str], "scales": [int], "tmax": [float], "dictionary": [str],
                   "displaced": [int], "noise_radius": [float], "rho": _rho, "baseline": str},
-    "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float,
-                 "truncation": int, "strategy": str},
+    "wavelets": {"mesh": str, "samples": int, "scales": int, "tmax": float, "strategy": str},
 }
 
 _DEFAULTS = {
@@ -58,13 +56,11 @@ _DEFAULTS = {
     "landmarks_source": "",
     "landmarks_target": "",
     "gt_map": "",
-    "mesh_target": "",
     "displaced": 0,
     "noise_radius": 0.0,
     "rho": "auto",
     "dictionary": "wavelet",
     "baseline": "lbo",
-    "truncation": 300,
 }
 
 # string keys with a closed set of values
@@ -215,7 +211,7 @@ def _write_summary(path, config, summary):
 def write_curve_csv(path, evalcurve):
     """Write an error curve as a ``curve/1`` CSV of (threshold, fraction) rows."""
     _write_csv(path, "curve", ["threshold", "fraction"],
-               zip(evalcurve.thresholds.tolist(), evalcurve.fractions.tolist()))
+               zip(THRESHOLDS.tolist(), evalcurve.fractions.tolist()))
 
 
 def _sweep(config, out_dir, run):
@@ -298,8 +294,6 @@ def _pair_landmarks(config, src, dst):
 
 
 def _run_pairmatch(config, out_dir):
-    if not config["mesh_source"] or not config["mesh_target"]:
-        raise DataError("pairmatch requires both mesh_source and mesh_target")
     src, dst = load_shape(config["mesh_source"]), load_shape(config["mesh_target"])
     landmarks = _pair_landmarks(config, src, dst)
     rho_src, rho_dst = pair_rhos(src.area, dst.area, config["rho"])
@@ -369,25 +363,27 @@ def _run_wavelets(config, out_dir):
     lap = shape.lap
     samples = sample(shape, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
+    scales, tmax = config["scales"], config["tmax"]
+    # untimed ground truth first: a mesh above the dense cap is refused before any timing
+    grid = Dictionary(np.zeros((lap.n, len(samples) * scales)), samples, scales, tmax,
+                      _time_step(lap, scales, tmax, 1.0), 1.0, "wavelet")
+    reference = ground_truth_wavelets(generalized_eigs(lap.mass, lap.stiffness, k="all"),
+                                      lap, grid)
     # the two timed routes to the wavelets of the samples: the diffusion
     # dictionary, and the truncated-spectral baseline (a restricted
     # eigensolve plus the spectral Mexican hats at the same times)
     t0 = time.perf_counter()
-    ours = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"])
+    ours = build_dictionary(lap, samples, n_scales=scales, t_max=tmax)
     t_ours = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(config["truncation"], lap.n))
+    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(TRUNCATION, lap.n))
     truncated = ground_truth_wavelets(spectrum, lap, ours)
     t_truncated = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    heat = build_dictionary(lap, samples, n_scales=config["scales"], t_max=config["tmax"],
-                            kind="heat")
+    heat = build_dictionary(lap, samples, n_scales=scales, t_max=tmax, kind="heat")
     t_heat = time.perf_counter() - t0
-
-    spectrum = generalized_eigs(lap.mass, lap.stiffness, k="all")
-    reference = ground_truth_wavelets(spectrum, lap, ours)
 
     err_ours = dictionary_error(ours, reference, lap.mass)
     err_trunc = dictionary_error(truncated, reference, lap.mass)

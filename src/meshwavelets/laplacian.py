@@ -36,11 +36,6 @@ class LaplacianPair:
     def n(self) -> int:
         return self.mass.shape[0]
 
-    def apply_operator(self, f: np.ndarray) -> np.ndarray:
-        """Apply L = A^-1 W to a function (or a column block)."""
-        out = self.stiffness @ f
-        return out / (self.mass[:, None] if out.ndim == 2 else self.mass)
-
 
 def build_laplacian(mesh: TriangleMesh) -> LaplacianPair:
     """Assemble the lumped-mass / cotangent-weight pair of a mesh.

@@ -268,10 +268,3 @@ def write_off(mesh: TriangleMesh, path) -> None:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
         fh.write("%r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
         fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))
-
-
-def write_obj(mesh: TriangleMesh, path) -> None:
-    """OBJ text with 1-based face references, written like ``write_off``."""
-    with open(path, "w") as fh:
-        fh.write("v %r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
-        fh.write("f %d %d %d\n" * mesh.n_faces % tuple((mesh.faces + 1).ravel().tolist()))

@@ -1,11 +1,11 @@
-"""Spectral constructions: heat kernel, spectral Mexican hats, ground-truth
-wavelets, dictionary error measures, and eigenbasis matching baselines.
+"""Spectral constructions: spectral Mexican hats, ground-truth wavelets,
+dictionary error measures, and eigenbasis matching baselines.
 
 Everything here is built from a generalized eigensystem and serves as oracle
 or comparison target for the diffusion-based dictionary. A truncated spectrum
-(``generalized_eigs(..., k=300)``) gives the truncated spectral construction,
-the full one (``k="all"``) the ground truth; the functions below use every
-eigenpair they are given.
+(``generalized_eigs(..., k=TRUNCATION)``) gives the truncated spectral
+construction, the full one (``k="all"``) the ground truth; the functions below
+use every eigenpair they are given.
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ from .matching import PointMap, gram_argmax, nearest_rows
 from .solve import Spectrum
 from .wavelets import Dictionary, _normalize_columns
 
-
-def spectral_heat_kernel(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:
-    """Heat kernel row K_t(sample, .) = sum_k exp(-t lam_k) Phi_k(sample) Phi_k."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
-    return dense.matvec(phi, np.exp(-t * lam) * phi[sample])
+TRUNCATION = 300
 
 
 def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:

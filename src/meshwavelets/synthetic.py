@@ -47,9 +47,8 @@ def icosphere(subdivisions: int = 3) -> TriangleMesh:
     return TriangleMesh(vertices=v, faces=f)
 
 
-def jittered_icosphere(subdivisions: int = 3, seed: int = 0,
-                       radial: float = 0.01, tangential: float = 0.002) -> TriangleMesh:
-    """Icosphere with small random radial and tangential vertex noise.
+def jittered_icosphere(subdivisions: int = 3, seed: int = 0) -> TriangleMesh:
+    """Icosphere with random radial (sd 1 %) and tangential (sd 0.002) vertex noise.
 
     The jitter breaks the icosahedral symmetry and the eigenvalue
     multiplicities, giving a generic mesh (simple spectrum, no vertex pair
@@ -57,28 +56,26 @@ def jittered_icosphere(subdivisions: int = 3, seed: int = 0,
     """
     base = icosphere(subdivisions)
     rng = np.random.default_rng(seed)
-    v = base.vertices * (1.0 + radial * rng.standard_normal((base.n_vertices, 1)))
-    v = v + tangential * rng.standard_normal(v.shape)
+    v = base.vertices * (1.0 + 0.01 * rng.standard_normal((base.n_vertices, 1)))
+    v = v + 0.002 * rng.standard_normal(v.shape)
     return TriangleMesh(vertices=v, faces=base.faces)
 
 
-def stretched_icosphere(subdivisions: int = 3, seed: int = 0,
-                        stretch: float = 1.8, shear: float = 0.4) -> TriangleMesh:
+def stretched_icosphere(subdivisions: int = 3, seed: int = 0) -> TriangleMesh:
     """Smoothly deformed icosphere sharing the jittered icosphere's connectivity.
 
-    Stretches the z axis and bends the x axis with a smooth tanh profile; the
+    Stretches z by 1.8 and scales x by 1 + 0.4 tanh(2z), a smooth bend; the
     vertex order matches ``jittered_icosphere(subdivisions, seed)``, so the
     identity is the ground-truth correspondence of the pair.
     """
     base = jittered_icosphere(subdivisions, seed=seed)
     v = np.array(base.vertices)
-    v[:, 0] *= 1.0 + shear * np.tanh(2.0 * v[:, 2])
-    v[:, 2] *= stretch
+    v[:, 0] *= 1.0 + 0.4 * np.tanh(2.0 * v[:, 2])
+    v[:, 2] *= 1.8
     return TriangleMesh(vertices=v, faces=base.faces)
 
 
-def bumpy_icosphere(subdivisions: int = 3, amplitude: float = 0.2,
-                    width: float = 0.15) -> TriangleMesh:
+def bumpy_icosphere(subdivisions: int = 3) -> TriangleMesh:
     """Icosphere with a few smooth radial bumps (a mild near-isometry)."""
     base = icosphere(subdivisions)
     v = base.vertices
@@ -86,7 +83,7 @@ def bumpy_icosphere(subdivisions: int = 3, amplitude: float = 0.2,
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     amp = np.zeros(base.n_vertices)
     for c in centers:
-        amp += amplitude * np.exp(-((v - c) ** 2).sum(axis=1) / width)
+        amp += 0.2 * np.exp(-((v - c) ** 2).sum(axis=1) / 0.15)
     return TriangleMesh(vertices=v * (1.0 + amp)[:, None], faces=base.faces)
 
 

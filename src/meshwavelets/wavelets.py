@@ -128,7 +128,7 @@ def pair_rhos(area_source: float, area_target: float, rho="auto") -> tuple[float
     return (ratio, 1.0) if area_source > area_target else (1.0, ratio)
 
 
-def _diffuse_scales(lap, first_block, n_scales, t, zero_mean=False):
+def _diffuse_scales(lap, first_block, n_scales, t, zero_mean):
     system = factorize(lap.mass, lap.stiffness, t)
     k = first_block.shape[1]
     columns = np.empty((lap.n, n_scales * k), order="F")

@@ -1,10 +1,11 @@
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from meshwavelets import (NumericalError, load_dictionary, load_pointmap,
-                          run_experiment, write_off)
+from meshwavelets import (NumericalError, build_dictionary, load_dictionary, load_pointmap,
+                          pair_rhos, perturb_samples, run_experiment, sample, write_off)
 from meshwavelets import experiments
 from meshwavelets.cli import build_parser, main
 from meshwavelets.experiments import resolve_config
@@ -78,6 +79,17 @@ def test_cli_defaults_are_the_experiment_defaults(monkeypatch):
         assert (args.scales, args.tmax) == (7, 0.25)
     assert built.seed == matched.seed == 3
     assert paired.rho == "0.5"
+
+
+@pytest.mark.parametrize("function, parameter, key", [
+    (build_dictionary, "n_scales", "scales"), (build_dictionary, "t_max", "tmax"),
+    (build_dictionary, "kind", "dictionary"), (sample, "strategy", "strategy"),
+    (sample, "seed", "seed"), (perturb_samples, "seed", "seed"), (pair_rhos, "rho", "rho")])
+def test_experiment_defaults_are_the_library_defaults(function, parameter, key):
+    # one default table: a config or command that leaves a key out runs what
+    # the library call that takes it runs by default
+    default = inspect.signature(function).parameters[parameter].default
+    assert experiments._DEFAULTS[key] == default
 
 
 def test_dict_build_with_landmark_file(tmp_path, mesh_off):

@@ -5,7 +5,8 @@ subcommand; the experiments table must list exactly the configurable kinds
 and name each kind's config keys; the minimal example must run; the Scripts
 section must name exactly the files under ``scripts/`` and ``configs/``; the
 Library tour's signatures must be the package's, and its ``evaluation`` row
-must name the Dijkstra chunk size the module uses.
+must name the Dijkstra chunk size the module uses. Every public name of the
+package has a user.
 """
 import argparse
 import importlib
@@ -123,6 +124,26 @@ def test_library_tour_signatures_match_the_code():
             if "=" in item:
                 assert eval(item.split("=", 1)[1], {"np": np}) == p.default, \
                     f"README's `{name}({params})` against {signature}"
+
+
+def test_every_public_name_has_a_user():
+    # each public function, class and method outside the test-support module
+    # `synthetic` is named in src/ beyond its definition and the package's
+    # re-exports, in scripts/, configs/ or perfbench/, or in README's backticks
+    package = ROOT / "src" / "meshwavelets"
+    src = [path.read_text() for path in package.glob("*.py") if path.name != "__init__.py"]
+    users = [path.read_text() for folder in ("scripts", "configs", "perfbench")
+             for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".txt", ".md")]
+    users.append(" ".join(re.findall(r"`[^`\n]+`", README)))
+    unused = []
+    for name, objs in public_callables().items():
+        if all(obj.__module__ == "meshwavelets.synthetic" for obj in objs):
+            continue
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(?:def|class) {name}\b.*$", flags=re.M)
+        if not any(word.search(definition.sub("", text)) for text in src + users):
+            unused.append(name)
+    assert unused == []
 
 
 def test_evaluation_row_names_the_dijkstra_chunk():

@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 from meshwavelets import (Shape, TriangleMesh, curve, edge_graph, evaluation,
                           geodesic_distances_multi, geodesic_errors, identity_map,
                           total_area)
+from meshwavelets.evaluation import THRESHOLDS
 from meshwavelets.matching import PointMap
 from meshwavelets.synthetic import jittered_icosphere, rotation_matrix, triangulated_grid
 from tests.conftest import chain_mesh
@@ -291,10 +292,10 @@ def test_curve_direct_count():
 
 
 def test_curve_thresholds_even():
-    # every curve shares one read-only grid of 100 thresholds on [0, 0.5]
-    c = curve(np.array([0.1]))
-    np.testing.assert_allclose(c.thresholds, np.arange(100) * 0.5 / 99)
-    assert not c.thresholds.flags.writeable
+    # every curve is on one read-only grid of 100 thresholds on [0, 0.5]
+    assert curve(np.array([0.1])).fractions.shape == THRESHOLDS.shape
+    np.testing.assert_allclose(THRESHOLDS, np.arange(100) * 0.5 / 99)
+    assert not THRESHOLDS.flags.writeable
 
 
 def test_curve_validation():
@@ -317,5 +318,5 @@ def test_curve_fractions_non_decreasing(errors):
     assert (np.diff(c.fractions) >= 0).all()
     assert c.fractions[-1] <= 1.0
     # brute-force counting oracle
-    for t, f in zip(c.thresholds, c.fractions):
+    for t, f in zip(THRESHOLDS, c.fractions):
         assert f == sum(1 for e in errors if e <= t) / len(errors)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import re
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from meshwavelets import (DataError, NumericalError, TriangleMesh, experiments, geodesics, mesh,
-                          parse_config, run_experiment, write_off)
+                          parse_config, run_experiment, solve, write_off)
 from meshwavelets.cli import main
 from meshwavelets.experiments import _CHOICES, _DEFAULTS, _SCHEMAS, resolve_config
 from meshwavelets.synthetic import jittered_icosphere, stretched_icosphere
@@ -55,6 +56,12 @@ class TestConfigParsing:
         path = write_config(tmp_path, "experiment=selfmatch\nout_dir=o\n")
         with pytest.raises(DataError, match="mesh"):
             parse_config(path)
+        # refused while the config resolves, before out_dir exists
+        path = write_config(tmp_path, f"experiment=pairmatch\nout_dir={tmp_path}/o\n"
+                                      "mesh_source=a.off\n")
+        with pytest.raises(DataError, match="missing required key 'mesh_target'"):
+            run_experiment(path)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path,
@@ -102,7 +109,7 @@ class TestConfigParsing:
         ("selfmatch", "tmax=", "tmax"),
     ])
     def test_bad_typed_value_rejected(self, tmp_path, kind, line, key):
-        meshes = "mesh_source=a\n" if kind == "pairmatch" else "mesh=m\n"
+        meshes = "mesh_source=a\nmesh_target=b\n" if kind == "pairmatch" else "mesh=m\n"
         path = write_config(tmp_path, f"experiment={kind}\nout_dir={tmp_path}/o\n"
                                       f"{meshes}{line}\n")
         with pytest.raises(DataError, match=repr(key)):
@@ -127,7 +134,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("kind, key", [("selfmatch", "samples"),
                                            ("pairmatch", "displaced")])
     def test_resolved_default_lists_are_not_shared(self, kind, key):
-        meshes = {"mesh": "m"} if kind == "selfmatch" else {"mesh_source": "m"}
+        meshes = ({"mesh": "m"} if kind == "selfmatch"
+                  else {"mesh_source": "m", "mesh_target": "m"})
         first = resolve_config({"experiment": kind, "out_dir": "o", **meshes})
         default = list(first[key])
         first[key].append(99)
@@ -156,7 +164,7 @@ class TestConfigParsing:
 
     def test_defaults_and_lists(self, tmp_path):
         path = write_config(tmp_path, (
-            "experiment=pairmatch\nout_dir=o\nmesh_source=m\n"
+            "experiment=pairmatch\nout_dir=o\nmesh_source=m\nmesh_target=m\n"
             "noise_radius=0.01, 0.05\ndisplaced=1,2\nscales=3\n"))
         config = parse_config(path)
         assert config["noise_radius"] == [0.01, 0.05]
@@ -180,7 +188,8 @@ class TestConfigParsing:
 
     def test_resolve_config_is_idempotent(self, tmp_path):
         config = resolve_config({"experiment": "pairmatch", "out_dir": str(tmp_path),
-                                 "mesh_source": "m", "noise_radius": "0.01,0.05",
+                                 "mesh_source": "m", "mesh_target": "m",
+                                 "noise_radius": "0.01,0.05",
                                  "tmax": "2"})
         assert resolve_config(config) == config
 
@@ -357,11 +366,12 @@ class TestPairmatchExperiment:
 
 
 class TestWaveletComparisonExperiment:
-    def test_csv_and_ordering(self, tmp_path, mesh_file):
+    def test_csv_and_ordering(self, tmp_path, mesh_file, monkeypatch):
+        # fewer eigenpairs than the 162 vertices, so the truncated route is the sparse one
+        monkeypatch.setattr(experiments, "TRUNCATION", 40)
         config = resolve_config({
             "experiment": "wavelets", "out_dir": str(tmp_path / "o"),
-            "mesh": str(mesh_file), "samples": "3", "scales": "6",
-            "tmax": "0.2", "truncation": "40",
+            "mesh": str(mesh_file), "samples": "3", "scales": "6", "tmax": "0.2",
         })
         summary = run_experiment(config)
         lines = (tmp_path / "o" / "wavelet_errors.csv").read_text().splitlines()
@@ -376,6 +386,21 @@ class TestWaveletComparisonExperiment:
         # the diffusion construction tracks the ground truth far better than
         # the heat-kernel family, which is not a Mexican hat at all
         assert summary["l2_ours"] < summary["l2_heat"]
+
+    def test_mesh_above_the_dense_cap_refused_before_any_timed_route(
+            self, tmp_path, mesh_file, monkeypatch):
+        # the ground truth's full eigensolve refuses the 162-vertex mesh under a
+        # cap of 100 before any dictionary is built or eigenpair truncated
+        monkeypatch.setattr(experiments, "generalized_eigs",
+                            functools.partial(solve.generalized_eigs, max_n=100))
+        built = []
+        monkeypatch.setattr(experiments, "build_dictionary",
+                            lambda *args, **kwargs: built.append(args))
+        config = resolve_config({"experiment": "wavelets", "out_dir": str(tmp_path / "o"),
+                                 "mesh": str(mesh_file), "samples": "3", "scales": "6"})
+        with pytest.raises(ValueError, match="above the dense-eigensolver cap 100"):
+            run_experiment(config)
+        assert built == []
 
 
 def sweep_rows(out_dir):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshwavelets import (DataError, TriangleMesh, face_areas, load_mesh,
-                          normalize_unit_area, total_area, write_obj, write_off)
+                          normalize_unit_area, total_area, write_off)
 from meshwavelets.mesh import _parse_obj, _parse_off
 from meshwavelets.synthetic import (icosahedron, jittered_icosphere, stretched_icosphere,
                                     triangulated_grid)
@@ -16,6 +16,15 @@ MINIMAL_OFF = """OFF
 0 1 0
 3 0 1 2
 """
+
+
+def _write_obj_per_line(mesh, path):
+    """An OBJ file of ``mesh``, one line per record, every coordinate as its ``repr``."""
+    with open(path, "w") as fh:
+        for x, y, z in mesh.vertices:
+            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
+        for a, b, c in mesh.faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
 def load_text(tmp_path, text, name):
@@ -61,7 +70,7 @@ def test_off_comments_and_blank_lines(tmp_path):
 
 def test_icosahedron_obj_roundtrip(tmp_path):
     path = tmp_path / "ico.obj"
-    write_obj(icosahedron(), path)
+    _write_obj_per_line(icosahedron(), path)
     mesh = load_mesh(path)
     assert mesh.n_vertices == 12
     assert mesh.n_faces == 20
@@ -400,7 +409,8 @@ def test_parser_matches_reference_on_edited_files(case):
     assert_parses_as_reference(text, fmt)
 
 
-@pytest.mark.parametrize("writer, name", [(write_off, "m.off"), (write_obj, "m.obj")])
+@pytest.mark.parametrize("writer, name",
+                         [(write_off, "m.off"), (_write_obj_per_line, "m.obj")])
 def test_load_mesh_matches_reference_on_written_mesh(tmp_path, writer, name):
     path = tmp_path / name
     writer(jittered_icosphere(4, seed=3), path)  # 2562 vertices
@@ -423,15 +433,6 @@ def _write_off_per_line(mesh, path):
             fh.write(f"3 {a} {b} {c}\n")
 
 
-def _write_obj_per_line(mesh, path):
-    """Reference: the per-line OBJ writer that ``write_obj`` replaced."""
-    with open(path, "w") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
-
-
 _WRITTEN_MESHES = {"icosahedron": icosahedron(), "jittered": jittered_icosphere(3, seed=5),
                    "stretched": stretched_icosphere(2, seed=1),
                    "boundary-patch": triangulated_grid(7, 4, width=0.3)}
@@ -439,8 +440,7 @@ _WRITTEN_MESHES = {"icosahedron": icosahedron(), "jittered": jittered_icosphere(
 
 @pytest.mark.parametrize("name", list(_WRITTEN_MESHES))
 @pytest.mark.parametrize("writer, reference, suffix",
-                         [(write_off, _write_off_per_line, ".off"),
-                          (write_obj, _write_obj_per_line, ".obj")], ids=["off", "obj"])
+                         [(write_off, _write_off_per_line, ".off")], ids=["off"])
 def test_writers_match_per_line_reference(tmp_path, name, writer, reference, suffix):
     mesh = _WRITTEN_MESHES[name]
     writer(mesh, tmp_path / f"got{suffix}")
