@@ -17,9 +17,8 @@ from .mesh import (TriangleMesh, face_areas, load_mesh, normalize_unit_area,
                    total_area, write_off)
 from .sampling import SampleSet, explicit_samples, perturb_samples, sample
 from .solve import Spectrum, SpdSystem, factorize, generalized_eigs
-from .spectral import (DictionaryError, FunctionalMap, dictionary_error,
-                       eigenbasis_selfmatch_map, fmap_to_pointmap,
-                       gt_functional_map, ground_truth_wavelets, spectral_mexican_hat)
+from .spectral import (DictionaryError, dictionary_error, eigenbasis_selfmatch_map,
+                       fmap_to_pointmap, gt_functional_map, ground_truth_wavelets)
 from .wavelets import (Dictionary, build_dictionary, diffusion_step,
                        indicator_columns, load_dictionary, mother_wavelets,
                        pair_rhos, save_dictionary)

@@ -138,12 +138,11 @@ def _convert(key, value, typ, source):
 def run_experiment(config) -> dict:
     """Run the experiment described by a config path or pre-parsed dict.
 
-    Writes CSV and summary files into ``out_dir`` and returns the summary
-    values (plus output paths) as a dict.
+    Writes CSV and summary files into ``out_dir``, made once the inputs are
+    loaded and checked, and returns the summary values (plus output paths).
     """
     config = resolve_config(config) if isinstance(config, dict) else parse_config(config)
     out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = {
         "selfmatch": _run_selfmatch,
         "pairmatch": _run_pairmatch,
@@ -221,12 +220,13 @@ def _sweep(config, out_dir, run):
     run's summary; several write a ``sweep/1`` CSV with one row per setting
     (its values in schema order, then the run's scores). A setting that raises
     ends the sweep: the rows finished before it are written, then its error
-    propagates."""
+    propagates. ``out_dir`` is made just before the first file is written."""
     keys = [key for key, typ in _SCHEMAS[config["experiment"]].items() if isinstance(typ, list)]
     settings = [dict(zip(keys, values))
                 for values in itertools.product(*(config[key] for key in keys))]
     if len(settings) == 1:
         pm, ec, summary = run(settings[0])
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_curve_csv(out_dir / "curve.csv", ec)
         save_pointmap(pm, out_dir / "map.txt")
         return summary
@@ -234,7 +234,11 @@ def _sweep(config, out_dir, run):
     if config["baseline"] == "lbo":
         scores += ["baseline_mean_error", "baseline_auc_025"]
     rows = []
-    write = functools.partial(_write_csv, out_dir / "sweep.csv", "sweep", keys + scores, rows)
+
+    def write():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
+
     try:
         for setting in settings:
             summary = run(setting)[2]
@@ -361,6 +365,10 @@ def _run_pairmatch(config, out_dir):
 def _run_wavelets(config, out_dir):
     shape = load_shape(config["mesh"])
     lap = shape.lap
+    if lap.n <= TRUNCATION:
+        raise DataError(f"{config['mesh']}: the truncated baseline uses {TRUNCATION} "
+                        f"eigenpairs, so the mesh needs more than {TRUNCATION} vertices, "
+                        f"not {lap.n}")
     samples = sample(shape, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
     scales, tmax = config["scales"], config["tmax"]
@@ -377,7 +385,7 @@ def _run_wavelets(config, out_dir):
     t_ours = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=min(TRUNCATION, lap.n))
+    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=TRUNCATION)
     truncated = ground_truth_wavelets(spectrum, lap, ours)
     t_truncated = time.perf_counter() - t0
 
@@ -396,6 +404,7 @@ def _run_wavelets(config, out_dir):
                      err_ours.l2_per_scale[i], err_ours.linf_per_scale[i],
                      err_trunc.l2_per_scale[i], err_trunc.linf_per_scale[i],
                      err_heat.l2_per_scale[i], err_heat.linf_per_scale[i]])
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "wavelet_errors.csv", "wavelet-errors",
                ["scale", "time", "l2_ours", "linf_ours", "l2_truncated",
                 "linf_truncated", "l2_heat", "linf_heat"], rows)

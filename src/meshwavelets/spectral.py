@@ -1,5 +1,5 @@
-"""Spectral constructions: spectral Mexican hats, ground-truth wavelets,
-dictionary error measures, and eigenbasis matching baselines.
+"""Spectral constructions: ground-truth wavelets, dictionary error measures,
+and eigenbasis matching baselines.
 
 Everything here is built from a generalized eigensystem and serves as oracle
 or comparison target for the diffusion-based dictionary. A truncated spectrum
@@ -22,33 +22,23 @@ from .wavelets import Dictionary, _normalize_columns
 TRUNCATION = 300
 
 
-def spectral_mexican_hat(spectrum: Spectrum, t: float, sample: int) -> np.ndarray:
-    """Spectral Mexican hat sum_k lam_k exp(-t lam_k) Phi_k(sample) Phi_k.
-
-    This is the negative time derivative of the heat kernel, summed over
-    every eigenpair of ``spectrum``.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
-    return dense.matvec(phi, lam * np.exp(-t * lam) * phi[sample])
-
-
 def ground_truth_wavelets(spectrum: Spectrum, lap: LaplacianPair,
                           like: Dictionary) -> Dictionary:
     """Wavelet dictionary evaluated from the eigensystem on the grid of ``like``.
 
-    Scale n is the spectral Mexican hat at time n * ``like.t_step``, the total
-    diffusion time reached by n backward-Euler steps, for every sample of
-    ``like``. Columns carry the unit-indicator mass convention (a factor
-    A_ss), matching the diffusion construction, and are normalized like
-    wavelet columns. The result keeps ``like``'s samples, scale count and
-    time parameters, with ``kind="wavelet"``.
+    Column (n, s) is A_ss times the spectral Mexican hat sum_k lam_k exp(-t
+    lam_k) Phi_k(s) Phi_k at t = n * ``like.t_step``, the time reached by n
+    backward-Euler steps; one product of the eigenvectors makes every column.
+    Columns are normalized like wavelet columns, and the result keeps
+    ``like``'s samples, scale count and time parameters, with ``kind="wavelet"``.
     """
-    cols = [lap.mass[s] * spectral_mexican_hat(spectrum, n * like.t_step, int(s))
-            for n in range(1, like.n_scales + 1) for s in like.samples.indices]
-    columns = _normalize_columns(np.column_stack(cols), lap.mass, like.samples,
-                                 apply_range=True)
+    lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
+    s = like.samples.indices
+    times = like.t_step * np.arange(1, like.n_scales + 1)
+    # row (n, j) holds the coefficients of column (n, j); scale-major like ``like``
+    coeffs = (lam * np.exp(-np.outer(times, lam)))[:, None] * (phi[s] * lap.mass[s, None])
+    columns = dense.matmul(phi, coeffs.reshape(-1, lam.size).T)
+    columns = _normalize_columns(columns, lap.mass, like.samples, apply_range=True)
     return replace(like, columns=columns, kind="wavelet")
 
 
@@ -88,25 +78,8 @@ def dictionary_error(candidate: Dictionary, reference: Dictionary,
                            linf_average=float(linfs.mean()))
 
 
-@dataclass(frozen=True)
-class FunctionalMap:
-    """Coefficient matrix C mapping source-basis coefficients to target-basis ones."""
-
-    matrix: np.ndarray  # (k_target, k_source)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if not np.isfinite(m).all():
-            raise ValueError("functional map has non-finite entries")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
 def gt_functional_map(spec_m: Spectrum, spec_n: Spectrum, mass_n: np.ndarray,
-                      gt_map: PointMap) -> FunctionalMap:
+                      gt_map: PointMap) -> np.ndarray:
     """Ground-truth functional map C = Phi_N^T A_N Pi Phi_M from a point map.
 
     ``gt_map`` sends every vertex of the source M to a vertex of the target
@@ -118,10 +91,10 @@ def gt_functional_map(spec_m: Spectrum, spec_n: Spectrum, mass_n: np.ndarray,
         raise ValueError("point map sizes do not match the spectra")
     t = gt_map.targets
     lifted = spec_n.eigenvectors[t] * np.asarray(mass_n)[t, None]
-    return FunctionalMap(matrix=dense.matmul(lifted.T, spec_m.eigenvectors))
+    return dense.matmul(lifted.T, spec_m.eigenvectors)
 
 
-def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) -> PointMap:
+def fmap_to_pointmap(fmap: np.ndarray, spec_m: Spectrum, spec_n: Spectrum) -> PointMap:
     """Nearest-neighbor conversion of a functional map to a point-to-point map.
 
     Each source vertex x goes to the target vertex y minimizing
@@ -130,7 +103,7 @@ def fmap_to_pointmap(fmap: FunctionalMap, spec_m: Spectrum, spec_n: Spectrum) ->
     k_n, k_m = fmap.shape
     if k_m > spec_m.count or k_n > spec_n.count:
         raise ValueError("functional map larger than the available spectra")
-    source_rows = dense.matmul(spec_m.eigenvectors[:, :k_m], fmap.matrix.T)
+    source_rows = dense.matmul(spec_m.eigenvectors[:, :k_m], fmap.T)
     target_rows = spec_n.eigenvectors[:, :k_n]
     targets = nearest_rows(source_rows, target_rows)
     return PointMap(targets=targets, target_size=spec_n.n)

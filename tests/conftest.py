@@ -79,3 +79,10 @@ def chain_mesh():
     f = np.array([[0, 1, 3], [1, 2, 4]])
     from meshwavelets import TriangleMesh
     return TriangleMesh(vertices=v, faces=f)
+
+
+def mexican_hat(spectrum, t, s):
+    """Oracle: the spectral Mexican hat sum_k lam_k exp(-t lam_k) Phi_k(s) Phi_k,
+    the negative time derivative of the heat kernel, one column at a time."""
+    lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
+    return phi @ (lam * np.exp(-t * lam) * phi[s])

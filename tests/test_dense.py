@@ -4,8 +4,8 @@ The vector products and the Gram matrix reproduce numpy bit for bit, so the
 dictionaries are the ones numpy's products built; ``matmul`` is checked to
 roundoff, because the two OpenBLAS builds may split a multithreaded GEMM
 differently. No product copies a large operand. The guard keeps dense ``@``
-out of the pipeline modules, where it would wake numpy's BLAS pool between
-SuperLU solves.
+and numpy's product functions out of the pipeline modules, where they would
+wake numpy's BLAS pool between SuperLU solves.
 """
 import ast
 import tracemalloc
@@ -107,14 +107,32 @@ def test_dictionary_matches_numpy_products(shape_jitter642, lap_jitter642, kind)
 
 
 SPARSE_OPERANDS = {"stiffness", "matrix"}
+NUMPY_PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def is_numpy_product(node):
+    """A call ``np.dot(...)``, ``numpy.matmul(...)`` and the like."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Attribute) and func.attr in NUMPY_PRODUCTS
+            and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+
+
+def test_guard_sees_numpy_products():
+    tree = ast.parse("np.dot(a, b); numpy.tensordot(a, b); x.dot(b); np.abs(a)")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [is_numpy_product(node) for node in calls] == [True, True, False, False]
 
 
 @pytest.mark.parametrize("module", ["wavelets.py", "matching.py", "spectral.py"])
 def test_no_dense_matmul_operator(module):
-    """A dense ``@`` runs on numpy's BLAS pool; these modules use ``dense``."""
+    """A dense ``@``, like numpy's product functions, runs on numpy's BLAS
+    pool; these modules use ``dense``."""
     tree = ast.parse((Path(meshwavelets.__file__).parent / module).read_text())
     offending = []
     for node in ast.walk(tree):
+        if is_numpy_product(node):
+            offending.append(node.lineno)
+            continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             left = node.left
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
@@ -123,4 +141,5 @@ def test_no_dense_matmul_operator(module):
             continue
         if not (isinstance(left, ast.Attribute) and left.attr in SPARSE_OPERANDS):
             offending.append(node.lineno)
-    assert not offending, f"{module}: dense @ on lines {offending}; use meshwavelets.dense"
+    assert not offending, (f"{module}: dense @ or numpy product on lines {offending}; "
+                           "use meshwavelets.dense")

@@ -194,10 +194,21 @@ class TestConfigParsing:
         assert resolve_config(config) == config
 
     def test_missing_mesh_file_reported(self, tmp_path):
-        config = resolve_config({"experiment": "selfmatch", "out_dir": str(tmp_path),
+        config = resolve_config({"experiment": "selfmatch", "out_dir": str(tmp_path / "o"),
                                  "mesh": str(tmp_path / "nope.off")})
         with pytest.raises(DataError, match="not found"):
             run_experiment(config)
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_landmark_file_reported(self, tmp_path, pair_files):
+        src, dst = pair_files
+        missing = str(tmp_path / "nope.txt")
+        config = resolve_config({"experiment": "pairmatch", "out_dir": str(tmp_path / "o"),
+                                 "mesh_source": str(src), "mesh_target": str(dst),
+                                 "landmarks_source": missing, "landmarks_target": missing})
+        with pytest.raises(DataError, match="landmark file not found"):
+            run_experiment(config)
+        assert not (tmp_path / "o").exists()
 
 
 class TestSelfmatchExperiment:
@@ -339,6 +350,7 @@ class TestPairmatchExperiment:
         with pytest.raises(DataError, match="^gt_map takes two source samples to the same "
                                             "target vertex$"):
             run_experiment(config)
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("key, values", [("samples", "2,4,8"),
@@ -391,6 +403,7 @@ class TestWaveletComparisonExperiment:
             self, tmp_path, mesh_file, monkeypatch):
         # the ground truth's full eigensolve refuses the 162-vertex mesh under a
         # cap of 100 before any dictionary is built or eigenpair truncated
+        monkeypatch.setattr(experiments, "TRUNCATION", 40)
         monkeypatch.setattr(experiments, "generalized_eigs",
                             functools.partial(solve.generalized_eigs, max_n=100))
         built = []
@@ -401,6 +414,22 @@ class TestWaveletComparisonExperiment:
         with pytest.raises(ValueError, match="above the dense-eigensolver cap 100"):
             run_experiment(config)
         assert built == []
+        assert not (tmp_path / "o").exists()
+
+    def test_mesh_without_more_vertices_than_the_truncation_refused(
+            self, tmp_path, mesh_file, monkeypatch):
+        # 162 <= 300 vertices: the 300-eigenpair baseline would be the dense
+        # oracle again, so the mesh is refused before sampling or any eigensolve
+        calls = []
+        for name in ("generalized_eigs", "sample"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        config = resolve_config({"experiment": "wavelets", "out_dir": str(tmp_path / "o"),
+                                 "mesh": str(mesh_file)})
+        with pytest.raises(DataError, match="truncated baseline uses 300 eigenpairs"):
+            run_experiment(config)
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
 
 def sweep_rows(out_dir):
