@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import DataError, NumericalError
 from .evaluation import curve, geodesic_errors
@@ -152,6 +153,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            open(out, "r+")  # the final write's OSError, before any work; "r+" creates nothing
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

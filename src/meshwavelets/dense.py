@@ -6,9 +6,9 @@ SuperLU solves leaves numpy's pool holding the cores the next solve needs, so
 every dense product of the package goes through here; no thread count is set.
 f2py copies an operand that is not Fortran-ordered, so each function passes
 the operand or its transposed view, whichever is, with the matching ``trans``
-flag. ``vecmat``, ``matvec`` and ``gram_lower`` match numpy's ``@`` bit for
-bit; ``matmul`` can differ in the last bits, as the two OpenBLAS builds split
-a multithreaded GEMM differently.
+flag. ``vecmat`` and ``gram_lower`` match numpy's ``@`` bit for bit;
+``matmul`` can differ in the last bits, as the two OpenBLAS builds split a
+multithreaded GEMM differently.
 """
 from __future__ import annotations
 
@@ -33,12 +33,6 @@ def vecmat(x, a):
     """``x @ a`` for a vector ``x`` and a matrix ``a``."""
     f, trans = _fortran(a)
     return blas.dgemv(1.0, f, x, trans=1 - trans)
-
-
-def matvec(a, x):
-    """``a @ x`` for a matrix ``a`` and a vector ``x``."""
-    f, trans = _fortran(a)
-    return blas.dgemv(1.0, f, x, trans=trans)
 
 
 def matmul(a, b, out=None):

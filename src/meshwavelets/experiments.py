@@ -100,6 +100,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
 
     config = {"experiment": kind, "out_dir": str(raw["out_dir"]),
               "seed": _convert("seed", raw.get("seed", _DEFAULTS["seed"]), int, source)}
+    out_dir = Path(config["out_dir"])  # refused now if the run could never make it
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        raise DataError(f"{source}: out_dir {config['out_dir']!r} is or lies under a non-directory")
     defaults = {**_DEFAULTS, **_KIND_DEFAULTS.get(kind, {})}
     for key, typ in schema.items():
         if key not in raw and key not in defaults:

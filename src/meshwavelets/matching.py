@@ -95,11 +95,11 @@ def reconstruct_delta_map(dictionary: Dictionary) -> PointMap:
     return PointMap(targets=gram_argmax(b), target_size=n)
 
 
-def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
+def gram_argmax(b: np.ndarray) -> np.ndarray:
     """``targets[j] = argmax_i <b_i, b_j>`` over the rows of ``b``, ties to the lowest i.
 
     Walks strips ``dense.matmul(b[s:e], b[s:].T)`` so that each entry of the
-    symmetric Gram matrix is computed once and at most ``block * n`` of it is
+    symmetric Gram matrix is computed once and at most ``_NN_BLOCK * n`` of it is
     held at a time, in one buffer that every strip reuses. Columns ``s:e`` of
     the strip's own rows are reduced along rows (contiguous memory, via
     symmetry); later columns are reduced down the strip. A ``b`` that is not
@@ -110,9 +110,9 @@ def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
     n = b.shape[0]
     best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.int64)
-    buffer = np.empty(min(block, n) * n)
-    for s in range(0, n, block):
-        e = min(s + block, n)
+    buffer = np.empty(min(_NN_BLOCK, n) * n)
+    for s in range(0, n, _NN_BLOCK):
+        e = min(s + _NN_BLOCK, n)
         strip = dense.matmul(b[s:e], b[s:].T, out=buffer)
         # every column sees its candidate rows in increasing order, so a
         # strict comparison lets ties keep the lowest row
@@ -126,34 +126,34 @@ def gram_argmax(b: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
         improved = np.flatnonzero(tail_max > best[e:])
         best[e + improved] = tail_max[improved]
         # only the improved columns need the first row that reaches their
-        # maximum, gathered block x block at a time: argmax(axis=0) of the
+        # maximum, gathered _NN_BLOCK x _NN_BLOCK at a time: argmax(axis=0) of the
         # whole tail would copy a transposed strip
-        for c in range(0, improved.size, block):
-            cols = improved[c:c + block]
+        for c in range(0, improved.size, _NN_BLOCK):
+            cols = improved[c:c + _NN_BLOCK]
             arg[e + cols] = tail.T[cols].argmax(axis=1) + s
     return arg
 
 
-def nearest_rows(queries: np.ndarray, points: np.ndarray, block: int = _NN_BLOCK) -> np.ndarray:
+def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exact nearest row of ``points`` for every row of ``queries``.
 
     Brute-force Euclidean search; ties break to the lowest index. Blocked so
-    the distance matrix never exceeds block * len(points) entries, in one
+    the distance matrix never exceeds ``_NN_BLOCK * len(points)`` entries, in one
     buffer that every block reuses. A row block of a column-major ``queries``
     is copied for BLAS (``dense.matmul``).
     """
     pts_sq = (points * points).sum(axis=1)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    buffer = np.empty(min(block, queries.shape[0]) * points.shape[0])
-    for start in range(0, queries.shape[0], block):
-        q = queries[start:start + block]
+    buffer = np.empty(min(_NN_BLOCK, queries.shape[0]) * points.shape[0])
+    for start in range(0, queries.shape[0], _NN_BLOCK):
+        q = queries[start:start + _NN_BLOCK]
         # |q|^2 - 2 q.p + |p|^2 with the same roundings, formed in place: the
         # product is a transposed view, which numpy never reuses as a temporary
         d2 = dense.matmul(q, points.T, out=buffer)
         d2 *= -2.0
         d2 += (q * q).sum(axis=1)[:, None]
         d2 += pts_sq[None, :]
-        out[start:start + block] = np.argmin(d2, axis=1)
+        out[start:start + _NN_BLOCK] = np.argmin(d2, axis=1)
     return out
 
 

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import ArpackError, eigsh, splu
 from .errors import NumericalError
 
 SOLVE_RTOL = 1e-10
-DEFAULT_EIG_CAP = 5000
+DENSE_EIG_CAP = 5000  # vertices; the dense oracle's n x n matrix is 0.19 GiB at the cap
 _ND_LEAF = 16  # nested dissection stops at parts of at most this many vertices
 
 
@@ -255,15 +255,14 @@ class Spectrum:
         return self.eigenvectors.shape[0]
 
 
-def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix,
-                     k="all", max_n: int = DEFAULT_EIG_CAP) -> Spectrum:
+def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix, k="all") -> Spectrum:
     """Smallest-k generalized eigenpairs of W Phi = lambda A Phi.
 
     A truncated ``k < n`` runs shift-invert Lanczos (ARPACK ``eigsh``) on the
     sparse pencil about sigma = -1e-8, from a fixed start vector so repeated
     calls give identical vectors. ``k="all"`` (or ``k == n``) is the dense
     oracle: ``eigh`` of the similarity transform A^-1/2 W A^-1/2, which builds
-    an n x n matrix and so refuses ``n > max_n`` (default 5000).
+    an n x n matrix and so refuses ``n > DENSE_EIG_CAP``.
     """
     mass = np.asarray(mass, dtype=np.float64)
     n = mass.shape[0]
@@ -282,9 +281,9 @@ def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix,
         order = np.argsort(lam, kind="stable")
         lam, phi = lam[order], phi[:, order]
     else:
-        if n > max_n:
+        if n > DENSE_EIG_CAP:
             raise ValueError(f"mesh has {n} vertices, above the dense-eigensolver cap "
-                             f"{max_n}: the solve of all {n} eigenpairs builds a "
+                             f"{DENSE_EIG_CAP}: the solve of all {n} eigenpairs builds a "
                              f"{n}x{n} matrix of {8 * n * n / 2 ** 30:.3g} GiB")
         s = 1.0 / np.sqrt(mass)
         B = stiffness.toarray() * s[None, :] * s[:, None]

@@ -233,21 +233,22 @@ FAUST_DIR = os.environ.get("MESHWAVELETS_FAUST_DIR", "")
 @pytest.mark.skipif(not FAUST_DIR, reason="optional dataset run: set "
                     "MESHWAVELETS_FAUST_DIR to a directory of remeshed "
                     "FAUST-5K meshes (.off/.obj)")
-def test_criterion_12_optional_faust_dataset():
+def test_criterion_12_optional_faust_dataset(monkeypatch):
     from pathlib import Path
 
-    from meshwavelets import Spectrum, dictionary_error, load_mesh
+    from meshwavelets import Spectrum, dictionary_error, load_mesh, solve
 
     paths = sorted(p for p in Path(FAUST_DIR).iterdir()
                    if p.suffix.lower() in (".off", ".obj"))
     assert paths, f"no meshes found in {FAUST_DIR}"
+    monkeypatch.setattr(solve, "DENSE_EIG_CAP", 6000)  # FAUST-5K's ground truth is all pairs
     l2_ours, l2_truncated = [], []
     for path in paths[:10]:
         shape = Shape(load_mesh(path))
         lap = shape.lap
         samples = sample(shape, 10, seed=0)
         ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
-        spectrum = generalized_eigs(lap.mass, lap.stiffness, max_n=6000)
+        spectrum = generalized_eigs(lap.mass, lap.stiffness)
         reference = ground_truth_wavelets(spectrum, lap, ours)
         truncated = ground_truth_wavelets(
             Spectrum(eigenvalues=spectrum.eigenvalues[:300],

@@ -269,6 +269,31 @@ class TestExitCodes:
         assert main(command) == 2
         assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{folder}'\n"
 
+    @pytest.mark.parametrize("command", ["dict build", "match self", "match pair", "eval"])
+    @pytest.mark.parametrize("out, error", [
+        ("folder", "[Errno 21] Is a directory"),
+        ("nodir/out.txt", "[Errno 2] No such file or directory"),
+        ("file/out.txt", "[Errno 20] Not a directory")])
+    def test_unusable_out_is_2_before_any_mesh_is_read(self, tmp_path, mesh_off, capsys,
+                                                       monkeypatch, command, out, error):
+        # an --out that is a directory or has no directory parent is refused
+        # with the error the final write would raise, before any mesh is
+        # read, and nothing is created
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "file").write_text("")
+        mesh = str(mesh_off)
+        inputs = {"dict build": ["--mesh", mesh, "--samples", "3"],
+                  "match self": ["--mesh", mesh, "--samples", "3"],
+                  "match pair": ["--src", mesh, "--dst", mesh, "--landmarks-src", "a.txt",
+                                 "--landmarks-dst", "b.txt"],
+                  "eval": ["--map", "m.txt", "--gt", "g.txt", "--mesh", mesh]}[command]
+        loads = []
+        monkeypatch.setattr(experiments, "load_mesh", lambda *args: loads.append(args))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(command.split() + inputs + ["--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err == f"data error: {error}: '{tmp_path / out}'\n"
+        assert loads == [] and sorted(tmp_path.rglob("*")) == before
+
     def test_non_finite_vertex_is_2(self, tmp_path, capsys):
         path = tmp_path / "m.off"
         path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 -inf\n3 0 1 2\n3 0 1 3\n")

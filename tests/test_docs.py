@@ -6,14 +6,19 @@ and name each kind's config keys; the minimal example must run; the Scripts
 section must name exactly the files under ``scripts/`` and ``configs/``; the
 Library tour's signatures must be the package's, and its ``evaluation`` row
 must name the Dijkstra chunk size the module uses. Every public name of the
-package has a user.
+package has a user in code, and every defaulted parameter a caller that
+passes it.
 """
 import argparse
+import ast
+import collections
 import importlib
 import inspect
+import io
 import pkgutil
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -126,24 +131,67 @@ def test_library_tour_signatures_match_the_code():
                     f"README's `{name}({params})` against {signature}"
 
 
+def code_files():
+    """The Python files that use the package: its modules but ``__init__``,
+    ``scripts/`` and ``perfbench/``."""
+    modules = (ROOT / "src" / "meshwavelets").glob("*.py")
+    return ([path for path in modules if path.name != "__init__.py"]
+            + [path for folder in ("scripts", "perfbench")
+               for path in (ROOT / folder).rglob("*.py")])
+
+
+def code_names(path):
+    """The names a Python file's code uses: its NAME tokens, so none from a
+    string or a comment, less each name that a ``def`` or ``class`` defines."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    return {token.string for before, token in zip([None] + tokens, tokens)
+            if token.type == tokenize.NAME and not (before and before.string in ("def", "class"))}
+
+
 def test_every_public_name_has_a_user():
     # each public function, class and method outside the test-support module
-    # `synthetic` is named in src/ beyond its definition and the package's
-    # re-exports, in scripts/, configs/ or perfbench/, or in README's backticks
-    package = ROOT / "src" / "meshwavelets"
-    src = [path.read_text() for path in package.glob("*.py") if path.name != "__init__.py"]
-    users = [path.read_text() for folder in ("scripts", "configs", "perfbench")
-             for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".txt", ".md")]
-    users.append(" ".join(re.findall(r"`[^`\n]+`", README)))
-    unused = []
-    for name, objs in public_callables().items():
-        if all(obj.__module__ == "meshwavelets.synthetic" for obj in objs):
-            continue
-        word = re.compile(rf"\b{name}\b")
-        definition = re.compile(rf"^\s*(?:def|class) {name}\b.*$", flags=re.M)
-        if not any(word.search(definition.sub("", text)) for text in src + users):
-            unused.append(name)
+    # `synthetic` is named by code: a module's code beyond its definition, a
+    # script, perfbench, a config, or a fenced code block of README; prose
+    # and docstrings are no users
+    used = set().union(*map(code_names, code_files()))
+    for text in [path.read_text() for path in (ROOT / "configs").iterdir()] + \
+            re.findall(r"^```\w*\n(.*?)^```", README, flags=re.M | re.S):
+        used.update(re.findall(r"\w+", text))
+    unused = [name for name, objs in public_callables().items()
+              if name not in used
+              and any(obj.__module__ != "meshwavelets.synthetic" for obj in objs)]
     assert unused == []
+
+
+def passes(call, index, param):
+    """Whether ``call`` passes ``param``, its callee's ``index``-th parameter
+    (``self`` not counted): by keyword, by position, or through ``*`` or ``**``."""
+    if any(keyword.arg in (param.name, None) for keyword in call.keywords):
+        return True
+    return param.kind is not inspect.Parameter.KEYWORD_ONLY and (
+        len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a setting with one value in use:
+    # each defaulted parameter of a public function or method outside
+    # `synthetic` is passed by some call in the code files, a call being
+    # matched to its callee by name
+    calls = collections.defaultdict(list)
+    for path in code_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls[getattr(node.func, "id", getattr(node.func, "attr", None))].append(node)
+    unpassed = []
+    for name, objs in public_callables().items():
+        for fn in objs:
+            if inspect.isclass(fn) or fn.__module__ == "meshwavelets.synthetic":
+                continue
+            params = [p for p in inspect.signature(fn).parameters.values() if p.name != "self"]
+            unpassed += [f"{name}({p.name})" for i, p in enumerate(params)
+                         if p.default is not inspect.Parameter.empty
+                         and not any(passes(call, i, p) for call in calls[name])]
+    assert unpassed == []
 
 
 def test_evaluation_row_names_the_dijkstra_chunk():

@@ -1,5 +1,4 @@
 import collections
-import functools
 import re
 import sys
 
@@ -211,6 +210,27 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_dir_refused_before_any_mesh_is_read(tmp_path, mesh_file, pair_files,
+                                                         monkeypatch, capsys, kind, under):
+    # an out_dir that names a file, or lies under one, can never be made: the
+    # config is refused before any mesh is read, and nothing is created
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out_dir = taken / "o" if under else taken
+    meshes = {"mesh": mesh_file, "mesh_source": pair_files[0], "mesh_target": pair_files[1]}
+    config = write_config(tmp_path, f"experiment={kind}\nout_dir={out_dir}\n" + "".join(
+        f"{key}={path}\n" for key, path in meshes.items() if key in _SCHEMAS[kind]))
+    loads = []
+    monkeypatch.setattr(experiments, "load_mesh", lambda *args: loads.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["experiment", "run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (f"data error: {config}: out_dir '{out_dir}' is or "
+                                       "lies under a non-directory\n")
+    assert loads == [] and sorted(tmp_path.rglob("*")) == before
+
+
 class TestSelfmatchExperiment:
     def test_outputs_and_determinism(self, tmp_path, mesh_file):
         text = (f"experiment=selfmatch\nout_dir={tmp_path}/out\nmesh={mesh_file}\n"
@@ -404,8 +424,7 @@ class TestWaveletComparisonExperiment:
         # the ground truth's full eigensolve refuses the 162-vertex mesh under a
         # cap of 100 before any dictionary is built or eigenpair truncated
         monkeypatch.setattr(experiments, "TRUNCATION", 40)
-        monkeypatch.setattr(experiments, "generalized_eigs",
-                            functools.partial(solve.generalized_eigs, max_n=100))
+        monkeypatch.setattr(solve, "DENSE_EIG_CAP", 100)
         built = []
         monkeypatch.setattr(experiments, "build_dictionary",
                             lambda *args, **kwargs: built.append(args))

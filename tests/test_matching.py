@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from meshwavelets import (Dictionary, Shape, build_dictionary, build_laplacian, 
                           identity_map, load_pointmap, nearest_rows,
                           reconstruct_delta_map, sample, save_pointmap,
                           transfer_pointmap)
+from meshwavelets import matching
 from meshwavelets.matching import PointMap, gram_argmax
 from meshwavelets.sampling import explicit_samples
 from meshwavelets.synthetic import (icosphere, jittered_icosphere, rigid_transform,
@@ -84,27 +86,29 @@ def test_gram_argmax_matches_dense_oracle(data, n, m):
     # to the lowest row, also when the equal rows fall in different strips
     b = data.draw(arrays(np.int8, (n, m), elements=st.integers(-2, 2))).astype(np.float64)
     block = data.draw(st.sampled_from([1, 7, 64, 65, 130, n, 512]))
-    np.testing.assert_array_equal(gram_argmax(b, block=block),
-                                  np.argmax(b @ b.T, axis=0))
+    with mock.patch.object(matching, "_NN_BLOCK", block):
+        np.testing.assert_array_equal(gram_argmax(b), np.argmax(b @ b.T, axis=0))
 
 
 @pytest.mark.parametrize("first", [0, 63, 64, 65, 127, 128, 129])
-def test_gram_argmax_tie_rows_across_sub_blocks(first):
+def test_gram_argmax_tie_rows_across_sub_blocks(first, monkeypatch):
     # rows first.. of the 130-row first strip all reach the maximum of every
     # later column; the first of them must be taken
     b = np.zeros((400, 1))
     b[first:] = 1.0
-    targets = gram_argmax(b, block=130)
+    monkeypatch.setattr(matching, "_NN_BLOCK", 130)
+    targets = gram_argmax(b)
     assert (targets[130:] == first).all()
     np.testing.assert_array_equal(targets, np.argmax(b @ b.T, axis=0))
 
 
-def test_nearest_rows_holds_one_block_at_a_time():
+def test_nearest_rows_holds_one_block_at_a_time(monkeypatch):
     rng = np.random.default_rng(1)
     queries, points = rng.standard_normal((2562, 250)), rng.standard_normal((2562, 250))
+    monkeypatch.setattr(matching, "_NN_BLOCK", 512)
     tracemalloc.start()
     try:
-        nearest_rows(queries, points, block=512)
+        nearest_rows(queries, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -112,12 +116,13 @@ def test_nearest_rows_holds_one_block_at_a_time():
     assert peak <= 512 * 2562 * 8 * 1.25
 
 
-def test_gram_argmax_holds_one_strip_at_a_time():
+def test_gram_argmax_holds_one_strip_at_a_time(monkeypatch):
     n, block = 10242, 512
     b = np.random.default_rng(0).standard_normal((n, 250))
+    monkeypatch.setattr(matching, "_NN_BLOCK", block)
     tracemalloc.start()
     try:
-        gram_argmax(b, block=block)
+        gram_argmax(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,12 +190,14 @@ class TestNearestRows:
         idx = nearest_rows(queries, points)
         np.testing.assert_array_equal(idx, [1, 3, 0])  # duplicate row: index 1 wins
 
-    def test_blocked_matches_unblocked(self):
+    def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(0)
         q = rng.standard_normal((37, 5))
         p = rng.standard_normal((23, 5))
-        np.testing.assert_array_equal(nearest_rows(q, p, block=7),
-                                      nearest_rows(q, p, block=1000))
+        monkeypatch.setattr(matching, "_NN_BLOCK", 7)
+        blocked = nearest_rows(q, p)
+        monkeypatch.setattr(matching, "_NN_BLOCK", 1000)
+        np.testing.assert_array_equal(blocked, nearest_rows(q, p))
 
 
 @pytest.fixture(scope="module")

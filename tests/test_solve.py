@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
-from meshwavelets import NumericalError, build_laplacian, factorize, generalized_eigs
+from meshwavelets import (NumericalError, build_laplacian, factorize, generalized_eigs,
+                          solve)
 from meshwavelets.mesh import normalize_unit_area
 from meshwavelets.solve import SpdSystem, _nested_dissection
 from meshwavelets.synthetic import icosphere
@@ -246,16 +247,17 @@ def test_subset_matches_full():
                                atol=1e-7)
 
 
-def test_desk_scale_cap(lap642):
+def test_desk_scale_cap(lap642, monkeypatch):
+    monkeypatch.setattr(solve, "DENSE_EIG_CAP", 100)
     with pytest.raises(ValueError) as exc:
-        generalized_eigs(lap642.mass, lap642.stiffness, max_n=100)
+        generalized_eigs(lap642.mass, lap642.stiffness)
     assert str(exc.value) == ("mesh has 642 vertices, above the dense-eigensolver cap "
                               "100: the solve of all 642 eigenpairs builds a 642x642 "
                               "matrix of 0.00307 GiB")
     with pytest.raises(ValueError):
         generalized_eigs(lap642.mass, lap642.stiffness, k=lap642.n + 1)
     # the cap guards only the dense path; a truncated k is solved sparsely
-    assert generalized_eigs(lap642.mass, lap642.stiffness, k=11, max_n=100).count == 11
+    assert generalized_eigs(lap642.mass, lap642.stiffness, k=11).count == 11
 
 
 @pytest.fixture(scope="module")
