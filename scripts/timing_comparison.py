@@ -4,8 +4,9 @@
 Times the two routes to the same wavelets on icospheres of growing size (unit
 area, 10 farthest-point samples with seed 0): the diffusion dictionary
 (25 scales, t_max = 1) against the spectral route of ``spectral.TRUNCATION``
-(300) eigenpairs (sparse shift-invert eigensolve plus the spectral Mexican hats
-at the same diffusion times). Level 6 (40962 vertices) takes about a minute on 2 cores.
+(300) eigenpairs (the dense eigensolve at 642 vertices and sparse shift-invert
+above, as ``generalized_eigs`` picks them, plus the spectral Mexican hats at the
+same diffusion times). Level 6 (40962 vertices) takes about a minute on 2 cores.
 
 Usage: python scripts/timing_comparison.py [max_subdivisions]
 """

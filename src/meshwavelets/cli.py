@@ -29,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text):
+    """A ``--seed`` value: numpy's generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _shape_dictionary(args):
     """The --mesh shape and its dictionary over --samples (FPS count or landmark file)."""
     shape = load_shape(args.mesh)
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", required=True,
                    help="sample count (FPS) or landmark index file")
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dict_build)
 
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[diffusion])
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match_self)
     p = match_sub.add_parser("pair", help="cross-shape transfer from matched landmarks",

@@ -27,7 +27,7 @@ from .sampling import STRATEGIES, SampleSet, explicit_samples, perturb_samples, 
 from .solve import generalized_eigs
 from .spectral import (TRUNCATION, dictionary_error, eigenbasis_selfmatch_map,
                        fmap_to_pointmap, ground_truth_wavelets, gt_functional_map)
-from .wavelets import KINDS, Dictionary, _time_step, build_dictionary, pair_rhos
+from .wavelets import KINDS, build_dictionary, pair_rhos
 
 _COMMON_KEYS = {"experiment", "out_dir", "seed"}
 
@@ -100,6 +100,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> dict:
 
     config = {"experiment": kind, "out_dir": str(raw["out_dir"]),
               "seed": _convert("seed", raw.get("seed", _DEFAULTS["seed"]), int, source)}
+    if config["seed"] < 0:  # numpy's generators take no negative seed
+        raise DataError(f"{source}: bad value for 'seed': {raw['seed']!r}; "
+                        f"expected a non-negative integer")
     out_dir = Path(config["out_dir"])  # refused now if the run could never make it
     if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
         raise DataError(f"{source}: out_dir {config['out_dir']!r} is or lies under a non-directory")
@@ -216,14 +219,15 @@ def write_curve_csv(path, evalcurve):
                zip(THRESHOLDS.tolist(), evalcurve.fractions.tolist()))
 
 
-def _sweep(config, out_dir, run):
+def _sweep(config, out_dir, run, facts=()):
     """Call ``run(setting) -> (map, curve, summary)`` on every combination of
     the config's list values; a setting maps each list key of the kind to one
     value. One combination writes ``curve.csv`` and ``map.txt`` and returns the
     run's summary; several write a ``sweep/1`` CSV with one row per setting
-    (its values in schema order, then the run's scores). A setting that raises
-    ends the sweep: the rows finished before it are written, then its error
-    propagates. ``out_dir`` is made just before the first file is written."""
+    (its values in schema order, then the summary's ``facts`` and scores). A
+    setting that raises ends the sweep: the rows finished before it are
+    written, then its error propagates. ``out_dir`` is made just before the
+    first file is written."""
     keys = [key for key, typ in _SCHEMAS[config["experiment"]].items() if isinstance(typ, list)]
     settings = [dict(zip(keys, values))
                 for values in itertools.product(*(config[key] for key in keys))]
@@ -233,19 +237,19 @@ def _sweep(config, out_dir, run):
         write_curve_csv(out_dir / "curve.csv", ec)
         save_pointmap(pm, out_dir / "map.txt")
         return summary
-    scores = ["mean_error", "auc_025"]
+    reported = [*facts, "mean_error", "auc_025"]
     if config["baseline"] == "lbo":
-        scores += ["baseline_mean_error", "baseline_auc_025"]
+        reported += ["baseline_mean_error", "baseline_auc_025"]
     rows = []
 
     def write():
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "sweep.csv", "sweep", keys + scores, rows)
+        _write_csv(out_dir / "sweep.csv", "sweep", keys + reported, rows)
 
     try:
         for setting in settings:
             summary = run(setting)[2]
-            rows.append([*setting.values(), *(summary[key] for key in scores)])
+            rows.append([*setting.values(), *(summary[key] for key in reported)])
     except BaseException:
         # the setting's error is the one reported, even if the write fails
         with contextlib.suppress(Exception):
@@ -353,16 +357,19 @@ def _run_pairmatch(config, out_dir):
             "samples", "strategy", "scales", "tmax", "dictionary"))
         samples_src = source_samples(n, strategy, setting["displaced"],
                                      setting["noise_radius"])
+        # a disc shorter than an edge moves nothing: count what did move
+        moved = int(np.count_nonzero(samples_src.indices != draw(n, strategy)[0].indices))
         source = build_dictionary(src.lap, samples_src, n_scales=scales, t_max=tmax,
                                   rho=rho_src, kind=kind)
         pm = transfer_pointmap(source, target(n, strategy, scales, tmax, kind))
         ec = curve(geodesic_errors(pm, gt, dst))
-        summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst}
+        summary = {**_scores(ec), "rho_source": rho_src, "rho_target": rho_dst,
+                   "moved": moved}
         if config["baseline"] == "lbo":
             summary.update(baseline(len(samples_src) + 1))
         return pm, ec, summary
 
-    return _sweep(config, out_dir, run)
+    return _sweep(config, out_dir, run, ("moved",))
 
 
 def _run_wavelets(config, out_dir):
@@ -375,20 +382,18 @@ def _run_wavelets(config, out_dir):
     samples = sample(shape, config["samples"], strategy=config["strategy"],
                      seed=config["seed"])
     scales, tmax = config["scales"], config["tmax"]
-    # untimed ground truth first: a mesh above the dense cap is refused before any timing
-    grid = Dictionary(np.zeros((lap.n, len(samples) * scales)), samples, scales, tmax,
-                      _time_step(lap, scales, tmax, 1.0), 1.0, "wavelet")
-    reference = ground_truth_wavelets(generalized_eigs(lap.mass, lap.stiffness, k="all"),
-                                      lap, grid)
-    # the two timed routes to the wavelets of the samples: the diffusion
-    # dictionary, and the truncated-spectral baseline (a restricted
-    # eigensolve plus the spectral Mexican hats at the same times)
+    # the untimed full spectrum first: a mesh above the dense cap is refused
+    # before any timing; the ground truth takes ours' time grid once it exists
+    full = generalized_eigs(lap.mass, lap.stiffness, lap.n)
+    # the three timed routes to the wavelets of the samples: the diffusion
+    # dictionary, the truncated-spectral baseline (TRUNCATION eigenpairs plus
+    # the spectral Mexican hats at the same times) and the heat-kernel family
     t0 = time.perf_counter()
     ours = build_dictionary(lap, samples, n_scales=scales, t_max=tmax)
     t_ours = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spectrum = generalized_eigs(lap.mass, lap.stiffness, k=TRUNCATION)
+    spectrum = generalized_eigs(lap.mass, lap.stiffness, TRUNCATION)
     truncated = ground_truth_wavelets(spectrum, lap, ours)
     t_truncated = time.perf_counter() - t0
 
@@ -396,6 +401,7 @@ def _run_wavelets(config, out_dir):
     heat = build_dictionary(lap, samples, n_scales=scales, t_max=tmax, kind="heat")
     t_heat = time.perf_counter() - t0
 
+    reference = ground_truth_wavelets(full, lap, ours)
     err_ours = dictionary_error(ours, reference, lap.mass)
     err_trunc = dictionary_error(truncated, reference, lap.mass)
     err_heat = dictionary_error(heat, reference, lap.mass)

@@ -3,8 +3,9 @@
 The matrix A + tW is factorized once and reused for every right-hand side of
 every diffusion step; this single factorization is the main performance lever
 of the dictionary construction, and its nested-dissection order keeps the fill
-small. The eigensolver finds a truncated spectrum by sparse shift-invert
-Lanczos and keeps a dense solver only as the full-spectrum oracle.
+small. The eigensolver takes the dense solve of the whole spectrum, the
+oracle, where more than a fifth of it is asked for on a mesh within the
+dense cap, and sparse shift-invert Lanczos otherwise.
 """
 from __future__ import annotations
 
@@ -255,23 +256,31 @@ class Spectrum:
         return self.eigenvectors.shape[0]
 
 
-def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix, k="all") -> Spectrum:
-    """Smallest-k generalized eigenpairs of W Phi = lambda A Phi.
+def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix, k: int) -> Spectrum:
+    """Smallest-k generalized eigenpairs of W Phi = lambda A Phi, for k in [1, n].
 
-    A truncated ``k < n`` runs shift-invert Lanczos (ARPACK ``eigsh``) on the
-    sparse pencil about sigma = -1e-8, from a fixed start vector so repeated
-    calls give identical vectors. ``k="all"`` (or ``k == n``) is the dense
-    oracle: ``eigh`` of the similarity transform A^-1/2 W A^-1/2, which builds
-    an n x n matrix and so refuses ``n > DENSE_EIG_CAP``.
+    For k = n, and for 5k > n on a mesh within ``DENSE_EIG_CAP``, they are the
+    first k of the dense solve of all n pairs, the faster route there: ``eigh``
+    of the similarity transform A^-1/2 W A^-1/2, whose n x n matrix refuses
+    k = n above the cap. Any other k runs shift-invert Lanczos (ARPACK
+    ``eigsh``) on the sparse pencil about sigma = -1e-8, from a fixed start
+    vector so repeated calls give identical vectors.
     """
     mass = np.asarray(mass, dtype=np.float64)
     n = mass.shape[0]
-    if k == "all":
-        k = n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
-    if k < n:
+    if k == n or (5 * k > n and n <= DENSE_EIG_CAP):
+        if n > DENSE_EIG_CAP:
+            raise ValueError(f"mesh has {n} vertices, above the dense-eigensolver cap "
+                             f"{DENSE_EIG_CAP}: the solve of all {n} eigenpairs builds a "
+                             f"{n}x{n} matrix of {8 * n * n / 2 ** 30:.3g} GiB")
+        s = 1.0 / np.sqrt(mass)
+        B = stiffness.toarray() * s[None, :] * s[:, None]
+        lam, U = scipy.linalg.eigh(0.5 * (B + B.T))
+        lam, phi = lam[:k], U[:, :k] * s[:, None]
+    else:
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             lam, phi = eigsh(stiffness.tocsc(), k, M=sparse.diags(mass),
@@ -280,15 +289,6 @@ def generalized_eigs(mass: np.ndarray, stiffness: sparse.spmatrix, k="all") -> S
             raise NumericalError(f"sparse eigensolver failed: {exc}") from exc
         order = np.argsort(lam, kind="stable")
         lam, phi = lam[order], phi[:, order]
-    else:
-        if n > DENSE_EIG_CAP:
-            raise ValueError(f"mesh has {n} vertices, above the dense-eigensolver cap "
-                             f"{DENSE_EIG_CAP}: the solve of all {n} eigenpairs builds a "
-                             f"{n}x{n} matrix of {8 * n * n / 2 ** 30:.3g} GiB")
-        s = 1.0 / np.sqrt(mass)
-        B = stiffness.toarray() * s[None, :] * s[:, None]
-        lam, U = scipy.linalg.eigh(0.5 * (B + B.T))
-        phi = U * s[:, None]
 
     # reproducible sign: first entry with |value| > 1e-8 is positive
     for j in range(phi.shape[1]):

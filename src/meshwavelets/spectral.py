@@ -4,7 +4,7 @@ and eigenbasis matching baselines.
 Everything here is built from a generalized eigensystem and serves as oracle
 or comparison target for the diffusion-based dictionary. A truncated spectrum
 (``generalized_eigs(..., k=TRUNCATION)``) gives the truncated spectral
-construction, the full one (``k="all"``) the ground truth; the functions below
+construction, the full one (``k = n``) the ground truth; the functions below
 use every eigenpair they are given.
 """
 from __future__ import annotations

@@ -10,6 +10,7 @@ indicators, no Laplacian, no zero-mean projection, L1 normalization only).
 """
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from dataclasses import dataclass
@@ -208,10 +209,14 @@ def _time_step(lap, n_scales, t_max, rho):
 
 
 def check_dictionary_path(path) -> Path:
-    """``path`` as a ``Path``; ``ValueError`` if it ends in ``.meta``, its sidecar's suffix."""
+    """``path`` as a ``Path``; ``ValueError`` if it ends in ``.meta``, its sidecar's
+    suffix, and the sidecar write's ``OSError`` if the sidecar is a directory."""
     path = Path(path)
-    if path.with_suffix(".meta") == path:
+    meta = path.with_suffix(".meta")
+    if meta == path:
         raise ValueError(f"{path}: a dictionary path cannot end in .meta, its sidecar's suffix")
+    if meta.is_dir():  # the error the sidecar's write would raise after the build
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(meta))
     return path
 
 

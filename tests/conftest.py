@@ -54,12 +54,12 @@ def lap_jitter642(shape_jitter642):
 
 @pytest.fixture(scope="session")
 def spec162(lap162):
-    return generalized_eigs(lap162.mass, lap162.stiffness)
+    return generalized_eigs(lap162.mass, lap162.stiffness, lap162.n)
 
 
 @pytest.fixture(scope="session")
 def spec642(lap642):
-    return generalized_eigs(lap642.mass, lap642.stiffness)
+    return generalized_eigs(lap642.mass, lap642.stiffness, lap642.n)
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ def test_criterion_01_mass_conservation(lap642):
 
 def test_criterion_02_first_order_euler_consistency(ico642, lap642):
     start = time.perf_counter()
-    spectrum = generalized_eigs(lap642.mass, lap642.stiffness)
+    spectrum = generalized_eigs(lap642.mass, lap642.stiffness, lap642.n)
     lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
     # smooth test function: centered linear coordinate function
     f = ico642.vertices @ np.array([1.0, 2.0, 3.0])
@@ -248,7 +248,7 @@ def test_criterion_12_optional_faust_dataset(monkeypatch):
         lap = shape.lap
         samples = sample(shape, 10, seed=0)
         ours = build_dictionary(lap, samples, n_scales=25, t_max=1.0)
-        spectrum = generalized_eigs(lap.mass, lap.stiffness)
+        spectrum = generalized_eigs(lap.mass, lap.stiffness, lap.n)
         reference = ground_truth_wavelets(spectrum, lap, ours)
         truncated = ground_truth_wavelets(
             Spectrum(eigenvalues=spectrum.eigenvalues[:300],

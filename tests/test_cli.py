@@ -58,6 +58,49 @@ def test_dict_build_to_a_meta_path_is_2(tmp_path, mesh_off, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_dict_build_with_a_directory_sidecar_is_2_before_any_work(tmp_path, mesh_off, capsys,
+                                                                   monkeypatch):
+    # the .meta sidecar's write would fail after the dictionary is written,
+    # leaving a file load_dictionary cannot read; it fails before the mesh is read
+    (tmp_path / "d.meta").mkdir()
+    loads = []
+    monkeypatch.setattr(experiments, "load_mesh", lambda *args: loads.append(args))
+    out = tmp_path / "d.dwd"
+    code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",
+                 "--scales", "4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"data error: [Errno 21] Is a directory: "
+                                       f"'{tmp_path / 'd.meta'}'\n")
+    assert loads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dict build", "match self"])
+def test_negative_seed_is_a_usage_error_before_any_mesh_is_read(tmp_path, mesh_off, capsys,
+                                                                monkeypatch, command):
+    loads = []
+    monkeypatch.setattr(experiments, "load_mesh", lambda *args: loads.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--mesh", str(mesh_off), "--samples", "3", "--seed", "-1",
+                                "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    assert ("argument --seed: expected a non-negative integer, got '-1'"
+            in capsys.readouterr().err)
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_negative_config_seed_is_2_before_any_mesh_is_read(tmp_path, mesh_off, capsys,
+                                                           monkeypatch):
+    loads = []
+    monkeypatch.setattr(experiments, "load_mesh", lambda *args: loads.append(args))
+    config = tmp_path / "config.txt"
+    config.write_text(f"experiment=selfmatch\nout_dir={tmp_path / 'o'}\nmesh={mesh_off}\n"
+                      "seed=-1\n")
+    assert main(["experiment", "run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (f"data error: {config}: bad value for 'seed': '-1'; "
+                                       "expected a non-negative integer\n")
+    assert loads == [] and not (tmp_path / "o").exists()
+
+
 def test_dict_build_uses_rho_1(tmp_path, mesh_off):
     out = tmp_path / "dict.dwd"
     code = main(["dict", "build", "--mesh", str(mesh_off), "--samples", "3",

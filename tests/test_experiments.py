@@ -399,8 +399,8 @@ class TestPairmatchExperiment:
 
 class TestWaveletComparisonExperiment:
     def test_csv_and_ordering(self, tmp_path, mesh_file, monkeypatch):
-        # fewer eigenpairs than the 162 vertices, so the truncated route is the sparse one
-        monkeypatch.setattr(experiments, "TRUNCATION", 40)
+        # 5 * 32 < 162 vertices, so the truncated route is the sparse one
+        monkeypatch.setattr(experiments, "TRUNCATION", 32)
         config = resolve_config({
             "experiment": "wavelets", "out_dir": str(tmp_path / "o"),
             "mesh": str(mesh_file), "samples": "3", "scales": "6", "tmax": "0.2",
@@ -493,12 +493,31 @@ class TestSweepExperiments:
         assert summary == {"rows": 4, "elapsed_seconds": summary["elapsed_seconds"],
                            "out_dir": str(tmp_path / "o")}
         assert [row[4:] for row in sweep_rows(tmp_path / "o")] == [
-            ["dictionary", "displaced", "noise_radius", "mean_error", "auc_025"],
-            ["wavelet", "1", "0.05", "0.07325429229803737", "1.0"],
-            ["wavelet", "1", "0.2", "0.09182420069463051", "1.0"],
-            ["wavelet", "2", "0.05", "0.07325429229803737", "1.0"],
-            ["wavelet", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
+            ["dictionary", "displaced", "noise_radius", "moved", "mean_error", "auc_025"],
+            ["wavelet", "1", "0.05", "0", "0.07325429229803737", "1.0"],
+            ["wavelet", "1", "0.2", "1", "0.09182420069463051", "1.0"],
+            ["wavelet", "2", "0.05", "0", "0.07325429229803737", "1.0"],
+            ["wavelet", "2", "0.2", "1", "0.0955076665144445", "0.9876543209876543"],
         ]
+
+    def test_noise_rows_say_how_many_samples_moved(self, tmp_path, pair_files):
+        # on the 162-vertex pair a radius of 0.05 is under one edge, so no
+        # sample moves and the rows differ only in `displaced`; a radius of 1
+        # takes in the whole mesh
+        src, dst = pair_files
+        pair = {"experiment": "pairmatch", "mesh_source": str(src), "mesh_target": str(dst),
+                "samples": "5", "scales": "4", "tmax": "0.2", "baseline": "none"}
+        run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / "o"),
+                                       "displaced": "1,3", "noise_radius": "0.05,1"}))
+        header, *rows = sweep_rows(tmp_path / "o")
+        assert [row[5:8] for row in [header, *rows]] == [
+            ["displaced", "noise_radius", "moved"],
+            ["1", "0.05", "0"], ["1", "1.0", "1"], ["3", "0.05", "0"], ["3", "1.0", "3"]]
+        assert rows[0][8:] == rows[2][8:]
+        for radius, moved in (("0.05", 0), ("1", 3)):
+            one = run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / radius),
+                                                 "displaced": "3", "noise_radius": radius}))
+            assert one["moved"] == moved
 
     def test_pairmatch_sweep_builds_each_dictionary_once(self, tmp_path, pair_files,
                                                         monkeypatch):
@@ -530,24 +549,24 @@ class TestSweepExperiments:
         # each kind's rows as a one-kind sweep computed them before dictionary
         # became a list key
         assert [row[2:] for row in sweep_rows(tmp_path / "o")] == [
-            ["scales", "tmax", "dictionary", "displaced", "noise_radius", "mean_error",
-             "auc_025"],
-            ["3", "0.2", "wavelet", "1", "0.05", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "wavelet", "1", "0.2", "0.09543556785616827", "1.0"],
-            ["3", "0.2", "wavelet", "2", "0.05", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "wavelet", "2", "0.2", "0.09442868238321904", "0.9753086419753086"],
-            ["3", "0.2", "heat", "1", "0.05", "0.10799590073145085", "0.9444444444444444"],
-            ["3", "0.2", "heat", "1", "0.2", "0.12380433809901695", "0.9197530864197531"],
-            ["3", "0.2", "heat", "2", "0.05", "0.10799590073145085", "0.9444444444444444"],
-            ["3", "0.2", "heat", "2", "0.2", "0.129413339548718", "0.8950617283950617"],
-            ["4", "0.2", "wavelet", "1", "0.05", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "wavelet", "1", "0.2", "0.09182420069463051", "1.0"],
-            ["4", "0.2", "wavelet", "2", "0.05", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "wavelet", "2", "0.2", "0.0955076665144445", "0.9876543209876543"],
-            ["4", "0.2", "heat", "1", "0.05", "0.10874768132933366", "0.9506172839506173"],
-            ["4", "0.2", "heat", "1", "0.2", "0.12245037626008387", "0.9382716049382716"],
-            ["4", "0.2", "heat", "2", "0.05", "0.10874768132933366", "0.9506172839506173"],
-            ["4", "0.2", "heat", "2", "0.2", "0.12707855232781026", "0.9074074074074074"],
+            ["scales", "tmax", "dictionary", "displaced", "noise_radius", "moved",
+             "mean_error", "auc_025"],
+            ["3", "0.2", "wavelet", "1", "0.05", "0", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "wavelet", "1", "0.2", "1", "0.09543556785616827", "1.0"],
+            ["3", "0.2", "wavelet", "2", "0.05", "0", "0.07168608634498008", "1.0"],
+            ["3", "0.2", "wavelet", "2", "0.2", "1", "0.09442868238321904", "0.9753086419753086"],
+            ["3", "0.2", "heat", "1", "0.05", "0", "0.10799590073145085", "0.9444444444444444"],
+            ["3", "0.2", "heat", "1", "0.2", "1", "0.12380433809901695", "0.9197530864197531"],
+            ["3", "0.2", "heat", "2", "0.05", "0", "0.10799590073145085", "0.9444444444444444"],
+            ["3", "0.2", "heat", "2", "0.2", "1", "0.129413339548718", "0.8950617283950617"],
+            ["4", "0.2", "wavelet", "1", "0.05", "0", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "wavelet", "1", "0.2", "1", "0.09182420069463051", "1.0"],
+            ["4", "0.2", "wavelet", "2", "0.05", "0", "0.07325429229803737", "1.0"],
+            ["4", "0.2", "wavelet", "2", "0.2", "1", "0.0955076665144445", "0.9876543209876543"],
+            ["4", "0.2", "heat", "1", "0.05", "0", "0.10874768132933366", "0.9506172839506173"],
+            ["4", "0.2", "heat", "1", "0.2", "1", "0.12245037626008387", "0.9382716049382716"],
+            ["4", "0.2", "heat", "2", "0.05", "0", "0.10874768132933366", "0.9506172839506173"],
+            ["4", "0.2", "heat", "2", "0.2", "1", "0.12707855232781026", "0.9074074074074074"],
         ]
 
     def test_dictionary_sweep_rows_equal_single_kind_runs(self, tmp_path, pair_files):
@@ -559,7 +578,7 @@ class TestSweepExperiments:
         header, *rows = sweep_rows(tmp_path / "s")
         scores = ["mean_error", "auc_025", "baseline_mean_error", "baseline_auc_025"]
         assert header == ["samples", "strategy", "scales", "tmax", "dictionary", "displaced",
-                          "noise_radius", *scores]
+                          "noise_radius", "moved", *scores]
         assert [row[4] for row in rows] == ["wavelet", "heat"]
         for row in rows:
             one = run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / row[4]),
@@ -585,8 +604,8 @@ class TestSweepExperiments:
         for out in ("o", "e"):
             assert sweep_rows(tmp_path / out) == [
                 ["samples", "strategy", "scales", "tmax", "dictionary", "displaced",
-                 "noise_radius", "mean_error", "auc_025"],
-                ["6", "fps-euclidean", "25", "0.25", "wavelet", "0", "0.0",
+                 "noise_radius", "moved", "mean_error", "auc_025"],
+                ["6", "fps-euclidean", "25", "0.25", "wavelet", "0", "0.0", "0",
                  repr(one["mean_error"]), repr(one["auc_025"])],
             ]
             assert not (tmp_path / out / "summary.txt").exists()

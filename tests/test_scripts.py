@@ -57,7 +57,8 @@ def test_configs_run_on_make_meshes_output(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("rows=2\n")
     lines = (tmp_path / "out" / "pairmatch" / "sweep.csv").read_text().splitlines()
     assert lines[1:] == [
-        "samples,strategy,scales,tmax,dictionary,displaced,noise_radius,mean_error,auc_025",
-        "8,fps-euclidean,25,0.1,wavelet,0,0.0,0.043183716658842006,1.0",
-        "8,fps-euclidean,25,0.1,heat,0,0.0,0.06389845121086964,1.0",
+        "samples,strategy,scales,tmax,dictionary,displaced,noise_radius,moved,mean_error,"
+        "auc_025",
+        "8,fps-euclidean,25,0.1,wavelet,0,0.0,0,0.043183716658842006,1.0",
+        "8,fps-euclidean,25,0.1,heat,0,0.0,0,0.06389845121086964,1.0",
     ]

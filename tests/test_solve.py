@@ -223,7 +223,7 @@ def test_spectrum_eigen_residual(lap162, spec162):
 
 def test_spectrum_completeness_small_mesh():
     lap = build_laplacian(normalize_unit_area(icosphere(2))[0])  # 162 <= 300
-    spec = generalized_eigs(lap.mass, lap.stiffness)
+    spec = generalized_eigs(lap.mass, lap.stiffness, lap.n)
     recon = (spec.eigenvectors @ spec.eigenvectors.T) * lap.mass[None, :]
     assert np.abs(recon - np.eye(lap.n)).max() <= 1e-6
 
@@ -239,7 +239,7 @@ def test_subset_matches_full():
     # jittered mesh: simple spectrum, so eigenvectors are unique up to sign
     from meshwavelets.synthetic import jittered_icosphere
     lap = build_laplacian(normalize_unit_area(jittered_icosphere(2, seed=3))[0])
-    full = generalized_eigs(lap.mass, lap.stiffness)
+    full = generalized_eigs(lap.mass, lap.stiffness, lap.n)
     sub = generalized_eigs(lap.mass, lap.stiffness, k=10)
     np.testing.assert_allclose(sub.eigenvalues, full.eigenvalues[:10],
                                rtol=1e-8, atol=1e-8)
@@ -250,7 +250,7 @@ def test_subset_matches_full():
 def test_desk_scale_cap(lap642, monkeypatch):
     monkeypatch.setattr(solve, "DENSE_EIG_CAP", 100)
     with pytest.raises(ValueError) as exc:
-        generalized_eigs(lap642.mass, lap642.stiffness)
+        generalized_eigs(lap642.mass, lap642.stiffness, lap642.n)
     assert str(exc.value) == ("mesh has 642 vertices, above the dense-eigensolver cap "
                               "100: the solve of all 642 eigenpairs builds a 642x642 "
                               "matrix of 0.00307 GiB")
@@ -260,15 +260,46 @@ def test_desk_scale_cap(lap642, monkeypatch):
     assert generalized_eigs(lap642.mass, lap642.stiffness, k=11).count == 11
 
 
+class _Stopped(Exception):
+    """Raised by a route spy in place of the solve it stands for."""
+
+
+@pytest.mark.parametrize("level, k, route", [
+    (3, 128, "eigsh"), (3, 129, "eigh"), (3, 642, "eigh"),
+    (4, 512, "eigsh"), (4, 513, "eigh"),
+], ids=["642-k128", "642-k129", "642-all", "2562-k512", "2562-k513"])
+def test_route_turns_dense_where_five_k_exceeds_n(monkeypatch, level, k, route):
+    lap = build_laplacian(normalize_unit_area(icosphere(level))[0])
+    called = []
+
+    def spy(name):
+        def stop(*args, **kwargs):
+            called.append(name)
+            raise _Stopped
+        return stop
+    monkeypatch.setattr(solve, "eigsh", spy("eigsh"))
+    monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh"))
+    with pytest.raises(_Stopped):
+        generalized_eigs(lap.mass, lap.stiffness, k)
+    assert called == [route]
+
+
+def test_count_is_a_required_integer(lap162):
+    with pytest.raises(TypeError):
+        generalized_eigs(lap162.mass, lap162.stiffness)
+    with pytest.raises(TypeError):
+        generalized_eigs(lap162.mass, lap162.stiffness, "all")
+
+
 @pytest.fixture(scope="module")
 def dense_oracles():
-    """Full dense spectra (k="all") of the exact and a jittered sphere."""
+    """Full dense spectra (k = n) of the exact and a jittered sphere."""
     from meshwavelets.synthetic import jittered_icosphere
     out = {}
     for name, mesh in (("sphere2562", icosphere(4)),
                        ("jitter642", jittered_icosphere(3, seed=5))):
         lap = build_laplacian(normalize_unit_area(mesh)[0])
-        out[name] = (lap, generalized_eigs(lap.mass, lap.stiffness))
+        out[name] = (lap, generalized_eigs(lap.mass, lap.stiffness, lap.n))
     return out
 
 
@@ -279,6 +310,18 @@ def test_sparse_eigenvalues_match_dense_oracle(dense_oracles, name, k):
     spec = generalized_eigs(lap.mass, lap.stiffness, k)
     assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (lap.n, k)
     np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[:k], rtol=1e-8, atol=1e-8)
+
+
+def test_routes_either_side_of_the_rule_against_the_oracle(dense_oracles):
+    # 5 * 129 > 642: the first 129 pairs of the same dense solve, bit for bit;
+    # 5 * 128 < 642: Lanczos, to the tolerance of the sparse route above
+    lap, full = dense_oracles["jitter642"]
+    dense = generalized_eigs(lap.mass, lap.stiffness, 129)
+    assert np.array_equal(dense.eigenvalues, full.eigenvalues[:129])
+    assert np.array_equal(dense.eigenvectors, full.eigenvectors[:, :129])
+    sparse_route = generalized_eigs(lap.mass, lap.stiffness, 128)
+    np.testing.assert_allclose(sparse_route.eigenvalues, full.eigenvalues[:128],
+                               rtol=1e-8, atol=1e-8)
 
 
 def test_sparse_clusters_span_the_dense_eigenspaces(dense_oracles):

@@ -31,7 +31,7 @@ def jlap162(jitter162):
 
 @pytest.fixture(scope="module")
 def jspec162(jlap162):
-    return generalized_eigs(jlap162.mass, jlap162.stiffness)
+    return generalized_eigs(jlap162.mass, jlap162.stiffness, jlap162.n)
 
 
 class TestHeatKernel:
