@@ -87,8 +87,10 @@ def perturb_samples(shape: Shape, samples: SampleSet, noise_radius: float,
     ``noise_radius * max(geodesic distances from that sample)``. The samples
     to displace are seed-chosen without replacement; the rest are unchanged.
     Candidates already used by another sample are excluded so the returned
-    indices stay distinct. Deterministic given ``seed``. A disc shorter than the
-    shortest edge at a sample holds only the sample, which then stays.
+    indices stay distinct, and so is the sample's own vertex whenever its disc
+    holds another candidate: a displaced sample moves. Deterministic given
+    ``seed``. A disc shorter than the shortest edge at a sample holds only the
+    sample, which then stays.
     """
     if not 0 <= count <= len(samples):
         raise ValueError(f"count must be in [0, {len(samples)}], got {count}")
@@ -104,5 +106,6 @@ def perturb_samples(shape: Shape, samples: SampleSet, noise_radius: float,
         candidates = np.flatnonzero(d <= bound)
         others = np.delete(new_indices, pos)
         candidates = np.setdiff1d(candidates, others, assume_unique=False)
-        new_indices[pos] = int(rng.choice(candidates))
+        elsewhere = candidates[candidates != s]
+        new_indices[pos] = int(rng.choice(elsewhere if elsewhere.size else candidates))
     return replace(samples, indices=new_indices)

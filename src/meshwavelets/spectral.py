@@ -28,16 +28,23 @@ def ground_truth_wavelets(spectrum: Spectrum, lap: LaplacianPair,
 
     Column (n, s) is A_ss times the spectral Mexican hat sum_k lam_k exp(-t
     lam_k) Phi_k(s) Phi_k at t = n * ``like.t_step``, the time reached by n
-    backward-Euler steps; one product of the eigenvectors makes every column.
-    Columns are normalized like wavelet columns, and the result keeps
-    ``like``'s samples, scale count and time parameters, with ``kind="wavelet"``.
+    backward-Euler steps. One product of the eigenvectors per scale writes
+    that scale's |S| columns into the column-major result, so no coefficient
+    matrix as large as the dictionary is formed. Columns are normalized like
+    wavelet columns, and the result keeps ``like``'s samples, scale count and
+    time parameters, with ``kind="wavelet"``.
     """
     lam, phi = spectrum.eigenvalues, spectrum.eigenvectors
     s = like.samples.indices
-    times = like.t_step * np.arange(1, like.n_scales + 1)
-    # row (n, j) holds the coefficients of column (n, j); scale-major like ``like``
-    coeffs = (lam * np.exp(-np.outer(times, lam)))[:, None] * (phi[s] * lap.mass[s, None])
-    columns = dense.matmul(phi, coeffs.reshape(-1, lam.size).T)
+    weighted = phi[s] * lap.mass[s, None]
+    # the |S| columns of a scale are one contiguous block of a column-major
+    # array: the C-ordered product coeffs @ phi^T, written there in place
+    block = phi.shape[0] * s.size
+    flat = np.empty(block * like.n_scales)
+    for n in range(like.n_scales):
+        t = like.t_step * (n + 1)
+        dense.matmul(lam * np.exp(-t * lam) * weighted, phi.T, out=flat[n * block:(n + 1) * block])
+    columns = flat.reshape(-1, phi.shape[0]).T
     columns = _normalize_columns(columns, lap.mass, like.samples, apply_range=True)
     return replace(like, columns=columns, kind="wavelet")
 

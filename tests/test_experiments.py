@@ -495,9 +495,9 @@ class TestSweepExperiments:
         assert [row[4:] for row in sweep_rows(tmp_path / "o")] == [
             ["dictionary", "displaced", "noise_radius", "moved", "mean_error", "auc_025"],
             ["wavelet", "1", "0.05", "0", "0.07325429229803737", "1.0"],
-            ["wavelet", "1", "0.2", "1", "0.09182420069463051", "1.0"],
+            ["wavelet", "1", "0.2", "1", "0.09381065268925874", "0.9938271604938271"],
             ["wavelet", "2", "0.05", "0", "0.07325429229803737", "1.0"],
-            ["wavelet", "2", "0.2", "1", "0.0955076665144445", "0.9876543209876543"],
+            ["wavelet", "2", "0.2", "2", "0.12081145308914495", "0.9814814814814815"],
         ]
 
     def test_noise_rows_say_how_many_samples_moved(self, tmp_path, pair_files):
@@ -514,9 +514,12 @@ class TestSweepExperiments:
             ["displaced", "noise_radius", "moved"],
             ["1", "0.05", "0"], ["1", "1.0", "1"], ["3", "0.05", "0"], ["3", "1.0", "3"]]
         assert rows[0][8:] == rows[2][8:]
-        for radius, moved in (("0.05", 0), ("1", 3)):
+        # at a radius of 0.2 every disc holds other vertices, so each displaced
+        # sample moves
+        for displaced, radius, moved in (("3", "0.05", 0), ("3", "1", 3), ("2", "0.2", 2)):
             one = run_experiment(resolve_config({**pair, "out_dir": str(tmp_path / radius),
-                                                 "displaced": "3", "noise_radius": radius}))
+                                                 "displaced": displaced,
+                                                 "noise_radius": radius}))
             assert one["moved"] == moved
 
     def test_pairmatch_sweep_builds_each_dictionary_once(self, tmp_path, pair_files,
@@ -552,21 +555,21 @@ class TestSweepExperiments:
             ["scales", "tmax", "dictionary", "displaced", "noise_radius", "moved",
              "mean_error", "auc_025"],
             ["3", "0.2", "wavelet", "1", "0.05", "0", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "wavelet", "1", "0.2", "1", "0.09543556785616827", "1.0"],
+            ["3", "0.2", "wavelet", "1", "0.2", "1", "0.08973606272161899", "0.9938271604938271"],
             ["3", "0.2", "wavelet", "2", "0.05", "0", "0.07168608634498008", "1.0"],
-            ["3", "0.2", "wavelet", "2", "0.2", "1", "0.09442868238321904", "0.9753086419753086"],
+            ["3", "0.2", "wavelet", "2", "0.2", "2", "0.11960877954297276", "0.9753086419753086"],
             ["3", "0.2", "heat", "1", "0.05", "0", "0.10799590073145085", "0.9444444444444444"],
-            ["3", "0.2", "heat", "1", "0.2", "1", "0.12380433809901695", "0.9197530864197531"],
+            ["3", "0.2", "heat", "1", "0.2", "1", "0.11944268642914561", "0.9135802469135802"],
             ["3", "0.2", "heat", "2", "0.05", "0", "0.10799590073145085", "0.9444444444444444"],
-            ["3", "0.2", "heat", "2", "0.2", "1", "0.129413339548718", "0.8950617283950617"],
+            ["3", "0.2", "heat", "2", "0.2", "2", "0.14659936542842317", "0.8518518518518519"],
             ["4", "0.2", "wavelet", "1", "0.05", "0", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "wavelet", "1", "0.2", "1", "0.09182420069463051", "1.0"],
+            ["4", "0.2", "wavelet", "1", "0.2", "1", "0.09381065268925874", "0.9938271604938271"],
             ["4", "0.2", "wavelet", "2", "0.05", "0", "0.07325429229803737", "1.0"],
-            ["4", "0.2", "wavelet", "2", "0.2", "1", "0.0955076665144445", "0.9876543209876543"],
+            ["4", "0.2", "wavelet", "2", "0.2", "2", "0.12081145308914495", "0.9814814814814815"],
             ["4", "0.2", "heat", "1", "0.05", "0", "0.10874768132933366", "0.9506172839506173"],
-            ["4", "0.2", "heat", "1", "0.2", "1", "0.12245037626008387", "0.9382716049382716"],
+            ["4", "0.2", "heat", "1", "0.2", "1", "0.11867626330035116", "0.9197530864197531"],
             ["4", "0.2", "heat", "2", "0.05", "0", "0.10874768132933366", "0.9506172839506173"],
-            ["4", "0.2", "heat", "2", "0.2", "1", "0.12707855232781026", "0.9074074074074074"],
+            ["4", "0.2", "heat", "2", "0.2", "2", "0.14694482494747838", "0.8518518518518519"],
         ]
 
     def test_dictionary_sweep_rows_equal_single_kind_runs(self, tmp_path, pair_files):

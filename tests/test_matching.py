@@ -131,20 +131,90 @@ def test_gram_argmax_holds_one_strip_at_a_time(monkeypatch):
     assert peak <= block * n * 8 + 400 * n
 
 
-def test_reconstruction_holds_b_and_one_strip():
-    # B = Psi L^-T (n x m) plus one 128-row Gram strip of the default block
-    # and O(n) vectors; a 512-row strip alone would add 30 MiB here
+def _dictionary(cols, n_samples, n_scales):
+    return Dictionary(columns=np.asfortranarray(cols),
+                      samples=explicit_samples(np.arange(n_samples)), n_scales=n_scales,
+                      t_max=1.0, t_step=1.0 / n_scales, rho=1.0, kind="wavelet")
+
+
+@pytest.mark.parametrize("rank", [None, 40], ids=["full-rank", "rank-40"])
+def test_reconstruction_holds_b_and_one_strip(rank):
+    # a short dictionary holds B = Psi L^-T (n x m); a tall one holds only its
+    # rotated rows P (n x r), r = m for full-rank columns and about the rank
+    # for low-rank ones. Either adds one 128-row Gram strip of the default
+    # block and O(n + m^2); a 512-row strip alone would add 30 MiB here
     n, n_samples, n_scales = 10242, 10, 25
-    cols = np.asfortranarray(np.random.default_rng(2).standard_normal((n, n_samples * n_scales)))
-    d = Dictionary(columns=cols, samples=explicit_samples(np.arange(n_samples)),
-                   n_scales=n_scales, t_max=1.0, t_step=0.04, rho=1.0, kind="wavelet")
+    m = n_samples * n_scales
+    rng = np.random.default_rng(2)
+    if rank is None:
+        cols = rng.standard_normal((n, m))
+    else:
+        cols = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        cols += 1e-9 * rng.standard_normal((n, m))
+    d = _dictionary(cols, n_samples, n_scales)
+    r = matching._reconstruct(d)[1]
+    assert r == m if rank is None else r <= rank + 5
     tracemalloc.start()
     try:
         reconstruct_delta_map(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cols.nbytes + 128 * n * 8 + 400 * n
+    assert peak <= n * r * 8 + 128 * n * 8 + 400 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 4),
+       n_scales=st.integers(1, 5), tall=st.booleans(), shape=st.sampled_from(
+           ["low-rank", "duplicated", "full-rank"]))
+def test_rank_route_matches_dense_oracle(seed, n_samples, n_scales, tall, shape):
+    # both sides of the size rule n >= _TALL * m, against the dense oracle.
+    # Duplicated rows tie in exact arithmetic, also across strips; BLAS may
+    # round the copies of a row differently by where they fall in a tile, so a
+    # tie may go to another copy, but only one whose value equals the maximum
+    rng = np.random.default_rng(seed)
+    m = n_samples * n_scales
+    n = int(rng.integers(matching._TALL * m, matching._TALL * m + 200)) if tall else \
+        int(rng.integers(n_samples, matching._TALL * m))
+    if shape == "low-rank":
+        k = max(1, m // 3)
+        cols = rng.standard_normal((n, k)) @ rng.standard_normal((k, m))
+        cols += 1e-7 * rng.standard_normal((n, m))
+    elif shape == "duplicated":
+        cols = rng.standard_normal((max(1, n // 3), m))[rng.integers(0, max(1, n // 3), n)]
+    else:
+        cols = rng.standard_normal((n, m))
+    d = _dictionary(cols, n_samples, n_scales)
+    with mock.patch.object(matching, "_NN_BLOCK", 16):
+        targets, r, _ = matching._reconstruct(d)
+    expected, recon = _two_sided_reconstruction(d)
+    differ = np.flatnonzero(targets != expected)
+    gap = recon[expected[differ], differ] - recon[targets[differ], differ]
+    assert (gap <= 1e-12 * np.abs(recon).max()).all()
+    if shape != "duplicated":
+        np.testing.assert_array_equal(targets, expected)
+    if tall and shape == "full-rank":
+        assert r == m
+    if tall and shape == "low-rank" and m >= 3:
+        assert r < m
+
+
+def test_near_tie_is_rechecked_in_full():
+    # rows 1 and 2 are row 0 scaled by 1 + 1e-13 and 1 + 2e-13, and the
+    # longest rows, so their reconstructions lead their own columns by a
+    # margin far inside the rounding bound: those columns are recomputed from
+    # the Cholesky factor, which resolves the larger row
+    rng = np.random.default_rng(5)
+    n_samples, n_scales = 4, 5
+    cols = rng.standard_normal((400, n_samples * n_scales))
+    cols[1] = cols[0] * (1 + 1e-13)
+    cols[2] = cols[0] * (1 + 2e-13)
+    cols[:3] *= 20.0
+    d = _dictionary(cols, n_samples, n_scales)
+    targets, r, rechecked = matching._reconstruct(d)
+    assert rechecked >= 3
+    assert (targets[:3] == 2).all()
+    np.testing.assert_array_equal(targets, _two_sided_reconstruction(d)[0])
 
 
 def _two_sided_reconstruction(dictionary, block=512):

@@ -128,6 +128,25 @@ class TestGroundTruthWavelets:
             tracemalloc.stop()
         assert peak < 1.5 * ref.columns.nbytes, peak / ref.columns.nbytes
 
+    def test_full_spectrum_peak_is_the_dictionary_and_one_scale(self):
+        # with every eigenpair the coefficients of all scales would match the
+        # dictionary in size; one scale's |S| rows at a time add 1/25 of it.
+        # The peak depends on shapes alone, so random eigenpairs stand in for
+        # the dense solve
+        shape = Shape(jittered_icosphere(4, seed=5))
+        n = shape.lap.n
+        rng = np.random.default_rng(0)
+        spectrum = Spectrum(eigenvalues=np.sort(rng.uniform(0.0, 50.0, n)),
+                            eigenvectors=rng.standard_normal((n, n)) / np.sqrt(n))
+        like = build_dictionary(shape.lap, sample(shape, 10, seed=0), n_scales=25)
+        tracemalloc.start()
+        try:
+            ref = ground_truth_wavelets(spectrum, shape.lap, like)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * ref.columns.nbytes, peak / ref.columns.nbytes
+
 
 def _reference(shape, lap, spectrum, n_scales=4):
     like = build_dictionary(lap, sample(shape, 2, seed=2), n_scales=n_scales, t_max=0.2)
